@@ -183,7 +183,7 @@ class BucketTable:
             fh.write("bucket,count,accuracy\n")
             for row in self.rows:
                 bucket = "undefined" if row.bucket is None else repr(row.bucket)
-                acc = "" if row.accuracy is None else repr(row.accuracy)
+                acc = "" if row.accuracy is None else repr(float(row.accuracy))
                 fh.write(f"{bucket},{row.count},{acc}\n")
 
 

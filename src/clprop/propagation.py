@@ -2,11 +2,17 @@
 closed-form solvers, the sender-only variant, classic label propagation, and
 analytic convergence verification.
 
-Orientation convention: the per-class weight slices are receiver-row matrices,
-``slice_k[j, i] = F_ij[k]`` for the arc (i, j), so one aggregation step for
-class k is ``slice_k @ beliefs[:, k]`` and node j sums exactly the messages
-``F_ij * beliefs[i]`` sent by its in-neighbors i.  On symmetrized graphs the
-slice pattern coincides with the arc set.
+Propagation iterates through the arc-incidence form: one aggregation step is
+``incidence @ messages``, where ``messages[a] = F_ij * beliefs[i]`` for the arc
+a = (i, j) (optionally normalized to unit sum) and ``incidence[j, a] = 1``, so
+node j sums exactly the messages sent by its in-neighbors i.  Both message
+modes share this one step.
+
+The per-class weight slices are receiver-row matrices, ``slice_k[j, i] =
+F_ij[k]``, so ``slice_k @ beliefs[:, k]`` is the unnormalized step for class k.
+They remain only for the closed-form solver, the spectral radius and the
+certification norms.  On symmetrized graphs the slice pattern coincides with
+the arc set.
 """
 
 from __future__ import annotations
@@ -107,6 +113,23 @@ class EdgeWeightTensor:
         )
 
     @cached_property
+    def _senders(self) -> np.ndarray:
+        return np.ascontiguousarray(self.arcs[:, 0])
+
+    @cached_property
+    def _class_norms(self) -> tuple[tuple[float, float], ...]:
+        """Entrywise 1-norm and Frobenius norm of each class slice."""
+        return tuple(
+            (float(np.abs(s.data).sum()), float(np.sqrt(np.sum(s.data * s.data))))
+            for s in self.per_class
+        )
+
+    @cached_property
+    def _class_rho(self) -> dict[int, SpectralRadiusEstimate]:
+        """Spectral radius estimates, filled per class on first need."""
+        return {}
+
+    @cached_property
     def _receiver_incidence(self) -> sparse.csr_matrix:
         m = self.arcs.shape[0]
         return sparse.csr_matrix(
@@ -153,11 +176,10 @@ def edge_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> EdgeW
 
 
 def _messages_raw(awf: EdgeWeightTensor, values: np.ndarray, normalize: bool) -> np.ndarray:
-    msgs = awf.weights * values[awf.arcs[:, 0]]
+    msgs = awf.weights * np.take(values, awf._senders, axis=0)
     if normalize:
-        sums = msgs.sum(axis=1)
-        pos = sums > 0
-        msgs[pos] /= sums[pos, None]
+        sums = msgs.sum(axis=1, keepdims=True)
+        np.divide(msgs, sums, out=msgs, where=sums > 0)
     return msgs
 
 
@@ -172,11 +194,7 @@ def compute_messages(awf: EdgeWeightTensor, b: Beliefs, normalize: bool = False)
 
 
 def _aggregate(awf: EdgeWeightTensor, values: np.ndarray, normalize: bool) -> np.ndarray:
-    if normalize:
-        return awf._receiver_incidence @ _messages_raw(awf, values, normalize=True)
-    return np.column_stack(
-        [awf.per_class[k] @ values[:, k] for k in range(awf.num_classes)]
-    )
+    return awf._receiver_incidence @ _messages_raw(awf, values, normalize)
 
 
 def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
@@ -406,20 +424,21 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
 
     Checks the entrywise 1-norm first, then the Frobenius norm (both upper
     bound the spectral radius); only when neither certifies does it fall back
-    to power iteration.
+    to power iteration.  The norms and rho(W_k) do not depend on alpha: they
+    are computed at most once per class per tensor and compared with 1/alpha
+    on every call.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     threshold = math.inf if alpha == 0.0 else 1.0 / alpha
     verdicts = []
-    for k, slice_k in enumerate(awf.per_class):
-        data = slice_k.data
-        norm_1 = float(np.abs(data).sum())
-        frobenius = float(np.sqrt(np.sum(data * data)))
+    for k, (norm_1, frobenius) in enumerate(awf._class_norms):
         if norm_1 < threshold or frobenius < threshold:
             verdicts.append(ClassConvergence(k, "certified", norm_1, frobenius))
             continue
-        rho, residual = spectral_radius(slice_k)
+        if k not in awf._class_rho:
+            awf._class_rho[k] = spectral_radius(awf.per_class[k])
+        rho, residual = awf._class_rho[k]
         if residual <= 1e-6 * max(1.0, rho):
             status = "convergent" if rho < threshold else "divergent"
         else:

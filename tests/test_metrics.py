@@ -268,6 +268,11 @@ class TestBucketAccuracy:
         lines = path.read_text().splitlines()
         assert lines[0] == "bucket,count,accuracy"
         assert len(lines) == 13
+        cells = [line.split(",")[2] for line in lines[1:]]
+        for cell, row in zip(cells, table.rows):
+            if cell:
+                assert float(cell) == row.accuracy
+        assert any(cells)
 
     def test_histogram_counts_every_node(self, path4):
         counts, undefined = local_homophily_histogram(path4)

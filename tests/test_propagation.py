@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import clprop.propagation as propagation
 from clprop.compatibility import Beliefs, CompatibilityMatrix, sinkhorn_knopp
 from clprop.graph import build_graph, one_hot
+from clprop.pipeline import DEFAULT_ALPHA_GRID
 from clprop.propagation import (
     DivergenceError,
     EdgeWeightTensor,
@@ -207,6 +209,94 @@ class TestPropagateClp:
         assert (raw.values != normed.values).any()
 
 
+def _reference_step(awf, values, normalize):
+    """The aggregation step in its original form: normalized messages divided
+    through a boolean mask and summed by the receiver incidence, unnormalized
+    beliefs aggregated class by class through the receiver-row slices."""
+    if not normalize:
+        return np.column_stack(
+            [awf.per_class[k] @ values[:, k] for k in range(awf.num_classes)]
+        )
+    msgs = awf.weights * values[awf.arcs[:, 0]]
+    sums = msgs.sum(axis=1)
+    pos = sums > 0
+    msgs[pos] /= sums[pos, None]
+    m = awf.arcs.shape[0]
+    incidence = sparse.csr_matrix(
+        (np.ones(m), (awf.arcs[:, 1], np.arange(m))), shape=(awf.node_count, m)
+    )
+    return incidence @ msgs
+
+
+def _degenerate_instance(rng, directed):
+    """Random arcs plus isolated nodes, zero-weight arcs and silent senders."""
+    n = int(rng.integers(10, 40))
+    c = int(rng.integers(2, 6))
+    active = n - 3  # the last three nodes stay isolated
+    pairs = rng.integers(0, active, (int(rng.integers(1, 4 * active)), 2))
+    graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, c, n), c, directed)
+    weights = rng.random((graph.arc_count, c)) * rng.uniform(0.05, 0.5)
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    weights[rng.random(graph.arc_count) < 0.1] = 0.0  # arcs that carry nothing
+    teleport = rng.random((n, c))
+    teleport[rng.random(teleport.shape) < 0.2] = 0.0
+    teleport[rng.random(n) < 0.15] = 0.0  # senders whose messages sum to zero
+    awf = EdgeWeightTensor(graph.arcs.copy(), weights, n)
+    return awf, Beliefs(teleport, "propagated")
+
+
+def _reference_run(awf, teleport, config):
+    return propagation._iterate(
+        lambda b: _reference_step(awf, b, config.message_normalization),
+        teleport.values,
+        config,
+    )
+
+
+def _assert_same_run(awf, teleport, config):
+    """propagate_clp matches the reference step bit for bit, diverging or not."""
+    try:
+        values, log = _reference_run(awf, teleport, config)
+    except DivergenceError as expected:
+        with pytest.raises(DivergenceError) as err:
+            propagate_clp(awf, teleport, config)
+        assert err.value.log == expected.log
+        return
+    out, got_log = propagate_clp(awf, teleport, config)
+    np.testing.assert_array_equal(out.values, values)
+    assert got_log == log
+
+
+class TestBitIdentityWithReferenceStep:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_random_degenerate_graphs(self, directed, normalize):
+        rng = np.random.default_rng(41 + directed)
+        for _ in range(6):
+            awf, teleport = _degenerate_instance(rng, directed)
+            for alpha in (0.1, 0.5, 0.9):
+                _assert_same_run(
+                    awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
+                )
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_empty_arc_set(self, normalize):
+        awf = EdgeWeightTensor(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3)), 5)
+        teleport = Beliefs(np.random.default_rng(2).random((5, 3)), "propagated")
+        _assert_same_run(awf, teleport, PropagationConfig(0.5, message_normalization=normalize))
+
+    def test_diverging_run_logs_match(self):
+        awf = scaled_random_tensor(16, rho_target=1.5, seed=0, num_classes=2)
+        teleport = Beliefs(np.ones((16, 2)), "propagated")
+        config = PropagationConfig(alpha=0.8, max_iters=500, tol=1e-300)
+        with pytest.raises(DivergenceError) as expected:
+            _reference_run(awf, teleport, config)
+        with pytest.raises(DivergenceError) as err:
+            propagate_clp(awf, teleport, config)
+        assert len(err.value.log) == len(expected.value.log)
+        assert err.value.log[-1].residual == expected.value.log[-1].residual
+
+
 class TestPropagateClpStar:
     def test_one_step_aggregates(self, worked_example):
         graph, compat, beliefs = worked_example
@@ -351,6 +441,34 @@ class TestConvergenceCheck:
             propagate_clp(awf, teleport, PropagationConfig(0.8, max_iters=300, tol=1e-300))
         residuals = [rec.residual for rec in err.value.log]
         assert residuals[-1] > residuals[max(0, len(residuals) - 8)]
+
+    def test_spectral_radius_runs_once_per_class(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        base = rng.random((12, 12))
+        np.fill_diagonal(base, 0.0)
+        base /= np.max(np.abs(np.linalg.eigvals(base)))
+
+        def tensor():
+            return EdgeWeightTensor.from_slices(
+                [sparse.csr_matrix(base * rho) for rho in (0.3, 0.95, 1.5)]
+            )
+
+        calls = []
+        real = propagation.spectral_radius
+
+        def counting(m, *args, **kwargs):
+            calls.append(m)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(propagation, "spectral_radius", counting)
+        awf = tensor()
+        verdicts = {alpha: convergence_check(awf, alpha) for alpha in DEFAULT_ALPHA_GRID}
+        assert 0 < len(calls) <= awf.num_classes
+        assert len({id(m) for m in calls}) == len(calls)  # no class twice
+        statuses = {v.status for vs in verdicts.values() for v in vs}
+        assert {"certified", "convergent", "divergent"} <= statuses
+        for alpha, got in verdicts.items():
+            assert got == convergence_check(tensor(), alpha)
 
     def test_norm_chain(self):
         rng = np.random.default_rng(15)
