@@ -77,15 +77,6 @@ class Graph:
         pattern = self.adjacency.maximum(self.adjacency.T)
         return np.diff(pattern.tocsr().indptr)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Union of in- and out-neighbors of ``v``, sorted."""
-        out = self.adjacency.indices[self.adjacency.indptr[v]:self.adjacency.indptr[v + 1]]
-        if self.directed:
-            csc = self.adjacency.tocsc()
-            inc = csc.indices[csc.indptr[v]:csc.indptr[v + 1]]
-            return np.unique(np.concatenate([out, inc]))
-        return np.sort(out)
-
     def has_full_labels(self) -> bool:
         return self.labels is not None and not np.any(self.labels == UNKNOWN_LABEL)
 

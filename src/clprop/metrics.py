@@ -8,25 +8,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.stats import rankdata
 
 from .compatibility import Beliefs, CompatibilityMatrix
 from .graph import Graph
 
 BUCKET_LEVELS = [round(0.1 * i, 1) for i in range(11)]
-
-
-@dataclass(frozen=True)
-class HomophilyReport:
-    """Edge/node homophily plus the per-node 1-hop subgraph ratio h_v.
-
-    ``per_node[v]`` is NaN when the induced 1-hop neighborhood of v has no
-    edges (the ratio is undefined there).
-    """
-
-    edge_homophily: float
-    node_homophily: float
-    per_node: np.ndarray
+_UNDEFINED = len(BUCKET_LEVELS)  # level index of nodes whose h_v is undefined
+_ROW_BLOCK = 1024  # rows of P per sparse product in _induced_arc_counts
 
 
 def _require_labels(graph: Graph):
@@ -59,15 +49,35 @@ def node_homophily(graph: Graph) -> float:
     return float(np.mean(same[active] / deg[active]))
 
 
-def _induced_arc_counts(graph: Graph, v: int) -> tuple[int, int]:
-    """(same-label, total) arc counts in the induced 1-hop subgraph of v."""
-    nodes = np.union1d(graph.neighbors(v), [v])
-    sub = graph.adjacency[nodes][:, nodes].tocoo()
-    if sub.nnz == 0:
-        return 0, 0
-    y = graph.labels[nodes]
-    same = int(np.sum(y[sub.row] == y[sub.col]))
-    return same, int(sub.nnz)
+def _induced_arc_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(same-label, total) arc counts in the induced 1-hop subgraph of every node.
+
+    Let P be the closed neighborhood pattern sym(A) + I with every stored entry
+    set to 1.  Arc (a, b) lies in the induced 1-hop subgraph of v exactly when
+    P[v, a] = P[v, b] = 1, so ``total = rowsum((P @ A) * P)``; ``same`` is the
+    same expression with A restricted to arcs whose endpoints share a label.
+    Every factor holds 0/1 entries and every product sums at most m of them,
+    so the float64 sums are exact integers and the rounding to int64 loses
+    nothing.  P is taken in blocks of ``_ROW_BLOCK`` rows, which bounds the
+    P @ A transient.
+    """
+    adj = graph.adjacency
+    n = graph.node_count
+    y = graph.labels
+    pattern = (adj.maximum(adj.T) + sparse.identity(n, format="csr")).tocsr()
+    pattern.data[:] = 1.0
+    senders = np.repeat(np.arange(n), np.diff(adj.indptr))
+    same_arcs = sparse.csr_matrix(
+        ((y[senders] == y[adj.indices]).astype(np.float64), adj.indices, adj.indptr),
+        shape=(n, n),
+    )
+    same = np.empty(n)
+    total = np.empty(n)
+    for lo in range(0, n, _ROW_BLOCK):
+        block = pattern[lo:lo + _ROW_BLOCK]
+        same[lo:lo + _ROW_BLOCK] = (block @ same_arcs).multiply(block).sum(axis=1).A1
+        total[lo:lo + _ROW_BLOCK] = (block @ adj).multiply(block).sum(axis=1).A1
+    return np.rint(same).astype(np.int64), np.rint(total).astype(np.int64)
 
 
 def local_homophily(graph: Graph, v: int) -> float | None:
@@ -77,34 +87,29 @@ def local_homophily(graph: Graph, v: int) -> float | None:
     decide whether to exclude such nodes.
     """
     _require_labels(graph)
-    same, total = _induced_arc_counts(graph, v)
-    if total == 0:
+    same, total = _induced_arc_counts(graph)
+    if total[v] == 0:
         return None
-    return same / total
+    return int(same[v]) / int(total[v])
+
+
+def _hv_levels(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Rounded h_v level index (into BUCKET_LEVELS) of each of ``nodes``, or
+    ``_UNDEFINED`` where the induced edge set is empty."""
+    same, total = _induced_arc_counts(graph)
+    same, total = same[nodes], total[nodes]
+    levels = np.full(nodes.size, _UNDEFINED)
+    defined = total > 0
+    levels[defined] = _bucket_index(same[defined], total[defined])
+    return levels
 
 
 def local_homophily_histogram(graph: Graph, mask=None) -> tuple[np.ndarray, int]:
     """Node counts per rounded h_v level plus the undefined-h_v count."""
     _require_labels(graph)
     nodes = np.arange(graph.node_count) if mask is None else np.asarray(mask, dtype=np.int64)
-    counts = np.zeros(11, dtype=np.int64)
-    undefined = 0
-    for v in nodes:
-        same, total = _induced_arc_counts(graph, int(v))
-        if total == 0:
-            undefined += 1
-        else:
-            counts[_bucket_index(same, total)] += 1
-    return counts, undefined
-
-
-def homophily_report(graph: Graph) -> HomophilyReport:
-    per_node = np.full(graph.node_count, np.nan)
-    for v in range(graph.node_count):
-        hv = local_homophily(graph, v)
-        if hv is not None:
-            per_node[v] = hv
-    return HomophilyReport(edge_homophily(graph), node_homophily(graph), per_node)
+    counts = np.bincount(_hv_levels(graph, nodes), minlength=_UNDEFINED + 1)
+    return counts[:_UNDEFINED], int(counts[_UNDEFINED])
 
 
 def true_compatibility(graph: Graph) -> CompatibilityMatrix:
@@ -187,7 +192,7 @@ class BucketTable:
                 fh.write(f"{bucket},{row.count},{acc}\n")
 
 
-def _bucket_index(same: int, total: int) -> int:
+def _bucket_index(same: np.ndarray, total: np.ndarray) -> np.ndarray:
     # round-half-up of 10 * same/total in exact integer arithmetic
     return (20 * same + total) // (2 * total)
 
@@ -202,32 +207,15 @@ def bucket_accuracy(beliefs: Beliefs, graph: Graph, mask) -> BucketTable:
     mask = np.asarray(mask, dtype=np.int64)
     pred = np.argmax(beliefs.values[mask], axis=1)
     correct = pred == graph.labels[mask]
-    hits = np.zeros(11, dtype=np.int64)
-    counts = np.zeros(11, dtype=np.int64)
-    undef_count = 0
-    undef_hits = 0
-    for ok, v in zip(correct, mask):
-        same, total = _induced_arc_counts(graph, int(v))
-        if total == 0:
-            undef_count += 1
-            undef_hits += int(ok)
-            continue
-        idx = _bucket_index(same, total)
-        counts[idx] += 1
-        hits[idx] += int(ok)
+    levels = _hv_levels(graph, mask)
+    counts = np.bincount(levels, minlength=_UNDEFINED + 1)
+    hits = np.bincount(levels[correct], minlength=_UNDEFINED + 1)
     rows = [
         BucketRow(
-            bucket=BUCKET_LEVELS[i],
+            bucket=BUCKET_LEVELS[i] if i < _UNDEFINED else None,
             count=int(counts[i]),
             accuracy=(hits[i] / counts[i]) if counts[i] else None,
         )
-        for i in range(11)
+        for i in range(_UNDEFINED + 1)
     ]
-    rows.append(
-        BucketRow(
-            bucket=None,
-            count=undef_count,
-            accuracy=(undef_hits / undef_count) if undef_count else None,
-        )
-    )
     return BucketTable(tuple(rows))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ class TestLocalHomophily:
     def test_isolated_is_undefined(self):
         g = graph_from_edges(3, [(0, 1)], [0, 0, 1], num_classes=2)
         assert local_homophily(g, 2) is None
+
+    def test_directed_reciprocal_pair_counts_twice(self):
+        # arcs 0->1, 1->0 (a reciprocal pair) and the one-way 1->2
+        g = graph_from_edges(3, [(0, 1), (1, 0), (1, 2)], [0, 0, 1], directed=True)
+        assert local_homophily(g, 0) == 1.0  # induced on {0,1}: both pair arcs
+        assert local_homophily(g, 1) == pytest.approx(2 / 3)  # all 3 arcs, 2 same
+        assert local_homophily(g, 2) == 0.0  # in-neighbor 1 only: arc 1->2
 
 
 class TestTrueCompatibility:
@@ -291,3 +300,69 @@ class TestUniformLabelProperties:
         with pytest.warns(UserWarning):
             h = true_compatibility(g)
         assert h.values[0, 0] == 1.0
+
+
+def _reference_counts(graph, v):
+    """Per-node slice of the induced 1-hop subgraph: the loop the vectorized
+    counts replaced, kept here as their reference."""
+    adj = graph.adjacency
+    neighbors = np.union1d(adj[v].indices, adj[:, v].tocoo().row)
+    nodes = np.union1d(neighbors, [v])
+    sub = adj[nodes][:, nodes].tocoo()
+    y = graph.labels[nodes]
+    return int(np.sum(y[sub.row] == y[sub.col])), int(sub.nnz)
+
+
+def _reference_level(same, total):
+    # 10 * same/total rounded half up, in exact rational arithmetic
+    return int(Fraction(10 * same, total) + Fraction(1, 2))
+
+
+def _random_hv_case(rng, directed):
+    n = int(rng.integers(1, 25))
+    c = int(rng.integers(1, 4))
+    m = 0 if rng.random() < 0.1 else int(rng.integers(0, 3 * n + 1))
+    edges = rng.integers(0, n, (m, 2))
+    edges[: m // 5, 1] = edges[: m // 5, 0]  # input self-loops, stripped on build
+    edges %= n - n // 4  # the last n // 4 ids take part in no arc: isolated nodes
+    g = graph_from_edges(n, edges, rng.integers(0, c, n), directed, num_classes=c)
+    mask = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))  # with duplicates
+    beliefs = Beliefs(rng.random((n, c)), "propagated")
+    return g, mask, beliefs
+
+
+class TestVectorizedHvMatchesReference:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_random_graphs(self, directed):
+        rng = np.random.default_rng(17 + directed)
+        for _ in range(40):
+            g, mask, beliefs = _random_hv_case(rng, directed)
+            ref = [_reference_counts(g, v) for v in range(g.node_count)]
+            for v, (same, total) in enumerate(ref):
+                assert local_homophily(g, v) == (same / total if total else None)
+
+            for nodes, kwargs in ((range(g.node_count), {}), (mask, {"mask": mask})):
+                counts = np.zeros(11, dtype=np.int64)
+                undefined = 0
+                for v in nodes:
+                    same, total = ref[v]
+                    if total:
+                        counts[_reference_level(same, total)] += 1
+                    else:
+                        undefined += 1
+                got_counts, got_undefined = local_homophily_histogram(g, **kwargs)
+                np.testing.assert_array_equal(got_counts, counts)
+                assert got_undefined == undefined
+
+            correct = np.argmax(beliefs.values, axis=1) == g.labels
+            members = {level: [] for level in list(range(11)) + [None]}
+            for v in mask:
+                same, total = ref[v]
+                members[_reference_level(same, total) if total else None].append(correct[v])
+            expected = [
+                (None if level is None else level / 10, len(hits),
+                 sum(hits) / len(hits) if hits else None)
+                for level, hits in members.items()
+            ]
+            table = bucket_accuracy(beliefs, g, mask)
+            assert [(r.bucket, r.count, r.accuracy) for r in table.rows] == expected

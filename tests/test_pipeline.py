@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clprop.cli import main as cli_main
-from clprop.graph import save_graph
+from clprop.graph import build_graph, make_splits, save_graph
 from clprop.mlp import TrainConfig
 from clprop.pipeline import (
     ExperimentConfig,
@@ -297,3 +297,28 @@ class TestCli:
         save_graph(g, tmp_path / "ds")
         loaded = resolve_dataset(str(tmp_path / "ds"))
         assert loaded.arc_count == 2  # manifest records directed=True
+
+    def test_inspect_directed_bucket_counts_cover_test_split(self, tmp_path, capsys, small_graph):
+        forward = small_graph.arcs[small_graph.arcs[:, 0] < small_graph.arcs[:, 1]]
+        arcs = np.concatenate([forward, forward[::7, ::-1]])  # some reciprocal pairs
+        g = build_graph(
+            small_graph.node_count, arcs, small_graph.features, small_graph.labels,
+            small_graph.num_classes, directed=True,
+        )
+        save_graph(g, tmp_path / "ds")
+        assert resolve_dataset(str(tmp_path / "ds")).directed
+        out = tmp_path / "out"
+        args = ["inspect", "--dataset", str(tmp_path / "ds"), "--scheme", "medium"]
+        assert cli_main(args + ["--seeds", "0", "--out", str(out)]) == 0
+        assert "per-bucket accuracy" in capsys.readouterr().out
+        rows = (out / "bucket_accuracy.csv").read_text().splitlines()[1:]
+        counts = [int(row.split(",")[1]) for row in rows]
+        assert sum(counts) == make_splits(g, "medium", 0, 1)[0].test.size
+
+    def test_inspect_partial_labels_is_data_error(self, tmp_path, capsys, k22):
+        save_graph(k22, tmp_path / "ds")
+        labels = tmp_path / "ds" / "labels.tsv"
+        labels.write_text("".join(labels.read_text().splitlines(keepends=True)[1:]))
+        code = cli_main(["inspect", "--dataset", str(tmp_path / "ds"), "--partial-labels"])
+        assert code == 2
+        assert "data error: metric requires labels on all nodes" in capsys.readouterr().err
