@@ -3,8 +3,10 @@
 Plain numpy implementation: ReLU hidden layers, linear output layer,
 softmax probabilities, mean cross-entropy over the training nodes, and
 full-batch gradient descent with decoupled weight decay.  Everything is
-deterministic given the seed (numpy's default BLAS reduction order is
-relied on for bitwise-stable matrix products within one process).
+deterministic given the seed.  A BLAS matrix product is bitwise-stable for
+a fixed row count, but a row subset can take another BLAS kernel and round
+differently; so validation runs the forward pass over every row and slices
+the logits, never forwarding the validation rows alone.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ def init_mlp(
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray, rng=None):
-    """Forward pass; returns logits plus the per-layer (input, mask) caches.
+    """Forward pass; returns logits plus the per-layer (input, output, mask)
+    caches, where a hidden layer's output is its activation before dropout.
 
     ``rng`` enables inverted dropout on hidden activations; the expectation
     of each activation is preserved by the 1/keep scaling.
@@ -126,17 +129,17 @@ def _forward_cached(params: MlpParams, x: np.ndarray, rng=None):
     h = x
     last = len(params.weights) - 1
     for idx, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         if idx == last:
             caches.append((h, z, None))
             return z, caches
-        a = np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)  # ReLU(z) > 0 exactly where z > 0
         mask = None
         if rng is not None and params.dropout_rate > 0:
-            mask = (rng.random(a.shape) < keep) / keep
-            a = a * mask
+            mask = (rng.random(z.shape) < keep) / keep
         caches.append((h, z, mask))
-        h = a
+        h = z if mask is None else z * mask
     raise AssertionError("unreachable")
 
 
@@ -187,11 +190,11 @@ def loss_and_gradients(
         h_in, _, _ = caches[idx]
         grads[idx] = (h_in.T @ delta, delta.sum(axis=0))
         if idx > 0:
-            _, z_prev, mask_prev = caches[idx - 1]
+            _, a_prev, mask_prev = caches[idx - 1]
             delta = delta @ params.weights[idx].T
             if mask_prev is not None:
                 delta = delta * mask_prev
-            delta = delta * (z_prev > 0)
+            delta = delta * (a_prev > 0)
     return loss, grads
 
 
@@ -206,14 +209,16 @@ def train(
     Returns the parameter snapshot with the best validation accuracy seen
     (ties keep the earliest) together with the per-epoch log.
     """
-    from .metrics import accuracy  # local import to avoid a module cycle
-
     if mask.train.size == 0:
         raise ValueError("training requires a nonempty train mask")
     if graph.labels is None:
         raise ValueError("training requires labels")
     x_train = graph.features[mask.train]
     y_train = graph.labels[mask.train]
+    val_idx = np.asarray(mask.validation, dtype=np.int64)
+    if val_idx.size == 0:
+        raise ValueError("training requires a nonempty validation mask")
+    y_val = np.asarray(graph.labels, dtype=np.int64)[val_idx]
     rng = np.random.default_rng(config.seed)
 
     params = params.copy()
@@ -233,7 +238,10 @@ def train(
             w *= 1.0 - lr * wd  # decoupled decay: not part of the logged loss
             w -= lr * gw
             b -= lr * gb
-        val_acc = accuracy(predict(params, graph.features), graph.labels, mask.validation)
+        # softmax is row-wise, so the validation rows of the full forward
+        # give the same argmax as the full predict()
+        val_probs = softmax(forward(params, graph.features)[val_idx])
+        val_acc = float(np.mean(np.argmax(val_probs, axis=1) == y_val))
         log.append(EpochRecord(epoch, loss, val_acc))
         if val_acc > best_val:
             best_val = val_acc

@@ -155,6 +155,7 @@ class SeedResult:
     checkpoint: str
     fallback: bool = False
     candidate_log: list = field(default_factory=list, repr=False)
+    training_log: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -224,7 +225,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
             candidate_log=candidates,
         )
 
-    params, d_hat, _ = _train_base_predictor(graph, split, config)
+    params, d_hat, training_log = _train_base_predictor(graph, split, config)
     checkpoint = params_checksum(params)
     mlp_result = SeedResult(
         seed=seed,
@@ -236,6 +237,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
         compat_distance=None,
         convergence="",
         checkpoint=checkpoint,
+        training_log=training_log,
     )
     if config.method == "mlp_only":
         return mlp_result
@@ -315,6 +317,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
         convergence=convergence,
         checkpoint=checkpoint,
         candidate_log=candidates,
+        training_log=training_log,
     )
 
 
@@ -347,6 +350,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _mlp_facts(log) -> dict:
+    """Epochs run and the first epoch that reached the best validation
+    accuracy (the snapshot ``train`` returns); null without a training log."""
+    if not log:
+        return {"mlp_epochs": None, "mlp_best_epoch": None}
+    best = max(log, key=lambda rec: rec.val_acc)  # max keeps the first maximum
+    return {"mlp_epochs": len(log), "mlp_best_epoch": best.epoch}
 
 
 def write_report(report: RunReport, out_dir, config: ExperimentConfig | None = None) -> None:
@@ -386,6 +398,7 @@ def write_report(report: RunReport, out_dir, config: ExperimentConfig | None = N
         "method": report.method,
         "metric": report.metric,
         "aggregate": {"mean": report.mean, "std": report.std},
+        "per_seed": [{"seed": r.seed, **_mlp_facts(r.training_log)} for r in report.per_seed],
     }
     if config is not None:
         header["config"] = json.loads(json.dumps(dataclasses.asdict(config), default=str))

@@ -179,14 +179,15 @@ def _messages_raw(awf: EdgeWeightTensor, values: np.ndarray, normalize: bool) ->
     msgs = awf.weights * np.take(values, awf._senders, axis=0)
     if normalize:
         sums = msgs.sum(axis=1, keepdims=True)
-        np.divide(msgs, sums, out=msgs, where=sums > 0)
+        # rows that do not sum above zero are divided by 1.0, which leaves them as they are
+        msgs /= np.where(sums > 0, sums, 1.0)
     return msgs
 
 
 def compute_messages(awf: EdgeWeightTensor, b: Beliefs, normalize: bool = False) -> np.ndarray:
     """Per-arc messages F_ij * B_i, optionally normalized to unit sum.
 
-    Zero-sum messages are left as zero rather than divided.
+    Messages that do not sum above zero are left as they are.
     """
     if b.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("beliefs shape does not match the edge weight tensor")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from clprop import mlp
+from clprop.compatibility import Beliefs
 from clprop.graph import build_graph, make_splits
 from clprop.mlp import (
     EpochRecord,
@@ -256,3 +258,153 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_acc"
         assert lines[1].startswith("0,1.5,")
+
+
+def _reference_forward_cached(params, x, rng=None):
+    """The forward pass in its original form: a new array per operation, and
+    each hidden layer caches its pre-activation for the backward mask."""
+    keep = 1.0 - params.dropout_rate
+    caches = []
+    h = x
+    last = len(params.weights) - 1
+    for idx, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        if idx == last:
+            caches.append((h, z, None))
+            return z, caches
+        a = np.maximum(z, 0.0)
+        mask = None
+        if rng is not None and params.dropout_rate > 0:
+            mask = (rng.random(a.shape) < keep) / keep
+            a = a * mask
+        caches.append((h, z, mask))
+        h = a
+
+
+def _reference_loss_and_gradients(params, x, labels, rng=None):
+    n = x.shape[0]
+    logits, caches = _reference_forward_cached(params, x, rng)
+    loss = mlp._cross_entropy(logits, labels)
+    delta = mlp.softmax(logits)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads = [None] * len(params.weights)
+    for idx in range(len(params.weights) - 1, -1, -1):
+        h_in, _, _ = caches[idx]
+        grads[idx] = (h_in.T @ delta, delta.sum(axis=0))
+        if idx > 0:
+            _, z_prev, mask_prev = caches[idx - 1]
+            delta = delta @ params.weights[idx].T
+            if mask_prev is not None:
+                delta = delta * mask_prev
+            delta = delta * (z_prev > 0)
+    return loss, grads
+
+
+def _reference_train(params, graph, mask, config):
+    """The epoch loop in its original form: validation accuracy from the full
+    predict() over every node, through metrics.accuracy."""
+    from clprop.metrics import accuracy
+
+    x_train = graph.features[mask.train]
+    y_train = graph.labels[mask.train]
+    rng = np.random.default_rng(config.seed)
+    params = params.copy()
+    best_params, best_val, stale, log = params.copy(), -np.inf, 0, []
+    for epoch in range(config.epochs):
+        drop_rng = rng if params.dropout_rate > 0 else None
+        loss, grads = _reference_loss_and_gradients(params, x_train, y_train, drop_rng)
+        lr, wd = config.learning_rate, config.weight_decay
+        for (w, b), (gw, gb) in zip(zip(params.weights, params.biases), grads):
+            w *= 1.0 - lr * wd
+            w -= lr * gw
+            b -= lr * gb
+        logits, _ = _reference_forward_cached(params, graph.features)
+        beliefs = Beliefs(mlp.softmax(logits), "base_prediction")
+        val_acc = accuracy(beliefs, graph.labels, mask.validation)
+        log.append(EpochRecord(epoch, loss, val_acc))
+        if val_acc > best_val:
+            best_val, best_params, stale = val_acc, params.copy(), 0
+        else:
+            stale += 1
+            if stale >= config.early_stop_patience:
+                break
+    return best_params, log
+
+
+def _noisy_classes(n, feature_dim, num_classes, seed):
+    """Overlapping Gaussian classes, so validation accuracy moves for many
+    epochs and early stopping has something to choose."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, n)
+    centers = rng.standard_normal((num_classes, feature_dim))
+    features = centers[labels] + 1.5 * rng.standard_normal((n, feature_dim))
+    return build_graph(n, [], features, labels, num_classes)
+
+
+class TestBitIdentityWithReferenceEpoch:
+    """train() and loss_and_gradients() match the original epoch bit for bit.
+
+    300 nodes keep every product small.  At 4000 nodes the full forward takes
+    another BLAS kernel than a forward of the validation rows alone, whose
+    logits then differ in the last bits; only a near tie would show that in
+    the log, so the softmax inputs are compared as well.
+    """
+
+    @pytest.mark.parametrize("num_hidden_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("feature_dim,n", [(2, 300), (16, 300), (2, 4000), (16, 4000)])
+    def test_train_matches_reference(
+        self, monkeypatch, num_hidden_layers, dropout_rate, feature_dim, n
+    ):
+        graph = _noisy_classes(n, feature_dim, 4, seed=n + feature_dim)
+        split = make_splits(graph, "medium", seed=num_hidden_layers)[0]
+        params = init_mlp(feature_dim, 64, num_hidden_layers, 4, seed=3, dropout_rate=dropout_rate)
+        config = TrainConfig(learning_rate=0.05, epochs=40, early_stop_patience=15,
+                             num_hidden_layers=num_hidden_layers, seed=5)
+        softmax_inputs = []
+        real_softmax = mlp.softmax
+
+        def recording_softmax(logits):
+            softmax_inputs.append(logits.copy())
+            return real_softmax(logits)
+
+        monkeypatch.setattr(mlp, "softmax", recording_softmax)
+        expected, expected_log = _reference_train(params, graph, split, config)
+        expected_inputs = softmax_inputs[:]
+        softmax_inputs.clear()
+        trained, log = train(params, graph, split, config)
+        assert params_checksum(trained) == params_checksum(expected)
+        assert log == expected_log
+        assert len({rec.val_acc for rec in log}) > 1
+        # per epoch: the training rows' logits, then the validation logits
+        assert len(softmax_inputs) == len(expected_inputs) == 2 * len(log)
+        for got, want in zip(softmax_inputs[0::2], expected_inputs[0::2]):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(softmax_inputs[1::2], expected_inputs[1::2]):
+            np.testing.assert_array_equal(got, want[split.validation])
+
+    @pytest.mark.parametrize("num_hidden_layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_gradients_match_reference(self, num_hidden_layers, dropout_rate):
+        graph = _noisy_classes(400, 5, 3, seed=num_hidden_layers)
+        params = init_mlp(5, 32, num_hidden_layers, 3, seed=1, dropout_rate=dropout_rate)
+        expected_loss, expected = _reference_loss_and_gradients(
+            params, graph.features, graph.labels, np.random.default_rng(9)
+        )
+        loss, grads = loss_and_gradients(
+            params, graph.features, graph.labels, np.random.default_rng(9)
+        )
+        assert loss == expected_loss
+        for (gw, gb), (ew, eb) in zip(grads, expected):
+            np.testing.assert_array_equal(gw, ew)
+            np.testing.assert_array_equal(gb, eb)
+
+    def test_empty_validation_mask(self):
+        import dataclasses
+
+        graph = make_blobs(20, seed=5)
+        split = make_splits(graph, "dense", seed=0)[0]
+        split = dataclasses.replace(split, validation=np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="validation"):
+            train(init_mlp(2, 8, 1, 2, seed=0), graph, split, TrainConfig())

@@ -180,6 +180,33 @@ class TestReports:
         b = (tmp_path / "second" / "summary.csv").read_bytes()
         assert a == b
 
+    def test_run_json_records_mlp_facts(self, small_graph, tmp_path):
+        # a patience below the budget, so early stopping may end a run
+        patience_cfg = TrainConfig(epochs=200, early_stop_patience=20)
+        facts = {}
+        for method in ("mlp_only", "clp", "lp"):
+            config = small_config(method=method, mlp=patience_cfg)
+            report = run_pipeline(config, graph=small_graph)
+            write_report(report, tmp_path / method, config)
+            facts[method] = json.loads((tmp_path / method / "run.json").read_text())["per_seed"]
+            if method == "mlp_only":
+                results = report.per_seed
+        assert [f["seed"] for f in facts["mlp_only"]] == [0, 1]
+        for fact, result in zip(facts["mlp_only"], results):
+            best = fact["mlp_best_epoch"]
+            # stopping comes `patience` epochs after the best one, or at the budget
+            assert fact["mlp_epochs"] == min(200, best + 20 + 1)
+            log = result.training_log
+            assert len(log) == fact["mlp_epochs"]
+            # the returned snapshot is the first epoch with the best validation accuracy
+            assert log[best].val_acc == result.val_accuracy
+            assert all(rec.val_acc < result.val_accuracy for rec in log[:best])
+            assert all(rec.val_acc <= result.val_accuracy for rec in log)
+        assert facts["clp"] == facts["mlp_only"]
+        assert facts["lp"] == [
+            {"seed": s, "mlp_epochs": None, "mlp_best_epoch": None} for s in (0, 1)
+        ]
+
     def test_timestamp_confined_to_json_header(self, small_graph, tmp_path):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
         write_report(report, tmp_path, small_config(seeds=(0,)))

@@ -280,6 +280,28 @@ class TestBitIdentityWithReferenceStep:
                 )
 
     @pytest.mark.parametrize("normalize", [False, True])
+    def test_slack_weights_give_nonpositive_message_sums(self, normalize):
+        # weights may dip to -1e-12: arcs whose weights are all within that
+        # slack send rows that sum below zero with nonzero entries, for any
+        # positive beliefs, and must be left undivided like zero-sum rows
+        rng = np.random.default_rng(7)
+        n, c = 30, 3
+        graph = build_graph(n, rng.integers(0, n, (80, 2)), np.zeros((n, 1)),
+                            rng.integers(0, c, n), c)
+        weights = rng.random((graph.arc_count, c)) * 0.3
+        slack = rng.random(graph.arc_count) < 0.3
+        weights[slack] = [-1e-12, 0.0, 0.0]
+        weights[slack & (rng.random(graph.arc_count) < 0.5)] = [-1e-12, -5e-13, 0.0]
+        awf = EdgeWeightTensor(graph.arcs.copy(), weights, n)
+        teleport = Beliefs(rng.uniform(0.5, 1.0, (n, c)), "propagated")
+        msgs = compute_messages(awf, teleport)
+        assert ((msgs.sum(axis=1) < 0) & (msgs != 0).any(axis=1)).sum() >= 4
+        for alpha in (0.1, 0.5, 0.9):
+            _assert_same_run(
+                awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
+            )
+
+    @pytest.mark.parametrize("normalize", [False, True])
     def test_empty_arc_set(self, normalize):
         awf = EdgeWeightTensor(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3)), 5)
         teleport = Beliefs(np.random.default_rng(2).random((5, 3)), "propagated")
