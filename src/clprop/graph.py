@@ -69,9 +69,6 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.adjacency.indptr)
-
     def degrees(self) -> np.ndarray:
         """Union in/out degree (equals plain degree on symmetrized graphs)."""
         pattern = self.adjacency.maximum(self.adjacency.T)

@@ -27,7 +27,6 @@ from .mlp import TrainConfig, init_mlp, params_checksum, predict, train
 from .propagation import (
     DivergenceError,
     PropagationConfig,
-    all_convergent,
     convergence_check,
     edge_weights,
     propagate_clp,
@@ -260,29 +259,24 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
     )
     teleports = {"base_prediction": d_hat, "prior": b0}
 
+    propagate = propagate_clp if config.method == "clp" else propagate_clp_star
+    awf = edge_weights(graph, b0, h_hat, receiver=config.method == "clp")
     candidates = []
     best = None
     verdict_by_alpha = {}
-    awf = edge_weights(graph, b0, h_hat) if config.method == "clp" else None
     for alpha in config.alpha_grid:
-        if config.method == "clp":
-            verdict_by_alpha[alpha] = convergence_check(awf, alpha)
+        verdict_by_alpha[alpha] = convergence_check(awf, alpha)
         for teleport_name in teleport_options:
-            for norm in norm_options if config.method == "clp" else (None,):
+            for norm in norm_options:
                 pcfg = PropagationConfig(
                     alpha,
                     prop.max_iters,
                     prop.tol,
-                    message_normalization=bool(norm),
+                    message_normalization=norm,
                     teleport_source=teleport_name,
                 )
                 try:
-                    if config.method == "clp":
-                        beliefs, _ = propagate_clp(awf, teleports[teleport_name], pcfg)
-                    else:
-                        beliefs = propagate_clp_star(
-                            graph, teleports[teleport_name], h_hat, pcfg
-                        )
+                    beliefs, _ = propagate(awf, teleports[teleport_name], pcfg)
                 except DivergenceError:
                     candidates.append((alpha, norm, teleport_name, None, "diverged"))
                     continue
@@ -302,10 +296,6 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
         return mlp_result
 
     val, alpha, norm, teleport_name, beliefs = best
-    if config.method == "clp":
-        convergence = _convergence_summary(verdict_by_alpha[alpha])
-    else:
-        convergence = "iterative"
     return SeedResult(
         seed=seed,
         test_accuracy=metrics.accuracy(beliefs, labels, split.test),
@@ -314,7 +304,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
         chosen_normalization=norm,
         chosen_teleport=teleport_name,
         compat_distance=dist,
-        convergence=convergence,
+        convergence=_convergence_summary(verdict_by_alpha[alpha]),
         checkpoint=checkpoint,
         candidate_log=candidates,
         training_log=training_log,

@@ -8,6 +8,10 @@ a = (i, j) (optionally normalized to unit sum) and ``incidence[j, a] = 1``, so
 node j sums exactly the messages sent by its in-neighbors i.  Both message
 modes share this one step.
 
+CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  The sender-only variant
+CLP* drops the receiver factor, ``F_ij = b0[i] @ H``, and is otherwise the
+same propagation: same solver, same certificate, same message normalization.
+
 The per-class weight slices are receiver-row matrices, ``slice_k[j, i] =
 F_ij[k]``, so ``slice_k @ beliefs[:, k]`` is the unnormalized step for class k.
 They remain only for the closed-form solver, the spectral radius and the
@@ -159,10 +163,15 @@ class EdgeWeightTensor:
         return cls(arcs[order], weights, n)
 
 
-def edge_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> EdgeWeightTensor:
+def edge_weights(
+    graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix, receiver: bool = True
+) -> EdgeWeightTensor:
     """Weight vector per arc: (sender beliefs @ compatibility) * receiver beliefs.
 
-    Computed once from the prior beliefs and never updated during propagation.
+    ``receiver=False`` drops the receiver factor (the sender-only CLP*
+    weights); its entries stay in [0, 1] because b0 rows are distributions and
+    the compatibility entries lie in [0, 1].  Computed once from the prior
+    beliefs and never updated during propagation.
     """
     if b0.values.shape != (graph.node_count, h_hat.num_classes):
         raise ValueError(
@@ -171,7 +180,7 @@ def edge_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> EdgeW
         )
     outgoing = b0.values @ h_hat.values
     src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
-    weights = outgoing[src] * b0.values[dst]
+    weights = outgoing[src] * b0.values[dst] if receiver else outgoing[src]
     return EdgeWeightTensor(graph.arcs.copy(), weights, graph.node_count)
 
 
@@ -246,25 +255,25 @@ def propagate_clp(
 
 
 def clp_star_aggregate(graph: Graph, values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
-    """One sender-only aggregation step: receivers sum (sender beliefs @ H)."""
+    """Receivers sum (sender beliefs @ H).
+
+    On the prior beliefs b0 this is the receiver sum of the sender-only
+    weights, ``incidence @ edge_weights(graph, b0, h_hat, receiver=False).weights``.
+    """
     return (graph.adjacency.T @ values) @ h_values
 
 
 def propagate_clp_star(
-    graph: Graph,
+    awf: EdgeWeightTensor,
     teleport: Beliefs,
-    h_hat: CompatibilityMatrix,
     config: PropagationConfig,
-) -> Beliefs:
-    """Sender-only propagation: messages ignore the receiving node's beliefs."""
-    if teleport.values.shape != (graph.node_count, h_hat.num_classes):
-        raise ValueError("teleport shape does not match graph/classes")
-    values, _ = _iterate(
-        lambda b: clp_star_aggregate(graph, b, h_hat.values),
-        teleport.values,
-        config,
-    )
-    return Beliefs(values, "propagated")
+) -> tuple[Beliefs, list[IterationRecord]]:
+    """Sender-only propagation: :func:`propagate_clp` on the weights of
+    ``edge_weights(..., receiver=False)``.
+
+    A name of its own, so that a trace of the pipeline can time the two
+    methods apart."""
+    return propagate_clp(awf, teleport, config)
 
 
 def propagate_lp(
@@ -446,10 +455,6 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
             status = "inconclusive"
         verdicts.append(ClassConvergence(k, status, norm_1, frobenius, rho, residual))
     return verdicts
-
-
-def all_convergent(verdicts: list[ClassConvergence]) -> bool:
-    return all(v.ok for v in verdicts)
 
 
 def iteration_log_to_csv(log: list[IterationRecord], path) -> None:

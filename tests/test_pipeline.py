@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +150,18 @@ class TestRunPipeline:
     def test_compat_distance_present_for_clp(self, small_graph):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
         assert report.per_seed[0].compat_distance is not None
+
+    def test_clp_star_is_certified_over_the_full_grid(self, small_graph):
+        report = run_pipeline(small_config(method="clp_star", seeds=(0,)), graph=small_graph)
+        result = report.per_seed[0]
+        assert not result.fallback
+        assert re.fullmatch(
+            r"(certified|convergent|divergent|inconclusive):\d+"
+            r"(;(certified|convergent|divergent|inconclusive):\d+)*",
+            result.convergence,
+        )
+        # 9 alphas x 2 message normalizations x 2 teleport sources
+        assert len(result.candidate_log) == 9 * 2 * 2
 
     def test_lp_runs_without_training(self, small_graph):
         report = run_pipeline(small_config(method="lp"), graph=small_graph)
@@ -312,6 +326,17 @@ class TestCli:
             assert cli_main(args_template + ["--out", str(target)]) == 0
             outputs.append((target / "report.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_clp_star_normalize_messages_reaches_report(self, tmp_path, small_graph):
+        save_graph(small_graph, tmp_path / "ds")
+        out = tmp_path / "out"
+        args = ["run", "--dataset", str(tmp_path / "ds"), "--method", "clp-star",
+                "--seeds", "0", "--normalize-messages", "on", "--out", str(out)]
+        assert cli_main(args) == 0
+        with open(out / "report.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["chosen_normalization"] == "on"
+        assert row["fallback"] == "no"
 
     def test_inspect_dataset_dir(self, tmp_path, capsys, k22):
         save_graph(k22, tmp_path / "ds")

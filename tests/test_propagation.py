@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 import clprop.propagation as propagation
-from clprop.compatibility import Beliefs, CompatibilityMatrix, sinkhorn_knopp
+from clprop.compatibility import Beliefs, CompatibilityMatrix
 from clprop.graph import build_graph, one_hot
 from clprop.pipeline import DEFAULT_ALPHA_GRID
 from clprop.propagation import (
@@ -319,6 +319,12 @@ class TestBitIdentityWithReferenceStep:
         assert err.value.log[-1].residual == expected.value.log[-1].residual
 
 
+def _receiver_sums(graph, awf):
+    sums = np.zeros((graph.node_count, awf.num_classes))
+    np.add.at(sums, graph.arcs[:, 1], awf.weights)
+    return sums
+
+
 class TestPropagateClpStar:
     def test_one_step_aggregates(self, worked_example):
         graph, compat, beliefs = worked_example
@@ -326,38 +332,47 @@ class TestPropagateClpStar:
         np.testing.assert_allclose(agg[1], [0.56, 0.44], atol=1e-12)
         np.testing.assert_allclose(agg[2], [0.56, 0.44], atol=1e-12)
         np.testing.assert_allclose(agg[0], [0.0, 0.0], atol=1e-15)
+        awf = edge_weights(graph, beliefs, compat, receiver=False)
+        np.testing.assert_allclose(_receiver_sums(graph, awf), agg, atol=1e-15)
 
-    def test_identity_compat_reduces_to_plain_smoothing(self):
-        g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
-        teleport = Beliefs(one_hot(g.labels, 2), "prior")
-        h = CompatibilityMatrix(np.eye(2), "row_stochastic")
-        config = PropagationConfig(alpha=0.3, max_iters=200, tol=1e-12)
-        out = propagate_clp_star(g, teleport, h, config)
-        # hand iteration of b <- 0.7 t + 0.3 A b
-        b = teleport.values.copy()
-        a = g.adjacency.toarray().T
-        for _ in range(200):
-            b = 0.7 * teleport.values + 0.3 * (a @ b)
-        np.testing.assert_allclose(out.values, b, atol=1e-9)
-
-    def test_fixed_point_matches_kronecker_oracle(self):
-        rng = np.random.default_rng(17)
-        n, c = 10, 3
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-        g = graph_from_edges(n, pairs, rng.integers(0, c, n), num_classes=c)
-        values = rng.random((n, c))
-        values /= values.sum(axis=1, keepdims=True)
-        teleport = Beliefs(values, "base_prediction")
-        h, _ = sinkhorn_knopp(rng.random((c, c)) + 0.1)
-        compat = CompatibilityMatrix(h, "doubly_stochastic", 0.0)
-        alpha = 0.15  # keep rho(alpha * H^T (x) A) < 1
-        out = propagate_clp_star(
-            g, teleport, compat, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sender_only_weights(self, seed, directed):
+        rng = np.random.default_rng(100 + seed)
+        graph, b0, compat = random_propagation_instance(rng)
+        if directed:
+            keep = rng.random(graph.arc_count) < 0.6
+            graph = build_graph(
+                graph.node_count, graph.arcs[keep], graph.features, graph.labels,
+                graph.num_classes, directed=True,
+            )
+        awf = edge_weights(graph, b0, compat, receiver=False)
+        np.testing.assert_array_equal(awf.arcs, graph.arcs)
+        np.testing.assert_array_equal(
+            awf.weights, (b0.values @ compat.values)[graph.arcs[:, 0]]
         )
-        a_recv = g.adjacency.T.toarray()
-        system = np.eye(n * c) - alpha * np.kron(h.T, a_recv)
-        vec = np.linalg.solve(system, (1 - alpha) * teleport.values.flatten(order="F"))
-        np.testing.assert_allclose(out.values.flatten(order="F"), vec, atol=1e-8)
+        np.testing.assert_allclose(
+            _receiver_sums(graph, awf),
+            clp_star_aggregate(graph, b0.values, compat.values),
+            rtol=1e-12,
+            atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixed_point_matches_closed_form_per_class(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        graph, b0, compat = random_propagation_instance(rng)
+        awf = edge_weights(graph, b0, compat, receiver=False)
+        alpha = max(
+            a for a in DEFAULT_ALPHA_GRID if all(v.ok for v in convergence_check(awf, a))
+        )
+        teleport = Beliefs(rng.random(b0.values.shape), "propagated")
+        out, _ = propagate_clp_star(
+            awf, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
+        )
+        for k in range(awf.num_classes):
+            oracle = closed_form_clp(awf.per_class[k], teleport.values[:, k], alpha)
+            np.testing.assert_allclose(out.values[:, k], oracle, atol=1e-9)
 
 
 class TestPropagateLp:
