@@ -16,7 +16,6 @@ from .metrics import (
     edge_homophily,
     local_homophily,
     node_homophily,
-    roc_auc,
     true_compatibility,
 )
 from .mlp import MlpParams, TrainConfig, init_mlp, predict, train

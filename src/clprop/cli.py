@@ -18,6 +18,8 @@ from .graph import GraphFormatError, make_splits, save_graph
 from .mlp import TrainingDivergedError, save_params, training_log_to_csv
 from .pipeline import (
     DEFAULT_ALPHA_GRID,
+    NORMALIZATION_CHOICES,
+    TELEPORT_CHOICES,
     ExperimentConfig,
     PropagationOverrides,
     inspect_dataset,
@@ -54,14 +56,9 @@ def _add_common_flags(p: _Parser) -> None:
     p.add_argument("--method", help="mlp|lp|clp|clp-star (comma list for sweep)")
     p.add_argument("--alpha", help="comma-separated alpha grid, each in (0,1)")
     p.add_argument("--directed", action="store_true", help="keep arcs as-is (no symmetrization)")
-    p.add_argument(
-        "--partial-labels",
-        action="store_true",
-        help="allow nodes absent from labels.tsv (their labels become unknown)",
-    )
     p.add_argument("--out", help="output directory")
-    p.add_argument("--normalize-messages", choices=["on", "off", "auto"], default=None)
-    p.add_argument("--teleport", choices=["base", "prior", "auto"], default=None)
+    p.add_argument("--normalize-messages", choices=list(NORMALIZATION_CHOICES), default=None)
+    p.add_argument("--teleport", choices=list(TELEPORT_CHOICES), default=None)
 
 
 def _build_parser() -> _Parser:
@@ -147,18 +144,11 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["output_dir"] = args.out
     if args.directed:
         updates["directed"] = True
-    if args.partial_labels:
-        updates["partial_labels"] = True
     prop_updates = {}
     if args.normalize_messages is not None:
-        prop_updates["message_normalization"] = (
-            None if args.normalize_messages == "auto" else args.normalize_messages == "on"
-        )
+        prop_updates["message_normalization"] = NORMALIZATION_CHOICES[args.normalize_messages]
     if args.teleport is not None:
-        prop_updates["teleport_source"] = (
-            None if args.teleport == "auto" else
-            "base_prediction" if args.teleport == "base" else "prior"
-        )
+        prop_updates["teleport_source"] = TELEPORT_CHOICES[args.teleport]
     if prop_updates:
         updates["propagation"] = dataclasses.replace(config.propagation, **prop_updates)
     return dataclasses.replace(config, **updates) if updates else config
@@ -187,7 +177,7 @@ def _cmd_synth(args) -> int:
 def _cmd_inspect(args) -> int:
     if not (args.dataset or args.preset):
         raise _UsageError("inspect requires --dataset or --preset")
-    graph = resolve_dataset(_dataset_from_args(args), args.directed, args.partial_labels)
+    graph = resolve_dataset(_dataset_from_args(args), args.directed)
     config = None
     if args.scheme:
         config = _config_from_args(args)

@@ -9,7 +9,6 @@ balancing the result to a doubly stochastic matrix with Sinkhorn-Knopp.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -56,15 +55,6 @@ class Beliefs:
     def argmax(self) -> np.ndarray:
         """Predicted class per row; ties break toward the lowest class id."""
         return np.argmax(self.values, axis=1)
-
-    def renormalized(self) -> "Beliefs":
-        """Row-normalized copy for reporting; all-zero rows become uniform."""
-        v = self.values.copy()
-        sums = v.sum(axis=1)
-        zero = sums <= 0
-        v[zero] = 1.0 / v.shape[1]
-        v[~zero] /= sums[~zero, None]
-        return Beliefs(v, self.kind)
 
 
 @dataclass(frozen=True)
@@ -194,29 +184,3 @@ def estimate_compatibility(
     raw = masked.T @ neighbor_mass
     balanced, deviation = sinkhorn_knopp(_floor_zeros(raw), tol=tol)
     return CompatibilityMatrix(balanced, "doubly_stochastic", sinkhorn_deviation=deviation)
-
-
-def save_compatibility(cm: CompatibilityMatrix, csv_path) -> None:
-    """Write the matrix as CSV with a JSON sidecar for normalization metadata."""
-    csv_path = str(csv_path)
-    with open(csv_path, "w") as fh:
-        for row in cm.values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    sidecar = {
-        "normalization": cm.normalization,
-        "sinkhorn_deviation": cm.sinkhorn_deviation,
-        "num_classes": cm.num_classes,
-    }
-    with open(csv_path.rsplit(".", 1)[0] + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_compatibility(csv_path) -> CompatibilityMatrix:
-    csv_path = str(csv_path)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    with open(csv_path.rsplit(".", 1)[0] + ".json") as fh:
-        sidecar = json.load(fh)
-    return CompatibilityMatrix(
-        values, sidecar["normalization"], sidecar.get("sinkhorn_deviation")
-    )

@@ -4,7 +4,7 @@ Datasets live on disk as a trio of TSV files plus a JSON manifest:
 
     edges.tsv      one arc per line, "src<TAB>dst", 0-based decimal ids
     features.tsv   line i holds the tab-separated real features of node i
-    labels.tsv     "node_id<TAB>class_id", one line per labelled node
+    labels.tsv     "node_id<TAB>class_id", one line per node
     manifest.json  node_count, num_classes, directed flag, file checksums
 
 Node ids are dense 0-based integers; there is no remapping layer.
@@ -28,8 +28,6 @@ SPLIT_RATIOS = {
     "dense": (0.48, 0.32),
 }
 
-UNKNOWN_LABEL = -1
-
 
 class GraphFormatError(ValueError):
     """An input file or constructor argument violates the dataset contract."""
@@ -37,19 +35,18 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable graph with dense node features and optional class labels.
+    """Immutable graph with dense node features and a class label on every node.
 
     ``arcs`` is the deduplicated directed arc list (shape (m, 2), lexicographically
     sorted); for undirected graphs it is closed under reversal.  ``adjacency`` is
-    the matching CSR matrix with ``A[u, v] = 1`` iff arc (u, v) exists.  Unknown
-    labels are stored as -1 and only permitted for partially labelled datasets.
+    the matching CSR matrix with ``A[u, v] = 1`` iff arc (u, v) exists.
     """
 
     node_count: int
     arcs: np.ndarray
     adjacency: sparse.csr_matrix
     features: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
     num_classes: int
     directed: bool
 
@@ -58,7 +55,7 @@ class Graph:
             raise GraphFormatError(
                 f"feature rows ({self.features.shape[0]}) != node count ({self.node_count})"
             )
-        if self.labels is not None and self.labels.shape != (self.node_count,):
+        if not isinstance(self.labels, np.ndarray) or self.labels.shape != (self.node_count,):
             raise GraphFormatError("labels must be one entry per node")
 
     @property
@@ -73,9 +70,6 @@ class Graph:
         """Union in/out degree (equals plain degree on symmetrized graphs)."""
         pattern = self.adjacency.maximum(self.adjacency.T)
         return np.diff(pattern.tocsr().indptr)
-
-    def has_full_labels(self) -> bool:
-        return self.labels is not None and not np.any(self.labels == UNKNOWN_LABEL)
 
 
 @dataclass(frozen=True)
@@ -100,8 +94,8 @@ class SplitMask:
 def build_graph(
     node_count: int,
     edges,
-    features: np.ndarray | None = None,
-    labels: np.ndarray | None = None,
+    features: np.ndarray | None,
+    labels: np.ndarray,
     num_classes: int | None = None,
     directed: bool = False,
 ) -> Graph:
@@ -124,17 +118,12 @@ def build_graph(
     if features.ndim != 2:
         raise GraphFormatError("features must be a 2-d matrix")
 
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        known = labels[labels != UNKNOWN_LABEL]
-        if num_classes is None:
-            num_classes = int(known.max()) + 1 if known.size else 0
-        if known.size and (known.min() < 0 or known.max() >= num_classes):
-            raise GraphFormatError(
-                f"label outside [0, {num_classes}): {int(known[(known < 0) | (known >= num_classes)][0])}"
-            )
-    elif num_classes is None:
-        num_classes = 0
+    labels = np.asarray(labels, dtype=np.int64)
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1 if labels.size else 0
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        bad = labels[(labels < 0) | (labels >= num_classes)].flat[0]
+        raise GraphFormatError(f"label outside [0, {num_classes}): {int(bad)}")
 
     data = np.ones(arcs.shape[0])
     adjacency = sparse.csr_matrix(
@@ -183,8 +172,8 @@ def _read_features(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), width or 0)
 
 
-def _read_labels(path: Path, node_count: int, partial: bool) -> np.ndarray:
-    labels = np.full(node_count, UNKNOWN_LABEL, dtype=np.int64)
+def _read_labels(path: Path, node_count: int) -> np.ndarray:
+    labels = np.zeros(node_count, dtype=np.int64)
     seen = np.zeros(node_count, dtype=bool)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -206,34 +195,28 @@ def _read_labels(path: Path, node_count: int, partial: bool) -> np.ndarray:
                 raise GraphFormatError(f"{path}:{lineno}: negative class id")
             seen[node] = True
             labels[node] = cls
-    if not partial and not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise GraphFormatError(
-            f"{path}: node {missing} has no label (pass partial_labels to allow)"
-        )
+    if not seen.all():
+        raise GraphFormatError(f"{path}: node {int(np.flatnonzero(~seen)[0])} has no label")
     return labels
 
 
 def load_graph(
     edges_path,
     features_path,
-    labels_path=None,
+    labels_path,
     directed: bool = False,
-    partial_labels: bool = False,
     num_classes: int | None = None,
 ) -> Graph:
     """Load a dataset trio into a validated :class:`Graph`.
 
     Undirected datasets (``directed=False``) are symmetrized by adding reverse
     arcs; duplicates and self-loops are dropped.  Every node must appear in the
-    labels file unless ``partial_labels`` is set.
+    labels file.
     """
     features = _read_features(Path(features_path))
     node_count = features.shape[0]
     edges = _read_edges(Path(edges_path))
-    labels = None
-    if labels_path is not None:
-        labels = _read_labels(Path(labels_path), node_count, partial_labels)
+    labels = _read_labels(Path(labels_path), node_count)
     return build_graph(node_count, edges, features, labels, num_classes, directed)
 
 
@@ -258,19 +241,15 @@ def save_graph(graph: Graph, out_dir, extra_manifest: dict | None = None) -> dic
     with open(out / "features.tsv", "w") as fh:
         for row in graph.features:
             fh.write("\t".join(repr(float(x)) for x in row) + "\n")
-    if graph.labels is not None:
-        with open(out / "labels.tsv", "w") as fh:
-            for node, cls in enumerate(graph.labels):
-                if cls != UNKNOWN_LABEL:
-                    fh.write(f"{node}\t{cls}\n")
+    with open(out / "labels.tsv", "w") as fh:
+        for node, cls in enumerate(graph.labels):
+            fh.write(f"{node}\t{cls}\n")
     manifest = {
         "node_count": graph.node_count,
         "num_classes": graph.num_classes,
         "directed": graph.directed,
         "checksums": {
-            name: _sha256(out / name)
-            for name in ("edges.tsv", "features.tsv", "labels.tsv")
-            if (out / name).exists()
+            name: _sha256(out / name) for name in ("edges.tsv", "features.tsv", "labels.tsv")
         },
     }
     if extra_manifest:
@@ -281,7 +260,7 @@ def save_graph(graph: Graph, out_dir, extra_manifest: dict | None = None) -> dic
     return manifest
 
 
-def load_dataset(dataset_dir, directed: bool | None = None, partial_labels: bool = False) -> Graph:
+def load_dataset(dataset_dir, directed: bool | None = None) -> Graph:
     """Load a dataset directory, trusting manifest.json for the directed flag."""
     d = Path(dataset_dir)
     manifest_path = d / "manifest.json"
@@ -294,13 +273,11 @@ def load_dataset(dataset_dir, directed: bool | None = None, partial_labels: bool
         num_classes = manifest.get("num_classes")
     if directed is None:
         directed = False
-    labels_path = d / "labels.tsv"
     return load_graph(
         d / "edges.tsv",
         d / "features.tsv",
-        labels_path if labels_path.exists() else None,
+        d / "labels.tsv",
         directed=directed,
-        partial_labels=partial_labels,
         num_classes=num_classes,
     )
 
@@ -327,13 +304,11 @@ def _resolve_ratios(scheme) -> tuple[str, tuple[float, float]]:
 
 
 def make_splits(graph: Graph, scheme, seed: int, instances: int = 1) -> list[SplitMask]:
-    """Generate ``instances`` independent random splits of the labelled graph.
+    """Generate ``instances`` independent random splits of the graph.
 
     Train and validation sizes are floor(ratio * n); the remainder is test.
     Classes are not stratified.  The same seed reproduces the same sequence.
     """
-    if graph.labels is None:
-        raise ValueError("splits require a labelled graph")
     if instances < 1:
         raise ValueError("instances must be >= 1")
     name, (train_r, val_r) = _resolve_ratios(scheme)

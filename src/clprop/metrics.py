@@ -1,5 +1,5 @@
 """Homophily measurements, the true class-compatibility matrix, and
-classification metrics (accuracy, ROC-AUC, per-neighborhood accuracy buckets).
+classification metrics (accuracy, per-neighborhood accuracy buckets).
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import rankdata
 
 from .compatibility import Beliefs, CompatibilityMatrix
 from .graph import Graph
@@ -19,14 +18,8 @@ _UNDEFINED = len(BUCKET_LEVELS)  # level index of nodes whose h_v is undefined
 _ROW_BLOCK = 1024  # rows of P per sparse product in _induced_arc_counts
 
 
-def _require_labels(graph: Graph):
-    if graph.labels is None or not graph.has_full_labels():
-        raise ValueError("metric requires labels on all nodes")
-
-
 def edge_homophily(graph: Graph) -> float:
     """Fraction of arcs whose endpoints share a class label."""
-    _require_labels(graph)
     if graph.arc_count == 0:
         raise ValueError("edge homophily is undefined on an empty edge set")
     y = graph.labels
@@ -35,7 +28,6 @@ def edge_homophily(graph: Graph) -> float:
 
 def node_homophily(graph: Graph) -> float:
     """Mean over non-isolated nodes of the same-label neighbor fraction."""
-    _require_labels(graph)
     y = graph.labels
     adj = graph.adjacency
     same = np.zeros(graph.node_count)
@@ -86,7 +78,6 @@ def local_homophily(graph: Graph, v: int) -> float | None:
     Returns None when the induced edge set is empty (undefined); callers
     decide whether to exclude such nodes.
     """
-    _require_labels(graph)
     same, total = _induced_arc_counts(graph)
     if total[v] == 0:
         return None
@@ -106,7 +97,6 @@ def _hv_levels(graph: Graph, nodes: np.ndarray) -> np.ndarray:
 
 def local_homophily_histogram(graph: Graph, mask=None) -> tuple[np.ndarray, int]:
     """Node counts per rounded h_v level plus the undefined-h_v count."""
-    _require_labels(graph)
     nodes = np.arange(graph.node_count) if mask is None else np.asarray(mask, dtype=np.int64)
     counts = np.bincount(_hv_levels(graph, nodes), minlength=_UNDEFINED + 1)
     return counts[:_UNDEFINED], int(counts[_UNDEFINED])
@@ -118,7 +108,6 @@ def true_compatibility(graph: Graph) -> CompatibilityMatrix:
     Classes without outgoing arcs get a uniform row and a warning: the
     fraction is undefined there.
     """
-    _require_labels(graph)
     c = graph.num_classes
     counts = np.zeros((c, c))
     y = graph.labels
@@ -157,21 +146,6 @@ def accuracy(beliefs: Beliefs, labels, mask) -> float:
     return float(np.mean(pred == labels[mask]))
 
 
-def roc_auc(scores, labels, mask) -> float:
-    """Mann-Whitney ROC-AUC: P(random positive outranks random negative),
-    counting ties as 1/2."""
-    mask = np.asarray(mask, dtype=np.int64)
-    s = np.asarray(scores, dtype=np.float64)[mask]
-    y = np.asarray(labels)[mask].astype(bool)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC-AUC requires both classes in the mask")
-    ranks = rankdata(s)  # midranks handle ties as 1/2
-    u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
 @dataclass(frozen=True)
 class BucketRow:
     bucket: float | None  # None = nodes with undefined h_v
@@ -203,7 +177,6 @@ def bucket_accuracy(beliefs: Beliefs, graph: Graph, mask) -> BucketTable:
     h_v is rounded half-up to the nearest 0.1.  Mask nodes with undefined
     h_v are excluded from the levels and reported in a trailing row.
     """
-    _require_labels(graph)
     mask = np.asarray(mask, dtype=np.int64)
     pred = np.argmax(beliefs.values[mask], axis=1)
     correct = pred == graph.labels[mask]

@@ -211,8 +211,6 @@ def train(
     """
     if mask.train.size == 0:
         raise ValueError("training requires a nonempty train mask")
-    if graph.labels is None:
-        raise ValueError("training requires labels")
     x_train = graph.features[mask.train]
     y_train = graph.labels[mask.train]
     val_idx = np.asarray(mask.validation, dtype=np.int64)

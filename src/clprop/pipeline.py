@@ -39,6 +39,10 @@ DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
 METHODS = ("mlp_only", "lp", "clp", "clp_star")
 
+# Spellings of the propagation overrides in config files and on the command line.
+NORMALIZATION_CHOICES = {"on": True, "off": False, "auto": None}
+TELEPORT_CHOICES = {"base": "base_prediction", "prior": "prior", "auto": None}
+
 
 @dataclass(frozen=True)
 class PropagationOverrides:
@@ -50,6 +54,9 @@ class PropagationOverrides:
     teleport_source: str | None = None
 
     def __post_init__(self):
+        norm = self.message_normalization
+        if not (norm is None or isinstance(norm, bool)):
+            raise ValueError(f"message normalization must be on, off or auto, got {norm!r}")
         if self.teleport_source not in (None, "base_prediction", "prior"):
             raise ValueError(f"unknown teleport source {self.teleport_source!r}")
 
@@ -65,7 +72,6 @@ class ExperimentConfig:
     propagation: PropagationOverrides = field(default_factory=PropagationOverrides)
     output_dir: str | None = None
     directed: bool = False
-    partial_labels: bool = False
 
     def __post_init__(self):
         if not self.seeds:
@@ -76,26 +82,39 @@ class ExperimentConfig:
             raise ValueError("alpha grid values must lie strictly inside (0, 1)")
 
 
+def _from_fields(cls, raw: dict, section: str):
+    """``cls(**raw)``, naming every key that ``cls`` does not have."""
+    unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
+    return cls(**raw)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from the JSON mirror (nested mlp/propagation objects)."""
-    data = dict(raw)
-    if "mlp" in data and isinstance(data["mlp"], dict):
-        data["mlp"] = TrainConfig(**data["mlp"])
-    if "propagation" in data and isinstance(data["propagation"], dict):
-        prop = dict(data["propagation"])
-        for key in ("message_normalization", "teleport_source"):
-            if prop.get(key) == "auto":
-                prop[key] = None
-        if prop.get("message_normalization") in ("on", "off"):
-            prop["message_normalization"] = prop["message_normalization"] == "on"
-        if prop.get("teleport_source") == "base":
-            prop["teleport_source"] = "base_prediction"
-        data["propagation"] = PropagationOverrides(**prop)
-    if "seeds" in data:
-        data["seeds"] = tuple(int(s) for s in data["seeds"])
-    if "alpha_grid" in data:
-        data["alpha_grid"] = tuple(float(a) for a in data["alpha_grid"])
-    return ExperimentConfig(**data)
+    """Build a config from the JSON mirror (nested mlp/propagation objects).
+
+    Unknown or missing keys and values of the wrong type raise ValueError.
+    """
+    try:
+        data = dict(raw)
+        if "mlp" in data and isinstance(data["mlp"], dict):
+            data["mlp"] = _from_fields(TrainConfig, data["mlp"], "mlp")
+        if "propagation" in data and isinstance(data["propagation"], dict):
+            prop = dict(data["propagation"])
+            for key, choices in (
+                ("message_normalization", NORMALIZATION_CHOICES),
+                ("teleport_source", TELEPORT_CHOICES),
+            ):
+                if isinstance(prop.get(key), str):
+                    prop[key] = choices.get(prop[key], prop[key])
+            data["propagation"] = _from_fields(PropagationOverrides, prop, "propagation")
+        if "seeds" in data:
+            data["seeds"] = tuple(int(s) for s in data["seeds"])
+        if "alpha_grid" in data:
+            data["alpha_grid"] = tuple(float(a) for a in data["alpha_grid"])
+        return _from_fields(ExperimentConfig, data, "top-level")
+    except TypeError as exc:
+        raise ValueError(f"malformed config: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -103,17 +122,17 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
-def resolve_dataset(dataset, directed: bool = False, partial_labels: bool = False) -> Graph:
+def resolve_dataset(dataset, directed: bool = False) -> Graph:
     """A path loads the TSV trio; a dict generates a synthetic benchmark.
 
     Synthetic dicts carry either a named preset ("preset", "scale") or raw
     sizes ("num_nodes", "num_classes", "target_avg_degree"), plus "h" and
-    "seed".
+    "seed".  Synthetic graphs are undirected, so ``directed`` is an error there.
     """
     if isinstance(dataset, (str, Path)):
-        return load_dataset(
-            dataset, directed=True if directed else None, partial_labels=partial_labels
-        )
+        return load_dataset(dataset, directed=True if directed else None)
+    if directed:
+        raise ValueError("synthetic datasets are undirected; directed does not apply")
     spec = synthetic_spec_from_dict(dataset)
     graph, _ = generate(spec)
     return graph
@@ -243,9 +262,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
 
     b0 = prior_beliefs(d_hat, y_hot, split.train)
     h_hat = estimate_compatibility(graph, b0, y_hot, split.train)
-    dist = None
-    if true_h is not None:
-        dist = metrics.compat_distance(true_h, h_hat)
+    dist = metrics.compat_distance(true_h, h_hat)
 
     norm_options = (
         (False, True)
@@ -268,13 +285,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
         verdict_by_alpha[alpha] = convergence_check(awf, alpha)
         for teleport_name in teleport_options:
             for norm in norm_options:
-                pcfg = PropagationConfig(
-                    alpha,
-                    prop.max_iters,
-                    prop.tol,
-                    message_normalization=norm,
-                    teleport_source=teleport_name,
-                )
+                pcfg = PropagationConfig(alpha, prop.max_iters, prop.tol, norm)
                 try:
                     beliefs, _ = propagate(awf, teleports[teleport_name], pcfg)
                 except DivergenceError:
@@ -314,10 +325,8 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
 def run_pipeline(config: ExperimentConfig, graph: Graph | None = None) -> RunReport:
     """Run every seed of the configured experiment and aggregate the metric."""
     if graph is None:
-        graph = resolve_dataset(config.dataset, config.directed, config.partial_labels)
-    if graph.labels is None or not graph.has_full_labels():
-        raise ValueError("the pipeline requires labels on every node")
-    true_h = metrics.true_compatibility(graph) if graph.has_full_labels() else None
+        graph = resolve_dataset(config.dataset, config.directed)
+    true_h = metrics.true_compatibility(graph)
     per_seed = [_run_seed(graph, seed, config, true_h) for seed in config.seeds]
     report = RunReport(config.method, "accuracy", per_seed)
     if config.output_dir:
@@ -408,7 +417,7 @@ def sweep_homophily(
     for h in h_grid:
         dataset = dict(base_config.dataset)
         dataset["h"] = float(h)
-        graph = resolve_dataset(dataset)
+        graph = resolve_dataset(dataset, base_config.directed)
         for method in methods:
             cfg = dataclasses.replace(
                 base_config, dataset=dataset, method=method, output_dir=None
@@ -444,8 +453,6 @@ def report_compat_quality(
     """Compatibility-estimate distance and accuracy per labelling scheme."""
     if graph is None:
         graph = resolve_dataset(config.dataset, config.directed)
-    if not graph.has_full_labels():
-        raise ValueError("compatibility quality requires the full ground-truth labels")
     rows = []
     for scheme in schemes:
         cfg = dataclasses.replace(config, scheme=scheme, method="clp", output_dir=None)
@@ -510,8 +517,6 @@ class InspectReport:
 def inspect_dataset(graph: Graph, config: ExperimentConfig | None = None) -> InspectReport:
     """Homophily diagnostics; adds the per-bucket accuracy table when a
     pipeline config supplies a trainable base predictor."""
-    if graph.labels is None:
-        raise ValueError("inspection requires labels")
     degrees = graph.degrees()
     stats = {
         "min": int(degrees.min()),

@@ -56,23 +56,19 @@ class PropagationConfig:
     """Knobs of the fixed-point iteration.
 
     ``alpha`` weighs the neighbor aggregate against the teleport anchor;
-    0 is admitted as the degenerate teleport-only case.  ``teleport_source``
-    records which beliefs anchor the iteration (resolved by the caller).
+    0 is admitted as the degenerate teleport-only case.
     """
 
     alpha: float
     max_iters: int = 50
     tol: float = 1e-9
     message_normalization: bool = False
-    teleport_source: str = "base_prediction"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.teleport_source not in ("base_prediction", "prior"):
-            raise ValueError(f"unknown teleport source {self.teleport_source!r}")
 
 
 @dataclass(frozen=True)
@@ -455,28 +451,3 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
             status = "inconclusive"
         verdicts.append(ClassConvergence(k, status, norm_1, frobenius, rho, residual))
     return verdicts
-
-
-def iteration_log_to_csv(log: list[IterationRecord], path) -> None:
-    num_classes = len(log[0].per_class) if log else 0
-    with open(path, "w") as fh:
-        header = ",".join(f"residual_class_{k}" for k in range(num_classes))
-        fh.write(f"iter,residual{',' if header else ''}{header}\n")
-        for rec in log:
-            tail = ",".join(repr(x) for x in rec.per_class)
-            fh.write(f"{rec.iteration},{rec.residual!r}{',' if tail else ''}{tail}\n")
-
-
-def save_beliefs_tsv(beliefs: Beliefs, path) -> None:
-    """Rows: node id, renormalized probabilities, argmax class.
-
-    Argmax is taken before renormalization and must survive it unchanged.
-    """
-    pred = beliefs.argmax()
-    reported = beliefs.renormalized()
-    if not np.array_equal(pred, reported.argmax()):
-        raise AssertionError("renormalization changed the argmax")
-    with open(path, "w") as fh:
-        for node, (row, cls) in enumerate(zip(reported.values, pred)):
-            probs = "\t".join(repr(float(x)) for x in row)
-            fh.write(f"{node}\t{probs}\t{cls}\n")

@@ -141,7 +141,7 @@ def generate_structure(spec: SyntheticSpec) -> Graph:
                 pairs = pairs + np.array([a * s, b * s], dtype=np.int64)
                 edges.append(pairs)
     all_edges = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
-    return build_graph(n, all_edges, labels=labels, num_classes=c, directed=False)
+    return build_graph(n, all_edges, None, labels, num_classes=c, directed=False)
 
 
 def _rotation(theta: float) -> np.ndarray:

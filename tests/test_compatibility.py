@@ -3,11 +3,8 @@ import pytest
 
 from clprop.compatibility import (
     Beliefs,
-    CompatibilityMatrix,
     estimate_compatibility,
-    load_compatibility,
     prior_beliefs,
-    save_compatibility,
     sinkhorn_knopp,
 )
 from clprop.graph import one_hot
@@ -46,11 +43,6 @@ class TestBeliefs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             Beliefs(np.ones((1, 1)), "posterior")
-
-    def test_renormalized_handles_zero_rows(self):
-        b = Beliefs(np.array([[0.0, 0.0], [3.0, 1.0]]), "propagated")
-        r = b.renormalized()
-        np.testing.assert_allclose(r.values, [[0.5, 0.5], [0.75, 0.25]])
 
 
 class TestPriorBeliefs:
@@ -193,16 +185,3 @@ class TestEstimateCompatibility:
         b0 = Beliefs(np.full((4, 2), 0.5), "prior")
         with pytest.raises(ValueError, match="nonempty"):
             estimate_compatibility(k22, b0, one_hot(k22.labels, 2), [])
-
-
-class TestSerialization:
-    def test_csv_round_trip_with_sidecar(self, tmp_path):
-        m = CompatibilityMatrix(
-            np.array([[0.25, 0.75], [0.75, 0.25]]), "doubly_stochastic", 1e-10
-        )
-        path = tmp_path / "compat.csv"
-        save_compatibility(m, path)
-        loaded = load_compatibility(path)
-        np.testing.assert_array_equal(loaded.values, m.values)
-        assert loaded.normalization == "doubly_stochastic"
-        assert loaded.sinkhorn_deviation == 1e-10

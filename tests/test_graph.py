@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,17 +56,10 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="duplicate label"):
             load_graph(tmp_path / "edges.tsv", tmp_path / "features.tsv", tmp_path / "labels.tsv")
 
-    def test_missing_label_requires_partial_flag(self, tmp_path):
-        write_dataset(tmp_path, [], ["0.0", "1.0"], ["0\t0"])
-        with pytest.raises(GraphFormatError, match="no label"):
+    def test_missing_label_names_the_node(self, tmp_path):
+        write_dataset(tmp_path, [], ["0.0", "1.0", "2.0"], ["0\t0", "2\t1"])
+        with pytest.raises(GraphFormatError, match=r"labels\.tsv: node 1 has no label$"):
             load_graph(tmp_path / "edges.tsv", tmp_path / "features.tsv", tmp_path / "labels.tsv")
-        g = load_graph(
-            tmp_path / "edges.tsv",
-            tmp_path / "features.tsv",
-            tmp_path / "labels.tsv",
-            partial_labels=True,
-        )
-        assert g.labels[1] == -1 and not g.has_full_labels()
 
     def test_directed_keeps_arcs(self, tmp_path):
         write_dataset(tmp_path, ["0\t1"], ["0.0", "1.0"], ["0\t0", "1\t1"])
@@ -96,10 +91,10 @@ class TestBuildGraph:
             Graph(
                 node_count=3,
                 arcs=np.zeros((0, 2), dtype=np.int64),
-                adjacency=build_graph(3, [], np.zeros((3, 1)), None).adjacency,
+                adjacency=build_graph(3, [], np.zeros((3, 1)), np.zeros(3)).adjacency,
                 features=np.zeros((2, 1)),
-                labels=None,
-                num_classes=0,
+                labels=np.zeros(3, dtype=np.int64),
+                num_classes=1,
                 directed=False,
             )
 
@@ -186,9 +181,11 @@ class TestMakeSplits:
             make_splits(g, "sparse", seed=0)
 
     def test_requires_labels(self):
-        g = build_graph(10, [], np.zeros((10, 1)), None)
-        with pytest.raises(ValueError, match="label"):
-            make_splits(g, "medium", seed=0)
+        # splits draw from every node, so a Graph cannot exist without a label on each
+        g = self.make_labelled(10)
+        for labels in (None, g.labels[:9]):
+            with pytest.raises(GraphFormatError, match="one entry per node"):
+                dataclasses.replace(g, labels=labels)
 
     def test_custom_ratios(self):
         g = self.make_labelled(50)

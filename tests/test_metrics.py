@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clprop.compatibility import Beliefs
+from clprop.graph import GraphFormatError
 from clprop.metrics import (
     accuracy,
     bucket_accuracy,
@@ -12,7 +13,6 @@ from clprop.metrics import (
     local_homophily,
     local_homophily_histogram,
     node_homophily,
-    roc_auc,
     true_compatibility,
 )
 
@@ -36,9 +36,9 @@ class TestEdgeHomophily:
             edge_homophily(g)
 
     def test_missing_labels(self):
-        g = graph_from_edges(2, [(0, 1)], [0, -1], num_classes=2)
-        with pytest.raises(ValueError, match="labels"):
-            edge_homophily(g)
+        # no label marks an unknown class: every node carries one in [0, C)
+        with pytest.raises(GraphFormatError, match=r"label outside \[0, 2\): -1"):
+            graph_from_edges(2, [(0, 1)], [0, -1], num_classes=2)
 
     def test_bipartition_flip_complement(self):
         # flipping the labels of one side of a bipartite graph flips h -> 1-h
@@ -194,50 +194,6 @@ class TestAccuracy:
         b = Beliefs(np.eye(2), "prior")
         with pytest.raises(ValueError, match="empty mask"):
             accuracy(b, [0, 1], [])
-
-
-class TestRocAuc:
-    def test_perfect_separation(self):
-        assert roc_auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], np.arange(4)) == 1.0
-
-    def test_constant_scores(self):
-        assert roc_auc([0.5] * 4, [0, 0, 1, 1], np.arange(4)) == 0.5
-
-    def test_hand_example(self):
-        # pairs enumerated by hand: 3 of 4 concordant
-        assert roc_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], np.arange(4)) == 0.75
-
-    def test_matches_pair_enumeration(self):
-        rng = np.random.default_rng(2)
-        scores = rng.random(40)
-        scores[rng.random(40) < 0.3] = 0.5  # force ties
-        labels = rng.integers(0, 2, 40)
-        if labels.sum() in (0, 40):
-            labels[0] = 1 - labels[0]
-        total = 0.0
-        pairs = 0
-        for i in np.flatnonzero(labels == 1):
-            for j in np.flatnonzero(labels == 0):
-                pairs += 1
-                if scores[i] > scores[j]:
-                    total += 1.0
-                elif scores[i] == scores[j]:
-                    total += 0.5
-        assert roc_auc(scores, labels, np.arange(40)) == pytest.approx(total / pairs)
-
-    def test_monotone_transform_invariance(self):
-        rng = np.random.default_rng(3)
-        scores = rng.standard_normal(30)
-        labels = rng.integers(0, 2, 30)
-        labels[:2] = [0, 1]
-        mask = np.arange(30)
-        a = roc_auc(scores, labels, mask)
-        b = roc_auc(np.exp(2 * scores) + 1, labels, mask)
-        assert a == pytest.approx(b)
-
-    def test_single_class_mask(self):
-        with pytest.raises(ValueError, match="both classes"):
-            roc_auc([0.1, 0.2], [1, 1], np.arange(2))
 
 
 class TestBucketAccuracy:

@@ -26,6 +26,8 @@ from conftest import graph_from_edges
 
 FAST_MLP = TrainConfig(epochs=80, early_stop_patience=80)
 
+SUBCOMMANDS = ("synth", "inspect", "train", "run", "sweep", "compat-quality")
+
 SMALL_DATASET = {
     "num_nodes": 300,
     "num_classes": 3,
@@ -45,6 +47,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def drop_label_line(dataset_dir, node):
+    labels = dataset_dir / "labels.tsv"
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join(lines[:node] + lines[node + 1:]))
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +100,45 @@ class TestConfig:
     def test_seeds_required(self):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(dataset="d", seeds=())
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"bogus": 1}, "unknown top-level config keys: bogus"),
+            ({"partial_labels": True}, "unknown top-level config keys: partial_labels"),
+            ({"mlp": {"lr": 0.1, "epochs": 5}}, "unknown mlp config keys: lr"),
+            ({"propagation": {"alpha": 0.5}}, "unknown propagation config keys: alpha"),
+        ],
+    )
+    def test_unknown_keys_are_named(self, extra, named):
+        with pytest.raises(ValueError, match=named):
+            config_from_dict({"dataset": "d", "seeds": [0], **extra})
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            ({"dataset": "d"}, "missing 1 required positional argument: 'seeds'"),
+            ({"dataset": "d", "seeds": 5}, "'int' object is not iterable"),
+            ({"dataset": "d", "seeds": [0], "mlp": {"learning_rate": "fast"}}, "'<' not supported"),
+        ],
+    )
+    def test_missing_keys_and_mistyped_values(self, raw, reason):
+        with pytest.raises(ValueError, match=f"malformed config: .*{reason}"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("value", ["maybe", 0, 1, "true"])
+    def test_message_normalization_rejects_other_values(self, value):
+        with pytest.raises(ValueError, match="message normalization must be on, off or auto"):
+            config_from_dict(
+                {"dataset": "d", "seeds": [0], "propagation": {"message_normalization": value}}
+            )
+
+    def test_json_booleans_and_null_are_accepted(self):
+        for value in (True, False, None):
+            cfg = config_from_dict(
+                {"dataset": "d", "seeds": [0], "propagation": {"message_normalization": value}}
+            )
+            assert cfg.propagation.message_normalization is value
 
 
 class TestStandardize:
@@ -167,19 +214,13 @@ class TestRunPipeline:
         report = run_pipeline(small_config(method="lp"), graph=small_graph)
         assert all(r.checkpoint == "" for r in report.per_seed)
 
-    def test_requires_labels(self):
-        g = graph_from_edges(4, [(0, 1)], [0, 0, 1, 1])
-        g = type(g)(
-            node_count=g.node_count,
-            arcs=g.arcs,
-            adjacency=g.adjacency,
-            features=g.features,
-            labels=None,
-            num_classes=0,
-            directed=False,
-        )
-        with pytest.raises(ValueError, match="label"):
-            run_pipeline(small_config(), graph=g)
+    def test_requires_labels(self, tmp_path, capsys, small_graph):
+        save_graph(small_graph, tmp_path / "ds")
+        drop_label_line(tmp_path / "ds", 7)
+        code = cli_main(["run", "--dataset", str(tmp_path / "ds"), "--seeds", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith("labels.tsv: node 7 has no label\n")
 
 
 class TestReports:
@@ -369,8 +410,47 @@ class TestCli:
 
     def test_inspect_partial_labels_is_data_error(self, tmp_path, capsys, k22):
         save_graph(k22, tmp_path / "ds")
-        labels = tmp_path / "ds" / "labels.tsv"
-        labels.write_text("".join(labels.read_text().splitlines(keepends=True)[1:]))
-        code = cli_main(["inspect", "--dataset", str(tmp_path / "ds"), "--partial-labels"])
+        drop_label_line(tmp_path / "ds", 0)
+        code = cli_main(["inspect", "--dataset", str(tmp_path / "ds")])
         assert code == 2
-        assert "data error: metric requires labels on all nodes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith("labels.tsv: node 0 has no label\n")
+        assert "partial" not in err.replace(str(tmp_path), "")  # tmp_path holds the test name
+
+    def test_dataset_without_labels_is_data_error(self, tmp_path, capsys, k22):
+        save_graph(k22, tmp_path / "ds")
+        (tmp_path / "ds" / "labels.tsv").unlink()
+        for command in ("inspect", "run"):
+            assert cli_main([command, "--dataset", str(tmp_path / "ds"), "--seeds", "0"]) == 2
+            assert "labels.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_partial_labels_flag_is_usage_error(self, command, tmp_path, capsys):
+        args = [command, "--preset", "syn1", "--scale", "0.02", "--seeds", "0",
+                "--out", str(tmp_path / "out"), "--partial-labels"]
+        assert cli_main(args) == 1
+        assert "unrecognized arguments: --partial-labels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_directed_synthetic_is_data_error(self, tmp_path, capsys):
+        args = ["run", "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--directed",
+                "--out", str(tmp_path / "out")]
+        assert cli_main(args) == 2
+        assert "synthetic datasets are undirected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"bogus": 1},
+            {"mlp": {"lr": 0.1}},
+            {"propagation": {"message_normalization": "maybe"}},
+        ],
+    )
+    def test_bad_config_file_is_data_error(self, raw, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], **raw}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()

@@ -16,11 +16,9 @@ from clprop.propagation import (
     compute_messages,
     convergence_check,
     edge_weights,
-    iteration_log_to_csv,
     propagate_clp,
     propagate_clp_star,
     propagate_lp,
-    save_beliefs_tsv,
     spectral_radius,
 )
 
@@ -518,23 +516,3 @@ class TestConvergenceCheck:
             norm1 = np.abs(data).sum()
             assert rho <= frob + max(residual, 1e-6)
             assert frob <= norm1 + 1e-12
-
-
-class TestWriters:
-    def test_iteration_log_csv(self, tmp_path, worked_example):
-        graph, compat, beliefs = worked_example
-        awf = edge_weights(graph, beliefs, compat)
-        _, log = propagate_clp(awf, beliefs, PropagationConfig(0.5, max_iters=20))
-        path = tmp_path / "iters.csv"
-        iteration_log_to_csv(log, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,residual,residual_class_0,residual_class_1"
-        assert len(lines) == len(log) + 1
-
-    def test_beliefs_tsv(self, tmp_path):
-        b = Beliefs(np.array([[1.0, 3.0], [0.0, 0.0]]), "propagated")
-        path = tmp_path / "beliefs.tsv"
-        save_beliefs_tsv(b, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].split("\t") == ["0", "0.25", "0.75", "1"]
-        assert lines[1].split("\t") == ["1", "0.5", "0.5", "0"]
