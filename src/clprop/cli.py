@@ -17,21 +17,18 @@ import numpy as np
 from .graph import GraphFormatError, make_splits, save_graph
 from .mlp import TrainingDivergedError, save_params, training_log_to_csv
 from .pipeline import (
-    DEFAULT_ALPHA_GRID,
     NORMALIZATION_CHOICES,
     TELEPORT_CHOICES,
     ExperimentConfig,
-    PropagationOverrides,
     inspect_dataset,
     load_config,
     report_compat_quality,
     resolve_dataset,
     run_pipeline,
     sweep_homophily,
-    write_report,
 )
 from .propagation import DivergenceError, SingularSystemError
-from .synth import generate, preset_spec, snap_h_fraction
+from .synth import UNDIRECTED_ONLY, generate, preset_spec, snap_h_fraction
 
 _METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
 _H_LEVELS = [round(0.1 * i, 1) for i in range(11)]
@@ -159,6 +156,8 @@ def _cmd_synth(args) -> int:
         raise _UsageError("synth requires --preset")
     if not args.out:
         raise _UsageError("synth requires --out")
+    if args.directed:
+        raise ValueError(UNDIRECTED_ONLY)
     seeds = _parse_seeds(args.seeds) or (0,)
     out = Path(args.out)
     for idx, level in enumerate(_H_LEVELS):

@@ -8,6 +8,24 @@ Datasets live on disk as a trio of TSV files plus a JSON manifest:
     manifest.json  node_count, num_classes, directed flag, file checksums
 
 Node ids are dense 0-based integers; there is no remapping layer.
+
+Parse contract.  Files are read as text with universal newlines, so "\n",
+"\r\n" and a lone "\r" all end a line; line numbers in errors count every
+line, blank ones included.  Each file is parsed in one C-level pass
+(``np.loadtxt``); a per-line scan runs only after that pass rejected the
+file, to name the first bad line as ``path:lineno``.
+
+- edges.tsv and labels.tsv skip blank lines.
+- In features.tsv a blank line is a zero-width row, so a file of n blank
+  lines holds n nodes with no features, and a blank line among non-blank
+  ones is a ragged row.
+- ``#`` is data, not a comment, and fails to parse as a number.
+- Numbers are written with ASCII digits, an optional sign and optional
+  surrounding whitespace (features also take the other forms ``float``
+  reads, e.g. ``1e3``, ``inf``, ``nan``).  ``_`` separators are rejected,
+  and an id or class must fit in int64.
+- Arcs come out deduplicated, without self-loops and in lexicographic order:
+  they are read back from the pattern of the CSR adjacency.
 """
 
 from __future__ import annotations
@@ -15,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,12 +122,8 @@ def build_graph(
         bad = arcs[(arcs < 0) | (arcs >= node_count)].flat[0]
         raise GraphFormatError(f"node id {bad} out of range [0, {node_count})")
     arcs = arcs[arcs[:, 0] != arcs[:, 1]]  # self-loops define no neighbor relation
-    if not directed and arcs.size:
+    if not directed:
         arcs = np.concatenate([arcs, arcs[:, ::-1]])
-    if arcs.size:
-        arcs = np.unique(arcs, axis=0)
-    else:
-        arcs = arcs.reshape(0, 2)
 
     if features is None:
         features = np.zeros((node_count, 0))
@@ -125,78 +138,148 @@ def build_graph(
         bad = labels[(labels < 0) | (labels >= num_classes)].flat[0]
         raise GraphFormatError(f"label outside [0, {num_classes}): {int(bad)}")
 
-    data = np.ones(arcs.shape[0])
+    # the CSR pattern deduplicates and sorts the arcs; they are read back from it
     adjacency = sparse.csr_matrix(
-        (data, (arcs[:, 0], arcs[:, 1])), shape=(node_count, node_count)
+        (np.ones(arcs.shape[0]), (arcs[:, 0], arcs[:, 1])), shape=(node_count, node_count)
     )
+    adjacency.sum_duplicates()
+    adjacency.data[:] = 1.0
+    sources = np.repeat(np.arange(node_count, dtype=np.int64), np.diff(adjacency.indptr))
+    arcs = np.column_stack([sources, adjacency.indices.astype(np.int64)])
     return Graph(node_count, arcs, adjacency, features, labels, num_classes, directed)
 
 
+def _parse_table(path: Path, text: str, dtype, width: int | None = None) -> np.ndarray | None:
+    """Parse the tab-separated file ``path`` (whose content is ``text``) in C.
+
+    Blank lines are skipped.  Returns None when a field does not parse or a
+    row does not have ``width`` fields; the caller then names the first bad
+    line.  numpy reads a named file in chunks but any other input line by
+    line, so the file is parsed by name, not from ``text``.
+    """
+    if not text.strip("\n"):
+        return np.zeros((0, width or 0), dtype=dtype)
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter="\t", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if width is None or table.shape[1] == width else None
+
+
+def _parse_line(line: str, dtype) -> np.ndarray | None:
+    """The fields of one non-blank line as :func:`_parse_table` reads them, or None."""
+    try:
+        return np.loadtxt([line], dtype=dtype, delimiter="\t", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``; a final newline ends the last line, not a new one."""
+    return text.removesuffix("\n").split("\n") if text else []
+
+
+def _first_bad_line(path: Path, text: str, line_error) -> GraphFormatError:
+    """The error for the first line ``line_error`` faults; run only on rejected files."""
+    for lineno, line in enumerate(_lines(text), start=1):
+        message = line_error(line)
+        if message is not None:
+            return GraphFormatError(f"{path}:{lineno}: {message}")
+    return GraphFormatError(f"{path}: unreadable table")
+
+
+def _edge_line_error(line: str) -> str | None:
+    if not line:
+        return None
+    if len(line.split("\t")) != 2:
+        return f"expected 'src<TAB>dst', got {line!r}"
+    if _parse_line(line, np.int64) is None:
+        return f"non-integer node id in {line!r}"
+    return None
+
+
 def _read_edges(path: Path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    text = path.read_text()
+    edges = _parse_table(path, text, np.int64, width=2)
+    if edges is None:
+        raise _first_bad_line(path, text, _edge_line_error)
+    return edges
+
+
+def _feature_line_checker():
+    width = None  # set by the first line
+
+    def line_error(line: str) -> str | None:
+        nonlocal width
+        if line and _parse_line(line, np.float64) is None:
+            return "non-numeric feature value"
+        count = len(line.split("\t")) if line else 0
+        if width is None:
+            width = count
+        elif count != width:
+            return f"expected {width} features, got {count}"
+        return None
+
+    return line_error
 
 
 def _read_features(path: Path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line:
-                try:
-                    row = [float(tok) for tok in line.split("\t")]
-                except ValueError:
-                    raise GraphFormatError(f"{path}:{lineno}: non-numeric feature value") from None
-            else:
-                row = []  # empty line = node with zero-width features
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected {width} features, got {len(row)}"
-                )
-            rows.append(row)
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), width or 0)
+    text = path.read_text()
+    if not text.strip("\n"):  # only blank lines: one zero-width row each
+        return np.zeros((text.count("\n"), 0))
+    has_blank_line = text.startswith("\n") or "\n\n" in text
+    features = None if has_blank_line else _parse_table(path, text, np.float64)
+    if features is None:
+        raise _first_bad_line(path, text, _feature_line_checker())
+    return features
+
+
+def _label_line_checker(node_count: int):
+    seen = np.zeros(node_count, dtype=bool)
+
+    def line_error(line: str) -> str | None:
+        if not line:
+            return None
+        if len(line.split("\t")) != 2:
+            return "expected 'node_id<TAB>class_id'"
+        row = _parse_line(line, np.int64)
+        if row is None:
+            return "non-integer entry"
+        node, cls = int(row[0]), int(row[1])
+        if not 0 <= node < node_count:
+            return f"node id {node} out of range"
+        if seen[node]:
+            return f"duplicate label for node {node}"
+        if cls < 0:
+            return "negative class id"
+        seen[node] = True
+        return None
+
+    return line_error
+
+
+def _labels_valid(nodes: np.ndarray, classes: np.ndarray, node_count: int) -> bool:
+    """Node ids in range, classes non-negative, and no node labelled twice."""
+    return (
+        nodes.min(initial=0) >= 0
+        and nodes.max(initial=-1) < node_count
+        and classes.min(initial=0) >= 0
+        and np.unique(nodes).size == nodes.size
+    )
 
 
 def _read_labels(path: Path, node_count: int) -> np.ndarray:
-    labels = np.zeros(node_count, dtype=np.int64)
+    text = path.read_text()
+    pairs = _parse_table(path, text, np.int64, width=2)
+    if pairs is None or not _labels_valid(pairs[:, 0], pairs[:, 1], node_count):
+        raise _first_bad_line(path, text, _label_line_checker(node_count))
+    nodes, classes = pairs[:, 0], pairs[:, 1]
     seen = np.zeros(node_count, dtype=bool)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'node_id<TAB>class_id'")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer entry") from None
-            if not 0 <= node < node_count:
-                raise GraphFormatError(f"{path}:{lineno}: node id {node} out of range")
-            if seen[node]:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate label for node {node}")
-            if cls < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative class id")
-            seen[node] = True
-            labels[node] = cls
+    seen[nodes] = True
     if not seen.all():
         raise GraphFormatError(f"{path}: node {int(np.flatnonzero(~seen)[0])} has no label")
+    labels = np.zeros(node_count, dtype=np.int64)
+    labels[nodes] = classes
     return labels
 
 
@@ -220,12 +303,26 @@ def load_graph(
     return build_graph(node_count, edges, features, labels, num_classes, directed)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+_WRITE_BLOCK_ROWS = 16384  # rows formatted per write; bounds the temporary Python lists
+
+
+def _pair_line(row: list) -> str:
+    return f"{row[0]}\t{row[1]}\n"
+
+
+def _float_line(row: list) -> str:
+    return "\t".join(map(repr, row)) + "\n"
+
+
+def _write_rows(path: Path, rows: np.ndarray, line) -> str:
+    """Write ``line(row)`` for each row of ``rows``; returns the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for start in range(0, rows.shape[0], _WRITE_BLOCK_ROWS):
+            data = "".join(map(line, rows[start:start + _WRITE_BLOCK_ROWS].tolist())).encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def save_graph(graph: Graph, out_dir, extra_manifest: dict | None = None) -> dict:
@@ -235,22 +332,17 @@ def save_graph(graph: Graph, out_dir, extra_manifest: dict | None = None) -> dic
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "edges.tsv", "w") as fh:
-        for u, v in graph.arcs:
-            fh.write(f"{u}\t{v}\n")
-    with open(out / "features.tsv", "w") as fh:
-        for row in graph.features:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
-    with open(out / "labels.tsv", "w") as fh:
-        for node, cls in enumerate(graph.labels):
-            fh.write(f"{node}\t{cls}\n")
+    labelled = np.column_stack([np.arange(graph.node_count), graph.labels])
+    checksums = {
+        "edges.tsv": _write_rows(out / "edges.tsv", graph.arcs, _pair_line),
+        "features.tsv": _write_rows(out / "features.tsv", graph.features, _float_line),
+        "labels.tsv": _write_rows(out / "labels.tsv", labelled, _pair_line),
+    }
     manifest = {
         "node_count": graph.node_count,
         "num_classes": graph.num_classes,
         "directed": graph.directed,
-        "checksums": {
-            name: _sha256(out / name) for name in ("edges.tsv", "features.tsv", "labels.tsv")
-        },
+        "checksums": checksums,
     }
     if extra_manifest:
         manifest.update(extra_manifest)

@@ -33,7 +33,7 @@ from .propagation import (
     propagate_clp_star,
     propagate_lp,
 )
-from .synth import SyntheticSpec, generate, preset_spec, snap_h_fraction
+from .synth import UNDIRECTED_ONLY, SyntheticSpec, generate, preset_spec, snap_h_fraction
 
 DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -132,7 +132,7 @@ def resolve_dataset(dataset, directed: bool = False) -> Graph:
     if isinstance(dataset, (str, Path)):
         return load_dataset(dataset, directed=True if directed else None)
     if directed:
-        raise ValueError("synthetic datasets are undirected; directed does not apply")
+        raise ValueError(UNDIRECTED_ONLY)
     spec = synthetic_spec_from_dict(dataset)
     graph, _ = generate(spec)
     return graph

@@ -34,6 +34,8 @@ PRESETS = {
 # per-pair Bernoulli sampling below this size; block-binomial above
 _DENSE_SAMPLING_MAX_NODES = 5000
 
+UNDIRECTED_ONLY = "synthetic datasets are undirected; directed does not apply"
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:

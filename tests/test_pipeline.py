@@ -433,11 +433,27 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_directed_synthetic_is_data_error(self, tmp_path, capsys):
-        args = ["run", "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--directed",
-                "--out", str(tmp_path / "out")]
-        assert cli_main(args) == 2
-        assert "synthetic datasets are undirected" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for command in ("run", "synth"):
+            args = [command, "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--directed",
+                    "--out", str(tmp_path / "out")]
+            assert cli_main(args) == 2
+            assert "synthetic datasets are undirected" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    def test_malformed_edges_line_is_data_error(self, tmp_path, capsys, small_graph):
+        save_graph(small_graph, tmp_path / "ds")
+        edges = tmp_path / "ds" / "edges.tsv"
+        edges.write_text(edges.read_text() + "\n3\tfour\n")
+        lineno = small_graph.arc_count + 2  # after one blank line
+        for command in ("run", "inspect"):
+            out = tmp_path / f"out-{command}"
+            args = [command, "--dataset", str(tmp_path / "ds"), "--scheme", "medium",
+                    "--seeds", "0", "--out", str(out)]
+            assert cli_main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ")
+            assert f"edges.tsv:{lineno}: non-integer node id in '3\\tfour'" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "raw",
