@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: synth, inspect, train, run, sweep, compat-quality.
+Subcommands: synth, inspect, train, run, sweep, compat-quality.  One table
+lists the flags of each; a flag is on a subcommand iff the subcommand reads
+it, and any other flag is a usage error.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -11,15 +13,18 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .graph import GraphFormatError, make_splits, save_graph
+from .metrics import accuracy
 from .mlp import TrainingDivergedError, save_params, training_log_to_csv
 from .pipeline import (
     NORMALIZATION_CHOICES,
     TELEPORT_CHOICES,
     ExperimentConfig,
+    _train_base_predictor,
     inspect_dataset,
     load_config,
     report_compat_quality,
@@ -28,7 +33,7 @@ from .pipeline import (
     sweep_homophily,
 )
 from .propagation import DivergenceError, SingularSystemError
-from .synth import UNDIRECTED_ONLY, generate, preset_spec, snap_h_fraction
+from .synth import generate, preset_spec, snap_h_fraction
 
 _METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
 _H_LEVELS = [round(0.1 * i, 1) for i in range(11)]
@@ -43,122 +48,80 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(p: _Parser) -> None:
-    p.add_argument("--config", help="JSON experiment config; flags override its fields")
-    p.add_argument("--dataset", help="dataset directory (edges/features/labels TSV trio)")
-    p.add_argument("--preset", choices=["syn1", "syn2", "syn3"], help="synthetic benchmark family")
-    p.add_argument("--scale", type=float, default=1.0, help="node-count factor for presets")
-    p.add_argument("--scheme", choices=["sparse", "medium", "dense"])
-    p.add_argument("--seeds", help="comma-separated integer seeds")
-    p.add_argument("--method", help="mlp|lp|clp|clp-star (comma list for sweep)")
-    p.add_argument("--alpha", help="comma-separated alpha grid, each in (0,1)")
-    p.add_argument("--directed", action="store_true", help="keep arcs as-is (no symmetrization)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--normalize-messages", choices=list(NORMALIZATION_CHOICES), default=None)
-    p.add_argument("--teleport", choices=list(TELEPORT_CHOICES), default=None)
+def _method(name: str) -> str:
+    if name not in _METHOD_NAMES:
+        choices = sorted(_METHOD_NAMES)
+        raise argparse.ArgumentTypeError(f"unknown method {name!r} (choose from {choices})")
+    return _METHOD_NAMES[name]
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="clprop", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("synth", "generate a synthetic homophily-sweep benchmark"),
-        ("inspect", "print homophily/compatibility diagnostics for a dataset"),
-        ("train", "train the base predictor and save checkpoints"),
-        ("run", "run the full pipeline and report test accuracy"),
-        ("sweep", "compare methods across the homophily grid"),
-        ("compat-quality", "compatibility estimate quality per labelling scheme"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-    return parser
+def _comma_list(convert, what: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects comma-separated {what}, got {text!r}") from None
+
+    return parse
 
 
-def _parse_seeds(text: str | None):
-    if not text:
-        return None
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise _UsageError(f"--seeds expects comma-separated integers, got {text!r}") from None
+# flag -> (option, argparse spec); "methods" is the list-valued --method of sweep
+_FLAGS = {
+    "config": ("--config", dict(help="JSON experiment config; flags override its fields")),
+    "dataset": ("--dataset", dict(help="dataset directory (edges/features/labels TSV trio)")),
+    "preset": ("--preset", dict(choices=["syn1", "syn2", "syn3"], help="synthetic benchmark family")),
+    "scale": ("--scale", dict(type=float, default=1.0, help="node-count factor for presets")),
+    "directed": ("--directed", dict(action="store_true", help="keep arcs as-is (no symmetrization)")),
+    "seeds": ("--seeds", dict(type=_comma_list(int, "integers"), help="comma-separated integer seeds")),
+    "out": ("--out", dict(help="output directory")),
+    "scheme": ("--scheme", dict(choices=["sparse", "medium", "dense"])),
+    "method": ("--method", dict(type=_method, help="mlp|lp|clp|clp-star")),
+    "methods": ("--method", dict(dest="methods", type=_comma_list(_method, "methods"),
+                                 default=("mlp_only", "clp"), help="comma list (default mlp,clp)")),
+    "alpha": ("--alpha", dict(type=_comma_list(float, "floats"),
+                              help="comma-separated alpha grid, each in (0,1)")),
+    "normalize-messages": ("--normalize-messages", dict(choices=list(NORMALIZATION_CHOICES))),
+    "teleport": ("--teleport", dict(choices=list(TELEPORT_CHOICES))),
+}
+# flag -> the ExperimentConfig field it overrides when given
+_CONFIG_FIELDS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alpha": "alpha_grid",
+                  "out": "output_dir", "directed": "directed"}
 
 
-def _parse_alpha(text: str | None):
-    if not text:
-        return None
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise _UsageError(f"--alpha expects comma-separated floats, got {text!r}") from None
-
-
-def _parse_methods(text: str | None, allow_many: bool):
-    if not text:
-        return None
-    names = text.split(",") if allow_many else [text]
-    for name in names:
-        if name not in _METHOD_NAMES:
-            raise _UsageError(f"unknown method {name!r} (choose from {sorted(_METHOD_NAMES)})")
-    methods = [_METHOD_NAMES[name] for name in names]
-    return methods if allow_many else methods[0]
-
-
-def _dataset_from_args(args, default_h: float = 0.5):
-    if args.dataset and args.preset:
+def _dataset_from_args(flags: dict):
+    if flags.get("dataset") and flags.get("preset"):
         raise _UsageError("--dataset and --preset are mutually exclusive")
-    if args.dataset:
-        return args.dataset
-    if args.preset:
-        seeds = _parse_seeds(args.seeds) or (0,)
-        return {"preset": args.preset, "scale": args.scale, "h": default_h, "seed": seeds[0]}
+    if flags.get("dataset"):
+        return flags["dataset"]
+    if flags.get("preset"):
+        seeds = flags["seeds"] or (0,)
+        return {"preset": flags["preset"], "scale": flags["scale"], "h": 0.5, "seed": seeds[0]}
     return None
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        dataset = _dataset_from_args(args)
+    flags = vars(args)  # holds only the flags of the subcommand that was run
+    config = load_config(flags["config"]) if flags["config"] else None
+    dataset = _dataset_from_args(flags)
+    if config is None:
         if dataset is None:
             raise _UsageError("provide --dataset, --preset, or --config")
         config = ExperimentConfig(dataset=dataset, seeds=(0,))
-    updates = {}
-    dataset = _dataset_from_args(args)
+    updates = {field: flags[flag] for flag, field in _CONFIG_FIELDS.items() if flags.get(flag)}
     if dataset is not None:
         updates["dataset"] = dataset
-    if args.scheme:
-        updates["scheme"] = args.scheme
-    seeds = _parse_seeds(args.seeds)
-    if seeds:
-        updates["seeds"] = seeds
-    method = _parse_methods(args.method, allow_many=False)
-    if method:
-        updates["method"] = method
-    alpha = _parse_alpha(args.alpha)
-    if alpha:
-        updates["alpha_grid"] = alpha
-    if args.out:
-        updates["output_dir"] = args.out
-    if args.directed:
-        updates["directed"] = True
     prop_updates = {}
-    if args.normalize_messages is not None:
-        prop_updates["message_normalization"] = NORMALIZATION_CHOICES[args.normalize_messages]
-    if args.teleport is not None:
-        prop_updates["teleport_source"] = TELEPORT_CHOICES[args.teleport]
+    if flags.get("normalize_messages") is not None:
+        prop_updates["message_normalization"] = NORMALIZATION_CHOICES[flags["normalize_messages"]]
+    if flags.get("teleport") is not None:
+        prop_updates["teleport_source"] = TELEPORT_CHOICES[flags["teleport"]]
     if prop_updates:
         updates["propagation"] = dataclasses.replace(config.propagation, **prop_updates)
     return dataclasses.replace(config, **updates) if updates else config
 
 
 def _cmd_synth(args) -> int:
-    if not args.preset:
-        raise _UsageError("synth requires --preset")
-    if not args.out:
-        raise _UsageError("synth requires --out")
-    if args.directed:
-        raise ValueError(UNDIRECTED_ONLY)
-    seeds = _parse_seeds(args.seeds) or (0,)
+    seeds = args.seeds or (0,)
     out = Path(args.out)
     for idx, level in enumerate(_H_LEVELS):
         spec = preset_spec(args.preset, snap_h_fraction(level), seeds[0], args.scale)
@@ -176,7 +139,7 @@ def _cmd_synth(args) -> int:
 def _cmd_inspect(args) -> int:
     if not (args.dataset or args.preset):
         raise _UsageError("inspect requires --dataset or --preset")
-    graph = resolve_dataset(_dataset_from_args(args), args.directed)
+    graph = resolve_dataset(_dataset_from_args(vars(args)), args.directed)
     config = None
     if args.scheme:
         config = _config_from_args(args)
@@ -194,8 +157,6 @@ def _cmd_train(args) -> int:
     if not config.output_dir:
         raise _UsageError("train requires --out")
     graph = resolve_dataset(config.dataset, config.directed)
-    from .pipeline import _train_base_predictor
-
     out = Path(config.output_dir)
     for seed in config.seeds:
         split = make_splits(graph, config.scheme, seed, 1)[0]
@@ -204,8 +165,6 @@ def _cmd_train(args) -> int:
         seed_dir.mkdir(parents=True, exist_ok=True)
         save_params(params, seed_dir / "checkpoint.bin")
         training_log_to_csv(log, seed_dir / "training_log.csv")
-        from .metrics import accuracy
-
         print(
             f"seed {seed}: best val acc {max(r.val_acc for r in log):.4f} "
             f"({len(log)} epochs, test acc {accuracy(d_hat, graph.labels, split.test):.4f})"
@@ -229,11 +188,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    methods = _parse_methods(args.method, allow_many=True) or ["mlp_only", "clp"]
     config = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
-    rows = sweep_homophily(config, _H_LEVELS, methods, out_dir=config.output_dir)
+    rows = sweep_homophily(config, _H_LEVELS, args.methods, out_dir=config.output_dir)
     for row in rows:
         print(
             f"h={row['h']:.1f} {row['method']}: {row['mean']:.4f} +/- {row['std']:.4f}"
@@ -252,21 +210,50 @@ def _cmd_compat_quality(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "inspect": _cmd_inspect,
-    "train": _cmd_train,
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "compat-quality": _cmd_compat_quality,
+class _Subcommand(NamedTuple):
+    help: str
+    handler: Callable
+    flags: tuple[str, ...]
+    required: tuple[str, ...] = ()
+
+
+# where the graph comes from, the seeds and the output directory
+_DATA_FLAGS = ("config", "dataset", "preset", "scale", "directed", "seeds", "out")
+_PROPAGATION_FLAGS = ("alpha", "normalize-messages", "teleport")
+
+_SUBCOMMANDS = {
+    "synth": _Subcommand("generate a synthetic homophily-sweep benchmark", _cmd_synth,
+                         ("preset", "scale", "seeds", "out"), required=("preset", "out")),
+    "inspect": _Subcommand("print homophily/compatibility diagnostics for a dataset",
+                           _cmd_inspect, _DATA_FLAGS + ("scheme",)),
+    "train": _Subcommand("train the base predictor and save checkpoints", _cmd_train,
+                         _DATA_FLAGS + ("scheme",)),
+    "run": _Subcommand("run the full pipeline and report test accuracy", _cmd_run,
+                       _DATA_FLAGS + ("scheme", "method") + _PROPAGATION_FLAGS),
+    "sweep": _Subcommand("compare methods across the homophily grid", _cmd_sweep,
+                         ("config", "preset", "scale", "seeds", "out", "scheme", "methods")
+                         + _PROPAGATION_FLAGS),
+    "compat-quality": _Subcommand("compatibility estimate quality per labelling scheme",
+                                  _cmd_compat_quality, _DATA_FLAGS + _PROPAGATION_FLAGS),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="clprop", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            option, spec = _FLAGS[flag]
+            p.add_argument(option, required=flag in command.required, **spec)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command].handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,8 @@ file, to name the first bad line as ``path:lineno``.
   surrounding whitespace (features also take the other forms ``float``
   reads, e.g. ``1e3``, ``inf``, ``nan``).  ``_`` separators are rejected,
   and an id or class must fit in int64.
+- Node ids lie in [0, n), n being the number of feature rows, and classes
+  in [0, num_classes) when the manifest records num_classes.
 - Arcs come out deduplicated, without self-loops and in lexicographic order:
   they are read back from the pattern of the CSR adjacency.
 """
@@ -188,21 +190,28 @@ def _first_bad_line(path: Path, text: str, line_error) -> GraphFormatError:
     return GraphFormatError(f"{path}: unreadable table")
 
 
-def _edge_line_error(line: str) -> str | None:
-    if not line:
+def _edge_line_checker(node_count: int):
+    def line_error(line: str) -> str | None:
+        if not line:
+            return None
+        if len(line.split("\t")) != 2:
+            return f"expected 'src<TAB>dst', got {line!r}"
+        row = _parse_line(line, np.int64)
+        if row is None:
+            return f"non-integer node id in {line!r}"
+        bad = row[(row < 0) | (row >= node_count)]
+        if bad.size:
+            return f"node id {int(bad[0])} out of range [0, {node_count})"
         return None
-    if len(line.split("\t")) != 2:
-        return f"expected 'src<TAB>dst', got {line!r}"
-    if _parse_line(line, np.int64) is None:
-        return f"non-integer node id in {line!r}"
-    return None
+
+    return line_error
 
 
-def _read_edges(path: Path) -> np.ndarray:
+def _read_edges(path: Path, node_count: int) -> np.ndarray:
     text = path.read_text()
     edges = _parse_table(path, text, np.int64, width=2)
-    if edges is None:
-        raise _first_bad_line(path, text, _edge_line_error)
+    if edges is None or edges.min(initial=0) < 0 or edges.max(initial=-1) >= node_count:
+        raise _first_bad_line(path, text, _edge_line_checker(node_count))
     return edges
 
 
@@ -234,7 +243,7 @@ def _read_features(path: Path) -> np.ndarray:
     return features
 
 
-def _label_line_checker(node_count: int):
+def _label_line_checker(node_count: int, num_classes: int | None):
     seen = np.zeros(node_count, dtype=bool)
 
     def line_error(line: str) -> str | None:
@@ -252,27 +261,32 @@ def _label_line_checker(node_count: int):
             return f"duplicate label for node {node}"
         if cls < 0:
             return "negative class id"
+        if num_classes is not None and cls >= num_classes:
+            return f"label outside [0, {num_classes}): {cls}"
         seen[node] = True
         return None
 
     return line_error
 
 
-def _labels_valid(nodes: np.ndarray, classes: np.ndarray, node_count: int) -> bool:
-    """Node ids in range, classes non-negative, and no node labelled twice."""
+def _labels_valid(
+    nodes: np.ndarray, classes: np.ndarray, node_count: int, num_classes: int | None
+) -> bool:
+    """Node ids in range, classes in range, and no node labelled twice."""
     return (
         nodes.min(initial=0) >= 0
         and nodes.max(initial=-1) < node_count
         and classes.min(initial=0) >= 0
+        and (num_classes is None or classes.max(initial=-1) < num_classes)
         and np.unique(nodes).size == nodes.size
     )
 
 
-def _read_labels(path: Path, node_count: int) -> np.ndarray:
+def _read_labels(path: Path, node_count: int, num_classes: int | None) -> np.ndarray:
     text = path.read_text()
     pairs = _parse_table(path, text, np.int64, width=2)
-    if pairs is None or not _labels_valid(pairs[:, 0], pairs[:, 1], node_count):
-        raise _first_bad_line(path, text, _label_line_checker(node_count))
+    if pairs is None or not _labels_valid(pairs[:, 0], pairs[:, 1], node_count, num_classes):
+        raise _first_bad_line(path, text, _label_line_checker(node_count, num_classes))
     nodes, classes = pairs[:, 0], pairs[:, 1]
     seen = np.zeros(node_count, dtype=bool)
     seen[nodes] = True
@@ -298,8 +312,8 @@ def load_graph(
     """
     features = _read_features(Path(features_path))
     node_count = features.shape[0]
-    edges = _read_edges(Path(edges_path))
-    labels = _read_labels(Path(labels_path), node_count)
+    edges = _read_edges(Path(edges_path), node_count)
+    labels = _read_labels(Path(labels_path), node_count, num_classes)
     return build_graph(node_count, edges, features, labels, num_classes, directed)
 
 

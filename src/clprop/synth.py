@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, build_graph
+from .metrics import edge_homophily
 
 # fraction-of-delta grid used for the homophily sweep; the endpoints stand in
 # for h = 0 and h = 1, which require strictly positive probabilities
@@ -190,8 +191,6 @@ def gaussian_features(labels, seed: int, num_classes: int | None = None) -> np.n
 
 def generate(spec: SyntheticSpec) -> tuple[Graph, dict]:
     """Structure plus features plus a manifest of realized statistics."""
-    from .metrics import edge_homophily  # local import to avoid a module cycle
-
     structure = generate_structure(spec)
     features = gaussian_features(structure.labels, spec.seed, spec.num_classes)
     graph = Graph(
@@ -228,6 +227,8 @@ def preset_spec(name: str, h_fraction: float, seed: int, scale: float = 1.0) -> 
     """A sweep point of one of the named benchmark families, optionally rescaled."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"preset scale must be a finite positive number, got {scale!r}")
     base = PRESETS[name]
     c = base["num_classes"]
     n = max(int(round(base["num_nodes"] * scale / c)), 2) * c

@@ -28,10 +28,15 @@ def write_dataset(tmp_path, edges_lines, features_lines, labels_lines=None):
 
 
 def write_raw(tmp_path, edges="0\t1\n", features="0.5\n1.5\n2.5\n", labels="0\t0\n1\t0\n2\t1\n"):
-    """Write the trio byte for byte (no newline translation) and load it."""
+    """Write the trio byte for byte (no newline translation) and load it.
+
+    The load passes num_classes=2, as a manifest of the default labels would.
+    """
     for name, text in (("edges", edges), ("features", features), ("labels", labels)):
         (tmp_path / f"{name}.tsv").write_bytes(text.encode())
-    return load_graph(tmp_path / "edges.tsv", tmp_path / "features.tsv", tmp_path / "labels.tsv")
+    return load_graph(
+        tmp_path / "edges.tsv", tmp_path / "features.tsv", tmp_path / "labels.tsv", num_classes=2
+    )
 
 
 # (file, content, line number, message after "path:lineno: ")
@@ -53,6 +58,10 @@ FORMAT_ERRORS = [
     pytest.param("edges", "0\t1\n1\tx", 2, "non-integer node id in '1\\tx'",
                  id="edges-last-line-no-newline"),
     pytest.param("edges", "0\t1\r2\tx\r", 2, "non-integer node id in '2\\tx'", id="edges-lone-cr"),
+    pytest.param("edges", "0\t1\n0\t7\n", 2, "node id 7 out of range [0, 3)",
+                 id="edges-node-out-of-range"),
+    pytest.param("edges", "0\t1\n\n-1\t9\n", 3, "node id -1 out of range [0, 3)",
+                 id="edges-negative-node"),
     pytest.param("features", "0.5\n1.5\tabc\n2.5\n", 2, "non-numeric feature value",
                  id="features-non-numeric"),
     pytest.param("features", "0.5\n\t\n2.5\n", 2, "non-numeric feature value",
@@ -75,6 +84,8 @@ FORMAT_ERRORS = [
                  id="labels-negative-node"),
     pytest.param("labels", "0\t0\n1\t-1\n2\t1\n", 2, "negative class id",
                  id="labels-negative-class"),
+    pytest.param("labels", "0\t0\n1\t5\n2\t1\n", 2, "label outside [0, 2): 5",
+                 id="labels-class-out-of-range"),
     pytest.param("labels", "0\t0\n\n\n0\t1\n", 4, "duplicate label for node 0",
                  id="labels-duplicate-after-blank-lines"),
     pytest.param("labels", "0\t0\t1\n", 1, "expected 'node_id<TAB>class_id'",

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and the
+package imports its own modules at module level only."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,29 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_level_package_imports(source: str) -> list[str]:
+    """The relative imports made inside a function body."""
+    tree = ast.parse(source)
+    return [
+        f"line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+
+
+def test_detects_a_function_level_package_import():
+    source = (
+        "from .graph import Graph\n"
+        "def f():\n    from .metrics import accuracy\n    import json\n"
+        "class C:\n    def g(self):\n        from . import synth\n"
+    )
+    assert function_level_package_imports(source) == ["line 3: from .metrics", "line 7: from ."]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    assert function_level_package_imports(path.read_text()) == []

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from clprop.cli import _build_parser
 from clprop.cli import main as cli_main
 from clprop.graph import build_graph, make_splits, save_graph
 from clprop.mlp import TrainConfig
@@ -27,6 +29,26 @@ from conftest import graph_from_edges
 FAST_MLP = TrainConfig(epochs=80, early_stop_patience=80)
 
 SUBCOMMANDS = ("synth", "inspect", "train", "run", "sweep", "compat-quality")
+
+# the flags each subcommand accepts: exactly the ones it honours
+DATA_FLAGS = {"config", "dataset", "preset", "scale", "directed", "seeds", "out"}
+PROPAGATION_FLAGS = {"alpha", "normalize-messages", "teleport"}
+CLI_FLAGS = {
+    "synth": {"preset", "scale", "seeds", "out"},
+    "inspect": DATA_FLAGS | {"scheme"},
+    "train": DATA_FLAGS | {"scheme"},
+    "run": DATA_FLAGS | {"scheme", "method"} | PROPAGATION_FLAGS,
+    "sweep": DATA_FLAGS - {"dataset", "directed"} | {"scheme", "method"} | PROPAGATION_FLAGS,
+    "compat-quality": DATA_FLAGS | PROPAGATION_FLAGS,
+}
+FLAG_VALUES = {"config": ["config.json"], "dataset": ["ds"], "directed": [], "scheme": ["medium"],
+               "method": ["clp"], "alpha": ["0.5"], "normalize-messages": ["on"],
+               "teleport": ["prior"]}
+DROPPED_FLAGS = [
+    (command, flag)
+    for command in SUBCOMMANDS
+    for flag in sorted(CLI_FLAGS["run"] - CLI_FLAGS[command])
+]
 
 SMALL_DATASET = {
     "num_nodes": 300,
@@ -317,6 +339,67 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["run", "--method", "transformer", "--preset", "syn1"]) == 1
         assert "usage error" in capsys.readouterr().err
+        assert cli_main(["run", "--method", "mlp,clp", "--preset", "syn1"]) == 1
+        assert "usage error: argument --method: unknown method 'mlp,clp'" in capsys.readouterr().err
+
+    def test_parser_matches_the_flag_table(self):
+        (subparsers,) = [a for a in _build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {opt.removeprefix("--") for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for opt in action.option_strings}
+            for name, sub in subparsers.choices.items()
+        }
+        assert options == CLI_FLAGS
+        assert sum(map(len, options.values())) == 52 and len(DROPPED_FLAGS) == 20
+
+    @pytest.mark.parametrize("command, flag", DROPPED_FLAGS,
+                             ids=["-".join(pair) for pair in DROPPED_FLAGS])
+    def test_flag_the_subcommand_ignores_is_usage_error(self, command, flag, tmp_path, capsys):
+        args = [command, "--preset", "syn1", "--scale", "0.02", "--seeds", "0",
+                "--out", str(tmp_path / "out"), f"--{flag}", *FLAG_VALUES[flag]]
+        assert cli_main(args) == 1
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("run", "--seeds", "0,x", "argument --seeds: expects comma-separated integers, got '0,x'"),
+            ("run", "--seeds", "", "argument --seeds: expects comma-separated integers, got ''"),
+            ("run", "--alpha", "0.5,a", "argument --alpha: expects comma-separated floats, got '0.5,a'"),
+            ("sweep", "--method", "clp,", "argument --method: unknown method ''"),
+        ],
+        ids=["seeds-non-integer", "seeds-empty", "alpha-non-float", "sweep-method-empty-name"],
+    )
+    def test_bad_flag_value_is_usage_error(self, command, flag, value, message, tmp_path, capsys):
+        args = [command, "--preset", "syn1", "--out", str(tmp_path / "out"), flag, value]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_requires_preset_and_out(self, capsys):
+        assert cli_main(["synth", "--scale", "0.02"]) == 1
+        assert "required: --preset, --out" in capsys.readouterr().err
+
+    def test_sweep_takes_a_method_list(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["sweep", "--preset", "syn1", "--scale", "0.02", "--seeds", "0",
+                "--method", "mlp,clp", "--out", str(out)]
+        assert cli_main(args) == 0
+        with open(out / "sweep.csv") as fh:
+            methods = [row["method"] for row in csv.DictReader(fh)]
+        assert methods == ["mlp_only", "clp"] * 11
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-3"])
+    def test_bad_scale_is_data_error(self, scale, tmp_path, capsys):
+        args = ["run", "--preset", "syn1", "--scale", scale, "--seeds", "0",
+                "--out", str(tmp_path / "out")]
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: preset scale must be a finite positive number")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_missing_dataset_is_data_error(self, capsys, tmp_path):
         code = cli_main(["run", "--dataset", str(tmp_path / "nope"), "--seeds", "0"])
@@ -433,12 +516,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_directed_synthetic_is_data_error(self, tmp_path, capsys):
-        for command in ("run", "synth"):
-            args = [command, "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--directed",
-                    "--out", str(tmp_path / "out")]
-            assert cli_main(args) == 2
-            assert "synthetic datasets are undirected" in capsys.readouterr().err
-            assert not (tmp_path / "out").exists()
+        args = ["run", "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--directed",
+                "--out", str(tmp_path / "out")]
+        assert cli_main(args) == 2
+        assert "synthetic datasets are undirected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_edges_line_is_data_error(self, tmp_path, capsys, small_graph):
         save_graph(small_graph, tmp_path / "ds")

@@ -167,6 +167,11 @@ class TestPresets:
         with pytest.raises(ValueError, match="preset"):
             preset_spec("syn9", 0.5, seed=0)
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -3.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match=rf"scale .* got {scale!r}$"):
+            preset_spec("syn1", 0.5, seed=0, scale=scale)
+
     def test_snap(self):
         assert snap_h_fraction(0.0) == 0.0001
         assert snap_h_fraction(1.0) == 0.9999
