@@ -32,7 +32,7 @@ from .pipeline import (
     run_pipeline,
     sweep_homophily,
 )
-from .propagation import DivergenceError, SingularSystemError
+from .propagation import DivergenceError
 from .synth import generate, preset_spec, snap_h_fraction
 
 _METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
@@ -137,16 +137,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    if not (args.dataset or args.preset):
-        raise _UsageError("inspect requires --dataset or --preset")
-    graph = resolve_dataset(_dataset_from_args(vars(args)), args.directed)
-    config = None
-    if args.scheme:
-        config = _config_from_args(args)
-    report = inspect_dataset(graph, config)
+    config = _config_from_args(args)
+    graph = resolve_dataset(config.dataset, config.directed)
+    report = inspect_dataset(graph, config if args.scheme else None)
     print(report.render())
-    if args.out and report.bucket_table is not None:
-        out = Path(args.out)
+    if config.output_dir and report.bucket_table is not None:
+        out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         report.bucket_table.to_csv(out / "bucket_accuracy.csv")
     return 0
@@ -263,7 +259,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, SingularSystemError, TrainingDivergedError, np.linalg.LinAlgError) as exc:
+    except (DivergenceError, TrainingDivergedError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

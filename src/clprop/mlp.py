@@ -73,7 +73,6 @@ class TrainConfig:
     weight_decay: float = 5e-5
     hidden_dim: int = 64
     num_hidden_layers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         # learning_rate 0 is admitted as a diagnostic no-op run
@@ -207,7 +206,8 @@ def train(
     """Full-batch gradient descent with early stopping on validation accuracy.
 
     Returns the parameter snapshot with the best validation accuracy seen
-    (ties keep the earliest) together with the per-epoch log.
+    (ties keep the earliest) together with the per-epoch log.  Dropout masks
+    draw from the split's seed.
     """
     if mask.train.size == 0:
         raise ValueError("training requires a nonempty train mask")
@@ -217,7 +217,7 @@ def train(
     if val_idx.size == 0:
         raise ValueError("training requires a nonempty validation mask")
     y_val = np.asarray(graph.labels, dtype=np.int64)[val_idx]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(mask.seed)
 
     params = params.copy()
     best_params = params.copy()

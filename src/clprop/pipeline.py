@@ -4,14 +4,15 @@ train the base predictor, estimate compatibility, propagate, and report.
 Per run seed the same trained predictor backs every method, so accuracy
 differences isolate the propagation step.  Candidate propagation settings
 (alpha grid x message normalization x teleport source) are selected by
-validation accuracy; reports are plain CSV with a JSON header carrying the
-only timestamp.
+validation accuracy, and only the chosen one is certified; reports are plain
+CSV with a JSON header carrying the only timestamp.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -48,8 +49,6 @@ TELEPORT_CHOICES = {"base": "base_prediction", "prior": "prior", "auto": None}
 class PropagationOverrides:
     """Pipeline-level propagation knobs; None means "select by validation"."""
 
-    max_iters: int = 50
-    tol: float = 1e-9
     message_normalization: bool | None = None
     teleport_source: str | None = None
 
@@ -165,12 +164,12 @@ class SeedResult:
     seed: int
     test_accuracy: float
     val_accuracy: float
-    chosen_alpha: float | None
-    chosen_normalization: bool | None
-    chosen_teleport: str | None
-    compat_distance: float | None
-    convergence: str
-    checkpoint: str
+    chosen_alpha: float | None = None
+    chosen_normalization: bool | None = None
+    chosen_teleport: str | None = None
+    compat_distance: float | None = None
+    convergence: str = ""
+    checkpoint: str = ""
     fallback: bool = False
     candidate_log: list = field(default_factory=list, repr=False)
     training_log: list = field(default_factory=list, repr=False)
@@ -201,124 +200,108 @@ def _convergence_summary(verdicts) -> str:
 def _train_base_predictor(graph: Graph, split, config: ExperimentConfig):
     features = standardize_features(graph.features)
     work = dataclasses.replace(graph, features=features)
-    mlp_cfg = dataclasses.replace(config.mlp, seed=split.seed)
     params0 = init_mlp(
         feature_dim=work.feature_dim,
-        hidden_dim=mlp_cfg.hidden_dim,
-        num_hidden_layers=mlp_cfg.num_hidden_layers,
+        hidden_dim=config.mlp.hidden_dim,
+        num_hidden_layers=config.mlp.num_hidden_layers,
         num_classes=work.num_classes,
         seed=split.seed,
     )
-    params, log = train(params0, work, split, mlp_cfg)
+    params, log = train(params0, work, split, config.mlp)
     return params, predict(params, features), log
+
+
+def _select(options, run, labels, validation):
+    """Run every ``(alpha, normalization, teleport)`` option through ``run``.
+
+    Returns the first option with the best validation accuracy as
+    ``(val, option, beliefs)`` (None when every option diverged) and the
+    candidate log of ``(alpha, normalization, teleport, val, status)``.
+    """
+    best = None
+    candidates = []
+    for option in options:
+        try:
+            beliefs = run(*option)
+        except DivergenceError:
+            candidates.append((*option, None, "diverged"))
+            continue
+        val = metrics.accuracy(beliefs, labels, validation)
+        candidates.append((*option, val, "ok"))
+        if best is None or val > best[0]:
+            best = (val, option, beliefs)
+    return best, candidates
 
 
 def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> SeedResult:
     split = make_splits(graph, config.scheme, seed, 1)[0]
     labels = graph.labels
     y_hot = one_hot(labels, graph.num_classes)
-    prop = config.propagation
 
     if config.method == "lp":
-        best = None
-        candidates = []
-        for alpha in config.alpha_grid:
-            pcfg = PropagationConfig(alpha, prop.max_iters, prop.tol)
-            beliefs = propagate_lp(graph, y_hot, split.train, pcfg)
-            val = metrics.accuracy(beliefs, labels, split.validation)
-            candidates.append((alpha, None, None, val, "ok"))
-            if best is None or val > best[0]:
-                best = (val, alpha, beliefs)
-        val, alpha, beliefs = best
-        return SeedResult(
-            seed=seed,
-            test_accuracy=metrics.accuracy(beliefs, labels, split.test),
-            val_accuracy=val,
-            chosen_alpha=alpha,
-            chosen_normalization=None,
-            chosen_teleport=None,
-            compat_distance=None,
-            convergence="certified: symmetric normalized adjacency",
-            checkpoint="",
-            candidate_log=candidates,
+        # no base predictor: both accuracies come from the chosen candidate
+        base = SeedResult(seed, math.nan, math.nan,
+                          convergence="certified: symmetric normalized adjacency")
+        options = [(alpha, None, None) for alpha in config.alpha_grid]
+
+        def run(alpha, _norm, _teleport):
+            return propagate_lp(graph, y_hot, split.train, PropagationConfig(alpha))
+
+    else:
+        params, d_hat, training_log = _train_base_predictor(graph, split, config)
+        base = SeedResult(
+            seed,
+            metrics.accuracy(d_hat, labels, split.test),
+            metrics.accuracy(d_hat, labels, split.validation),
+            checkpoint=params_checksum(params),
+            training_log=training_log,
         )
+        if config.method == "mlp_only":
+            return base
 
-    params, d_hat, training_log = _train_base_predictor(graph, split, config)
-    checkpoint = params_checksum(params)
-    mlp_result = SeedResult(
-        seed=seed,
-        test_accuracy=metrics.accuracy(d_hat, labels, split.test),
-        val_accuracy=metrics.accuracy(d_hat, labels, split.validation),
-        chosen_alpha=None,
-        chosen_normalization=None,
-        chosen_teleport=None,
-        compat_distance=None,
-        convergence="",
-        checkpoint=checkpoint,
-        training_log=training_log,
-    )
-    if config.method == "mlp_only":
-        return mlp_result
+        b0 = prior_beliefs(d_hat, y_hot, split.train)
+        h_hat = estimate_compatibility(graph, b0, y_hot, split.train)
+        base.compat_distance = metrics.compat_distance(true_h, h_hat)
+        prop = config.propagation
+        norms = (False, True) if prop.message_normalization is None else (prop.message_normalization,)
+        teleport_names = (
+            ("base_prediction", "prior") if prop.teleport_source is None else (prop.teleport_source,)
+        )
+        options = [
+            (alpha, norm, name)
+            for alpha in config.alpha_grid
+            for name in teleport_names
+            for norm in norms
+        ]
+        teleports = {"base_prediction": d_hat, "prior": b0}
+        propagate = propagate_clp if config.method == "clp" else propagate_clp_star
+        awf = edge_weights(graph, b0, h_hat, receiver=config.method == "clp")
 
-    b0 = prior_beliefs(d_hat, y_hot, split.train)
-    h_hat = estimate_compatibility(graph, b0, y_hot, split.train)
-    dist = metrics.compat_distance(true_h, h_hat)
+        def run(alpha, norm, teleport_name):
+            pcfg = PropagationConfig(alpha, message_normalization=norm)
+            return propagate(awf, teleports[teleport_name], pcfg)[0]
 
-    norm_options = (
-        (False, True)
-        if prop.message_normalization is None
-        else (prop.message_normalization,)
-    )
-    teleport_options = (
-        ("base_prediction", "prior")
-        if prop.teleport_source is None
-        else (prop.teleport_source,)
-    )
-    teleports = {"base_prediction": d_hat, "prior": b0}
-
-    propagate = propagate_clp if config.method == "clp" else propagate_clp_star
-    awf = edge_weights(graph, b0, h_hat, receiver=config.method == "clp")
-    candidates = []
-    best = None
-    verdict_by_alpha = {}
-    for alpha in config.alpha_grid:
-        verdict_by_alpha[alpha] = convergence_check(awf, alpha)
-        for teleport_name in teleport_options:
-            for norm in norm_options:
-                pcfg = PropagationConfig(alpha, prop.max_iters, prop.tol, norm)
-                try:
-                    beliefs, _ = propagate(awf, teleports[teleport_name], pcfg)
-                except DivergenceError:
-                    candidates.append((alpha, norm, teleport_name, None, "diverged"))
-                    continue
-                val = metrics.accuracy(beliefs, labels, split.validation)
-                candidates.append((alpha, norm, teleport_name, val, "ok"))
-                if best is None or val > best[0]:
-                    best = (val, alpha, norm, teleport_name, beliefs)
-
+    best, base.candidate_log = _select(options, run, labels, split.validation)
     if best is None:
+        if config.method == "lp":
+            raise DivergenceError(f"seed {seed}: every label propagation candidate diverged")
         warnings.warn(
             f"seed {seed}: every propagation candidate diverged; "
             "falling back to the base predictor"
         )
-        mlp_result.fallback = True
-        mlp_result.candidate_log = candidates
-        mlp_result.compat_distance = dist
-        return mlp_result
+        base.fallback = True
+        return base
 
-    val, alpha, norm, teleport_name, beliefs = best
-    return SeedResult(
-        seed=seed,
+    val, (alpha, norm, teleport_name), beliefs = best
+    if config.method != "lp":
+        base.convergence = _convergence_summary(convergence_check(awf, alpha))
+    return dataclasses.replace(
+        base,
         test_accuracy=metrics.accuracy(beliefs, labels, split.test),
         val_accuracy=val,
         chosen_alpha=alpha,
         chosen_normalization=norm,
         chosen_teleport=teleport_name,
-        compat_distance=dist,
-        convergence=_convergence_summary(verdict_by_alpha[alpha]),
-        checkpoint=checkpoint,
-        candidate_log=candidates,
-        training_log=training_log,
     )
 
 
@@ -346,9 +329,15 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "on" if value else "off"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # float() first: repr(np.float64) is "np.float64(...)"
+        return repr(float(value))
     return str(value)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header`` and one line per row of cells, each cell through :func:`_fmt`."""
+    lines = [header] + [",".join(_fmt(cell) for cell in row) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _mlp_facts(log) -> dict:
@@ -364,34 +353,31 @@ def write_report(report: RunReport, out_dir, config: ExperimentConfig | None = N
     """report.csv + summary.csv (both deterministic) and run.json (timestamped)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
+    _write_csv(
+        out / "report.csv",
         "seed,test_accuracy,val_accuracy,chosen_alpha,chosen_normalization,"
-        "chosen_teleport,compat_distance,convergence,checkpoint,fallback"
-    ]
-    for r in report.per_seed:
-        lines.append(
-            ",".join(
-                [
-                    str(r.seed),
-                    _fmt(r.test_accuracy),
-                    _fmt(r.val_accuracy),
-                    _fmt(r.chosen_alpha),
-                    _fmt(r.chosen_normalization),
-                    {"base_prediction": "base", "prior": "prior", None: ""}[r.chosen_teleport],
-                    _fmt(r.compat_distance),
-                    r.convergence,
-                    r.checkpoint,
-                    "yes" if r.fallback else "no",
-                ]
+        "chosen_teleport,compat_distance,convergence,checkpoint,fallback",
+        [
+            (
+                r.seed,
+                r.test_accuracy,
+                r.val_accuracy,
+                r.chosen_alpha,
+                r.chosen_normalization,
+                {"base_prediction": "base", "prior": "prior", None: None}[r.chosen_teleport],
+                r.compat_distance,
+                r.convergence,
+                r.checkpoint,
+                "yes" if r.fallback else "no",
             )
-        )
-    _atomic_write(out / "report.csv", "\n".join(lines) + "\n")
-    summary = (
-        "method,metric,n_seeds,mean,std\n"
-        f"{report.method},{report.metric},{len(report.per_seed)},"
-        f"{report.mean!r},{report.std!r}\n"
+            for r in report.per_seed
+        ],
     )
-    _atomic_write(out / "summary.csv", summary)
+    _write_csv(
+        out / "summary.csv",
+        "method,metric,n_seeds,mean,std",
+        [(report.method, report.metric, len(report.per_seed), report.mean, report.std)],
+    )
     header = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "method": report.method,
@@ -435,12 +421,7 @@ def sweep_homophily(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["h,method,mean,std,n_seeds"]
-        for row in rows:
-            lines.append(
-                f"{row['h']!r},{row['method']},{row['mean']!r},{row['std']!r},{row['n_seeds']}"
-            )
-        _atomic_write(out / "sweep.csv", "\n".join(lines) + "\n")
+        _write_csv(out / "sweep.csv", "h,method,mean,std,n_seeds", [r.values() for r in rows])
     return rows
 
 
@@ -470,13 +451,11 @@ def report_compat_quality(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["scheme,label_rate,mean_dist,std_dist,mean_acc"]
-        for row in rows:
-            lines.append(
-                f"{row['scheme']},{row['label_rate']!r},{row['mean_dist']!r},"
-                f"{row['std_dist']!r},{row['mean_acc']!r}"
-            )
-        _atomic_write(out / "compat_quality.csv", "\n".join(lines) + "\n")
+        _write_csv(
+            out / "compat_quality.csv",
+            "scheme,label_rate,mean_dist,std_dist,mean_acc",
+            [r.values() for r in rows],
+        )
     return rows
 
 

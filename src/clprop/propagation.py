@@ -14,9 +14,9 @@ same propagation: same solver, same certificate, same message normalization.
 
 The per-class weight slices are receiver-row matrices, ``slice_k[j, i] =
 F_ij[k]``, so ``slice_k @ beliefs[:, k]`` is the unnormalized step for class k.
-They remain only for the closed-form solver, the spectral radius and the
-certification norms.  On symmetrized graphs the slice pattern coincides with
-the arc set.
+They remain only for the closed-form solver and the convergence certificate
+(its norms and spectral radius).  On symmetrized graphs the slice pattern
+coincides with the arc set.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class PropagationConfig:
 class IterationRecord:
     iteration: int
     residual: float
-    per_class: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,6 @@ class EdgeWeightTensor:
     @cached_property
     def _senders(self) -> np.ndarray:
         return np.ascontiguousarray(self.arcs[:, 0])
-
-    @cached_property
-    def _class_norms(self) -> tuple[tuple[float, float], ...]:
-        """Entrywise 1-norm and Frobenius norm of each class slice."""
-        return tuple(
-            (float(np.abs(s.data).sum()), float(np.sqrt(np.sum(s.data * s.data))))
-            for s in self.per_class
-        )
-
-    @cached_property
-    def _class_rho(self) -> dict[int, SpectralRadiusEstimate]:
-        """Spectral radius estimates, filled per class on first need."""
-        return {}
 
     @cached_property
     def _receiver_incidence(self) -> sparse.csr_matrix:
@@ -212,9 +198,8 @@ def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
     streak = 0
     for it in range(1, config.max_iters + 1):
         new_b = (1.0 - alpha) * teleport + alpha * step(b)
-        per_class = np.max(np.abs(new_b - b), axis=0) if b.size else np.zeros(0)
-        res = float(per_class.max()) if per_class.size else 0.0
-        log.append(IterationRecord(it, res, tuple(float(x) for x in per_class)))
+        res = float(np.abs(new_b - b).max()) if b.size else 0.0
+        log.append(IterationRecord(it, res))
         b = new_b
         if res < config.tol:
             break
@@ -429,22 +414,23 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
     """Verdict per class: does the fixed-point iteration converge at this alpha?
 
     Checks the entrywise 1-norm first, then the Frobenius norm (both upper
-    bound the spectral radius); only when neither certifies does it fall back
-    to power iteration.  The norms and rho(W_k) do not depend on alpha: they
-    are computed at most once per class per tensor and compared with 1/alpha
-    on every call.
+    bound the spectral radius); only for a class where neither is below
+    1/alpha does it run power iteration on that class's slice.  Every call
+    recomputes all of them: the pipeline certifies only the chosen candidate's
+    alpha, once per seed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     threshold = math.inf if alpha == 0.0 else 1.0 / alpha
     verdicts = []
-    for k, (norm_1, frobenius) in enumerate(awf._class_norms):
+    for k, slice_k in enumerate(awf.per_class):
+        data = slice_k.data
+        norm_1 = float(np.abs(data).sum())
+        frobenius = float(np.sqrt(np.sum(data * data)))
         if norm_1 < threshold or frobenius < threshold:
             verdicts.append(ClassConvergence(k, "certified", norm_1, frobenius))
             continue
-        if k not in awf._class_rho:
-            awf._class_rho[k] = spectral_radius(awf.per_class[k])
-        rho, residual = awf._class_rho[k]
+        rho, residual = spectral_radius(slice_k)
         if residual <= 1e-6 * max(1.0, rho):
             status = "convergent" if rho < threshold else "divergent"
         else:

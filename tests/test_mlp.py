@@ -308,7 +308,7 @@ def _reference_train(params, graph, mask, config):
 
     x_train = graph.features[mask.train]
     y_train = graph.labels[mask.train]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(mask.seed)
     params = params.copy()
     best_params, best_val, stale, log = params.copy(), -np.inf, 0, []
     for epoch in range(config.epochs):
@@ -361,7 +361,7 @@ class TestBitIdentityWithReferenceEpoch:
         split = make_splits(graph, "medium", seed=num_hidden_layers)[0]
         params = init_mlp(feature_dim, 64, num_hidden_layers, 4, seed=3, dropout_rate=dropout_rate)
         config = TrainConfig(learning_rate=0.05, epochs=40, early_stop_patience=15,
-                             num_hidden_layers=num_hidden_layers, seed=5)
+                             num_hidden_layers=num_hidden_layers)
         softmax_inputs = []
         real_softmax = mlp.softmax
 

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+import clprop.pipeline as pipeline
+import clprop.propagation as propagation
 from clprop.cli import _build_parser
 from clprop.cli import main as cli_main
 from clprop.graph import build_graph, make_splits, save_graph
@@ -92,7 +94,7 @@ class TestConfig:
             "method": "clp_star",
             "alpha_grid": [0.2, 0.4],
             "mlp": {"epochs": 50, "early_stop_patience": 10, "hidden_dim": 32},
-            "propagation": {"max_iters": 30, "teleport_source": "base", "message_normalization": "off"},
+            "propagation": {"teleport_source": "base", "message_normalization": "off"},
         }
         cfg = config_from_dict(raw)
         assert cfg.seeds == (0, 1, 2)
@@ -130,6 +132,9 @@ class TestConfig:
             ({"partial_labels": True}, "unknown top-level config keys: partial_labels"),
             ({"mlp": {"lr": 0.1, "epochs": 5}}, "unknown mlp config keys: lr"),
             ({"propagation": {"alpha": 0.5}}, "unknown propagation config keys: alpha"),
+            ({"mlp": {"seed": 7}}, "unknown mlp config keys: seed"),
+            ({"propagation": {"max_iters": 30}}, "unknown propagation config keys: max_iters"),
+            ({"propagation": {"tol": 1e-6}}, "unknown propagation config keys: tol"),
         ],
     )
     def test_unknown_keys_are_named(self, extra, named):
@@ -232,6 +237,35 @@ class TestRunPipeline:
         # 9 alphas x 2 message normalizations x 2 teleport sources
         assert len(result.candidate_log) == 9 * 2 * 2
 
+    @pytest.mark.parametrize("method, certifies", [("mlp_only", False), ("lp", False),
+                                                   ("clp", True), ("clp_star", True)])
+    def test_certificate_runs_once_per_seed(self, method, certifies, small_graph, monkeypatch):
+        """One convergence check per seed, at the chosen alpha, with at most
+        one power iteration per class; LP and the MLP never certify."""
+        power_iterations, checks = [], []
+        real_check, real_radius = pipeline.convergence_check, propagation.spectral_radius
+
+        def radius(m, *args, **kwargs):
+            power_iterations.append(m)
+            return real_radius(m, *args, **kwargs)
+
+        def check(awf, alpha):
+            before = len(power_iterations)
+            verdicts = real_check(awf, alpha)
+            checks.append((alpha, len(power_iterations) - before))
+            return verdicts
+
+        monkeypatch.setattr(propagation, "spectral_radius", radius)
+        monkeypatch.setattr(pipeline, "convergence_check", check)
+        report = run_pipeline(small_config(method=method), graph=small_graph)
+        if certifies:
+            assert not any(r.fallback for r in report.per_seed)
+            assert [alpha for alpha, _ in checks] == [r.chosen_alpha for r in report.per_seed]
+            assert all(count <= small_graph.num_classes for _, count in checks)
+        else:
+            assert checks == []
+        assert len(power_iterations) == sum(count for _, count in checks)
+
     def test_lp_runs_without_training(self, small_graph):
         report = run_pipeline(small_config(method="lp"), graph=small_graph)
         assert all(r.checkpoint == "" for r in report.per_seed)
@@ -283,6 +317,11 @@ class TestReports:
         assert facts["lp"] == [
             {"seed": s, "mlp_epochs": None, "mlp_best_epoch": None} for s in (0, 1)
         ]
+
+    def test_csv_cells_write_numpy_floats_as_python_floats(self, tmp_path):
+        rows = [(np.float64(0.1), 0.25, True, None, "x")]
+        pipeline._write_csv(tmp_path / "t.csv", "a,b,c,d,e", rows)
+        assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\n0.1,0.25,on,,x\n"
 
     def test_timestamp_confined_to_json_header(self, small_graph, tmp_path):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
@@ -467,6 +506,25 @@ class TestCli:
         assert cli_main(["inspect", "--dataset", str(tmp_path / "ds")]) == 0
         out = capsys.readouterr().out
         assert "edge homophily: 0.0000" in out
+
+    def test_inspect_takes_its_dataset_from_the_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        out = tmp_path / "out"
+        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], "output_dir": str(out)}))
+        assert cli_main(["inspect", "--config", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "edge homophily" in text and "per-bucket accuracy" not in text
+        assert not out.exists()
+        assert cli_main(["inspect", "--config", str(path), "--scheme", "medium"]) == 0
+        assert "per-bucket accuracy" in capsys.readouterr().out
+        assert (out / "bucket_accuracy.csv").exists()
+
+    def test_inspect_rejects_a_bad_config_without_scheme(self, tmp_path, capsys, k22):
+        save_graph(k22, tmp_path / "ds")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": "elsewhere", "seeds": [0], "bogus": 1}))
+        assert cli_main(["inspect", "--dataset", str(tmp_path / "ds"), "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "data error: unknown top-level config keys: bogus\n"
 
     def test_directed_flag_respected(self, tmp_path):
         g = graph_from_edges(3, [(0, 1), (1, 2)], [0, 1, 1], directed=True)

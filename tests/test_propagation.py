@@ -478,15 +478,15 @@ class TestConvergenceCheck:
         assert residuals[-1] > residuals[max(0, len(residuals) - 8)]
 
     def test_spectral_radius_runs_once_per_class(self, monkeypatch):
+        """Within one call, power iteration runs once for each class that
+        neither norm certifies, and for no other class."""
         rng = np.random.default_rng(5)
         base = rng.random((12, 12))
         np.fill_diagonal(base, 0.0)
         base /= np.max(np.abs(np.linalg.eigvals(base)))
-
-        def tensor():
-            return EdgeWeightTensor.from_slices(
-                [sparse.csr_matrix(base * rho) for rho in (0.3, 0.95, 1.5)]
-            )
+        awf = EdgeWeightTensor.from_slices(
+            [sparse.csr_matrix(base * rho) for rho in (0.3, 0.95, 1.5)]
+        )
 
         calls = []
         real = propagation.spectral_radius
@@ -496,14 +496,14 @@ class TestConvergenceCheck:
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "spectral_radius", counting)
-        awf = tensor()
-        verdicts = {alpha: convergence_check(awf, alpha) for alpha in DEFAULT_ALPHA_GRID}
-        assert 0 < len(calls) <= awf.num_classes
-        assert len({id(m) for m in calls}) == len(calls)  # no class twice
-        statuses = {v.status for vs in verdicts.values() for v in vs}
+        statuses = set()
+        for alpha in DEFAULT_ALPHA_GRID:
+            calls.clear()
+            verdicts = convergence_check(awf, alpha)
+            assert len(calls) == sum(v.rho is not None for v in verdicts) <= awf.num_classes
+            assert len({id(m) for m in calls}) == len(calls)  # no class twice
+            statuses |= {v.status for v in verdicts}
         assert {"certified", "convergent", "divergent"} <= statuses
-        for alpha, got in verdicts.items():
-            assert got == convergence_check(tensor(), alpha)
 
     def test_norm_chain(self):
         rng = np.random.default_rng(15)
