@@ -19,12 +19,13 @@ import numpy as np
 
 from .graph import GraphFormatError, make_splits, save_graph
 from .metrics import accuracy
-from .mlp import TrainingDivergedError, save_params, training_log_to_csv
+from .mlp import TrainingDivergedError, save_params
 from .pipeline import (
     NORMALIZATION_CHOICES,
     TELEPORT_CHOICES,
     ExperimentConfig,
     _train_base_predictor,
+    _write_csv,
     inspect_dataset,
     load_config,
     report_compat_quality,
@@ -141,10 +142,6 @@ def _cmd_inspect(args) -> int:
     graph = resolve_dataset(config.dataset, config.directed)
     report = inspect_dataset(graph, config if args.scheme else None)
     print(report.render())
-    if config.output_dir and report.bucket_table is not None:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.bucket_table.to_csv(out / "bucket_accuracy.csv")
     return 0
 
 
@@ -158,9 +155,9 @@ def _cmd_train(args) -> int:
         split = make_splits(graph, config.scheme, seed, 1)[0]
         params, d_hat, log = _train_base_predictor(graph, split, config)
         seed_dir = out / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(seed_dir / "training_log.csv", "epoch,train_loss,val_acc",
+                   [(r.epoch, r.train_loss, r.val_acc) for r in log])
         save_params(params, seed_dir / "checkpoint.bin")
-        training_log_to_csv(log, seed_dir / "training_log.csv")
         print(
             f"seed {seed}: best val acc {max(r.val_acc for r in log):.4f} "
             f"({len(log)} epochs, test acc {accuracy(d_hat, graph.labels, split.test):.4f})"

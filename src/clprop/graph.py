@@ -6,6 +6,7 @@ Datasets live on disk as a trio of TSV files plus a JSON manifest:
     features.tsv   line i holds the tab-separated real features of node i
     labels.tsv     "node_id<TAB>class_id", one line per node
     manifest.json  node_count, num_classes, directed flag, file checksums
+                   (``load_dataset`` checks these once the files parse)
 
 Node ids are dense 0-based integers; there is no remapping layer.
 
@@ -367,25 +368,27 @@ def save_graph(graph: Graph, out_dir, extra_manifest: dict | None = None) -> dic
 
 
 def load_dataset(dataset_dir, directed: bool | None = None) -> Graph:
-    """Load a dataset directory, trusting manifest.json for the directed flag."""
+    """Load a dataset directory, trusting manifest.json for the directed flag;
+    a file whose SHA-256 differs from its manifest checksum is a format error."""
     d = Path(dataset_dir)
     manifest_path = d / "manifest.json"
-    num_classes = None
+    manifest = {}
     if manifest_path.exists():
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        if directed is None:
-            directed = bool(manifest.get("directed", False))
-        num_classes = manifest.get("num_classes")
     if directed is None:
-        directed = False
-    return load_graph(
+        directed = bool(manifest.get("directed", False))
+    graph = load_graph(
         d / "edges.tsv",
         d / "features.tsv",
         d / "labels.tsv",
         directed=directed,
-        num_classes=num_classes,
+        num_classes=manifest.get("num_classes"),
     )
+    for name, checksum in manifest.get("checksums", {}).items():
+        if hashlib.sha256((d / name).read_bytes()).hexdigest() != checksum:
+            raise GraphFormatError(f"{d / name}: SHA-256 differs from the manifest.json checksum")
+    return graph
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

@@ -29,12 +29,10 @@ def edge_homophily(graph: Graph) -> float:
 def node_homophily(graph: Graph) -> float:
     """Mean over non-isolated nodes of the same-label neighbor fraction."""
     y = graph.labels
-    adj = graph.adjacency
+    src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
     same = np.zeros(graph.node_count)
-    deg = np.diff(adj.indptr).astype(np.float64)
-    src = np.repeat(np.arange(graph.node_count), np.diff(adj.indptr))
-    same_arc = (y[src] == y[adj.indices]).astype(np.float64)
-    np.add.at(same, src, same_arc)
+    deg = np.diff(graph.adjacency.indptr).astype(np.float64)
+    np.add.at(same, src, (y[src] == y[dst]).astype(np.float64))
     active = deg > 0
     if not active.any():
         raise ValueError("node homophily is undefined when every node is isolated")
@@ -58,9 +56,8 @@ def _induced_arc_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     y = graph.labels
     pattern = (adj.maximum(adj.T) + sparse.identity(n, format="csr")).tocsr()
     pattern.data[:] = 1.0
-    senders = np.repeat(np.arange(n), np.diff(adj.indptr))
-    same_arcs = sparse.csr_matrix(
-        ((y[senders] == y[adj.indices]).astype(np.float64), adj.indices, adj.indptr),
+    same_arcs = sparse.csr_matrix(  # graph.arcs lists the arcs in CSR order
+        ((y[graph.arcs[:, 0]] == y[graph.arcs[:, 1]]).astype(np.float64), adj.indices, adj.indptr),
         shape=(n, n),
     )
     same = np.empty(n)
@@ -156,14 +153,6 @@ class BucketRow:
 @dataclass(frozen=True)
 class BucketTable:
     rows: tuple[BucketRow, ...]
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("bucket,count,accuracy\n")
-            for row in self.rows:
-                bucket = "undefined" if row.bucket is None else repr(row.bucket)
-                acc = "" if row.accuracy is None else repr(float(row.accuracy))
-                fh.write(f"{bucket},{row.count},{acc}\n")
 
 
 def _bucket_index(same: np.ndarray, total: np.ndarray) -> np.ndarray:

@@ -252,13 +252,6 @@ def train(
     return best_params, log
 
 
-def training_log_to_csv(log: list[EpochRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,val_acc\n")
-        for rec in log:
-            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_acc!r}\n")
-
-
 def save_params(params: MlpParams, path) -> None:
     """Flat binary checkpoint: magic, layer count, dropout, dims, row-major f64."""
     with open(path, "wb") as fh:

@@ -30,6 +30,7 @@ from .propagation import (
     PropagationConfig,
     convergence_check,
     edge_weights,
+    lp_operator,
     propagate_clp,
     propagate_clp_star,
     propagate_lp,
@@ -130,14 +131,28 @@ def resolve_dataset(dataset, directed: bool = False) -> Graph:
     """
     if isinstance(dataset, (str, Path)):
         return load_dataset(dataset, directed=True if directed else None)
+    spec = synthetic_spec_from_dict(dataset)
     if directed:
         raise ValueError(UNDIRECTED_ONLY)
-    spec = synthetic_spec_from_dict(dataset)
     graph, _ = generate(spec)
     return graph
 
 
+# required and optional keys of the two synthetic dataset forms
+_PRESET_KEYS = ({"preset"}, {"scale", "h", "seed"})
+_SIZE_KEYS = ({"num_nodes", "num_classes", "target_avg_degree"}, {"h", "seed"})
+
+
 def synthetic_spec_from_dict(dataset: dict) -> SyntheticSpec:
+    """The spec of a synthetic dataset object; a key outside its form, a
+    missing size key or a dataset that is not an object raises ValueError."""
+    if not isinstance(dataset, dict):
+        raise ValueError(f"dataset must be a directory path or an object, got {dataset!r}")
+    required, optional = _PRESET_KEYS if "preset" in dataset else _SIZE_KEYS
+    for problem, keys in (("unknown", set(dataset) - required - optional),
+                          ("missing", required - set(dataset))):
+        if keys:
+            raise ValueError(f"{problem} dataset config keys: {', '.join(sorted(keys))}")
     h = snap_h_fraction(float(dataset.get("h", 0.5)))
     seed = int(dataset.get("seed", 0))
     if "preset" in dataset:
@@ -243,9 +258,12 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
         base = SeedResult(seed, math.nan, math.nan,
                           convergence="certified: symmetric normalized adjacency")
         options = [(alpha, None, None) for alpha in config.alpha_grid]
+        operator = lp_operator(graph)
+        teleport = np.zeros_like(y_hot)
+        teleport[split.train] = y_hot[split.train]
 
         def run(alpha, _norm, _teleport):
-            return propagate_lp(graph, y_hot, split.train, PropagationConfig(alpha))
+            return propagate_lp(operator, teleport, PropagationConfig(alpha))[0]
 
     else:
         params, d_hat, training_log = _train_base_predictor(graph, split, config)
@@ -335,7 +353,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """``header`` and one line per row of cells, each cell through :func:`_fmt`."""
+    """``header`` and one line per row of cells, each cell through :func:`_fmt`;
+    creates the parent directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [header] + [",".join(_fmt(cell) for cell in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -352,7 +372,6 @@ def _mlp_facts(log) -> dict:
 def write_report(report: RunReport, out_dir, config: ExperimentConfig | None = None) -> None:
     """report.csv + summary.csv (both deterministic) and run.json (timestamped)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "report.csv",
         "seed,test_accuracy,val_accuracy,chosen_alpha,chosen_normalization,"
@@ -419,9 +438,7 @@ def sweep_homophily(
                 }
             )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv", "h,method,mean,std,n_seeds", [r.values() for r in rows])
+        _write_csv(Path(out_dir) / "sweep.csv", "h,method,mean,std,n_seeds", [r.values() for r in rows])
     return rows
 
 
@@ -449,10 +466,8 @@ def report_compat_quality(
             }
         )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _write_csv(
-            out / "compat_quality.csv",
+            Path(out_dir) / "compat_quality.csv",
             "scheme,label_rate,mean_dist,std_dist,mean_acc",
             [r.values() for r in rows],
         )
@@ -495,7 +510,8 @@ class InspectReport:
 
 def inspect_dataset(graph: Graph, config: ExperimentConfig | None = None) -> InspectReport:
     """Homophily diagnostics; adds the per-bucket accuracy table when a
-    pipeline config supplies a trainable base predictor."""
+    pipeline config supplies a trainable base predictor, and writes it to
+    bucket_accuracy.csv when the config names an output directory."""
     degrees = graph.degrees()
     stats = {
         "min": int(degrees.min()),
@@ -513,6 +529,13 @@ def inspect_dataset(graph: Graph, config: ExperimentConfig | None = None) -> Ins
         split = make_splits(graph, config.scheme, seed, 1)[0]
         _, d_hat, _ = _train_base_predictor(graph, split, config)
         bucket_table = metrics.bucket_accuracy(d_hat, graph, split.test)
+        if config.output_dir:
+            _write_csv(
+                Path(config.output_dir) / "bucket_accuracy.csv",
+                "bucket,count,accuracy",
+                [("undefined" if r.bucket is None else r.bucket, r.count, r.accuracy)
+                 for r in bucket_table.rows],
+            )
     return InspectReport(
         edge_homophily=metrics.edge_homophily(graph),
         node_homophily=metrics.node_homophily(graph),

@@ -257,29 +257,29 @@ def propagate_clp_star(
     return propagate_clp(awf, teleport, config)
 
 
+def lp_operator(graph: Graph) -> sparse.csr_matrix:
+    """The symmetric degree-normalized adjacency ``D^-1/2 (A | A^T) D^-1/2``."""
+    pattern = (graph.adjacency.maximum(graph.adjacency.T)).tocsr()
+    deg = np.asarray(pattern.sum(axis=1)).ravel()
+    inv_sqrt = np.zeros_like(deg)
+    np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
+    d_half = sparse.diags(inv_sqrt)
+    return (d_half @ pattern @ d_half).tocsr()
+
+
 def propagate_lp(
-    graph: Graph,
-    y_onehot: np.ndarray,
-    train_mask,
+    operator: sparse.csr_matrix,
+    teleport: np.ndarray,
     config: PropagationConfig,
-) -> Beliefs:
-    """Classic label propagation over the symmetric degree-normalized adjacency.
+) -> tuple[Beliefs, list[IterationRecord]]:
+    """Classic label propagation over :func:`lp_operator`.
 
     The teleport is the one-hot training labels (zero rows elsewhere) and the
     compatibility is implicitly the identity.  Nodes that remain at an
     all-zero row (unreachable from every training node) are reported uniform
     with a warning.
     """
-    train_mask = np.asarray(train_mask, dtype=np.int64)
-    teleport = np.zeros_like(y_onehot)
-    teleport[train_mask] = y_onehot[train_mask]
-    pattern = (graph.adjacency.maximum(graph.adjacency.T)).tocsr()
-    deg = np.asarray(pattern.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(deg)
-    np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
-    d_half = sparse.diags(inv_sqrt)
-    s = (d_half @ pattern @ d_half).tocsr()
-    values, _ = _iterate(lambda b: s @ b, teleport, config)
+    values, log = _iterate(lambda b: operator @ b, teleport, config)
     zero_rows = values.sum(axis=1) <= 0
     if zero_rows.any():
         warnings.warn(
@@ -287,8 +287,8 @@ def propagate_lp(
             "predicting uniform beliefs there"
         )
         values = values.copy()
-        values[zero_rows] = 1.0 / y_onehot.shape[1]
-    return Beliefs(values, "propagated")
+        values[zero_rows] = 1.0 / teleport.shape[1]
+    return Beliefs(values, "propagated"), log
 
 
 def closed_form_clp(
@@ -394,7 +394,7 @@ def spectral_radius(
 class ClassConvergence:
     """Per-class convergence verdict for a given alpha.
 
-    ``certified`` means a cheap norm bound already proves the spectral radius
+    ``certified`` means the Frobenius norm already proves the spectral radius
     is below 1/alpha, so no eigen-computation ran and ``rho`` is None.
     """
 
@@ -413,9 +413,10 @@ class ClassConvergence:
 def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConvergence]:
     """Verdict per class: does the fixed-point iteration converge at this alpha?
 
-    Checks the entrywise 1-norm first, then the Frobenius norm (both upper
-    bound the spectral radius); only for a class where neither is below
-    1/alpha does it run power iteration on that class's slice.  Every call
+    A class whose Frobenius norm, an upper bound of the spectral radius, is
+    below 1/alpha is certified; for any other class it runs power iteration
+    on that class's slice.  The entrywise 1-norm is reported but certifies
+    nothing more: it never lies below the Frobenius norm.  Every call
     recomputes all of them: the pipeline certifies only the chosen candidate's
     alpha, once per seed.
     """
@@ -427,7 +428,7 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
         data = slice_k.data
         norm_1 = float(np.abs(data).sum())
         frobenius = float(np.sqrt(np.sum(data * data)))
-        if norm_1 < threshold or frobenius < threshold:
+        if frobenius < threshold:
             verdicts.append(ClassConvergence(k, "certified", norm_1, frobenius))
             continue
         rho, residual = spectral_radius(slice_k)

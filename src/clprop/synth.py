@@ -11,7 +11,7 @@ degree via ``d_avg = (n / num_classes) * delta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,15 +193,7 @@ def generate(spec: SyntheticSpec) -> tuple[Graph, dict]:
     """Structure plus features plus a manifest of realized statistics."""
     structure = generate_structure(spec)
     features = gaussian_features(structure.labels, spec.seed, spec.num_classes)
-    graph = Graph(
-        node_count=structure.node_count,
-        arcs=structure.arcs,
-        adjacency=structure.adjacency,
-        features=features,
-        labels=structure.labels,
-        num_classes=structure.num_classes,
-        directed=False,
-    )
+    graph = replace(structure, features=features)
     realized_h = edge_homophily(graph) if graph.arc_count else float("nan")
     manifest = {
         "generator": {

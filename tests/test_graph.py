@@ -317,6 +317,38 @@ class TestRoundTrip:
         assert manifest["num_classes"] == 2
         assert set(manifest["checksums"]) == {"edges.tsv", "features.tsv", "labels.tsv"}
 
+    @staticmethod
+    def saved_200_node_graph(tmp_path):
+        rng = np.random.default_rng(3)
+        g = build_graph(200, rng.integers(0, 200, size=(460, 2)), rng.standard_normal((200, 2)),
+                        rng.integers(0, 3, 200))
+        save_graph(g, tmp_path / "ds")
+        return g, tmp_path / "ds"
+
+    def test_stale_checksum_is_a_format_error(self, tmp_path):
+        _, ds = self.saved_200_node_graph(tmp_path)
+        with open(ds / "edges.tsv", "a") as fh:
+            fh.write("0\t199\n")
+        with pytest.raises(GraphFormatError, match="edges.tsv: SHA-256 differs from the manifest"):
+            load_dataset(ds)
+
+    def test_parse_error_is_named_before_a_stale_checksum(self, tmp_path):
+        g, ds = self.saved_200_node_graph(tmp_path)
+        with open(ds / "labels.tsv", "a") as fh:
+            fh.write("0\tx\n")
+        with pytest.raises(GraphFormatError, match=f"labels.tsv:{g.node_count + 1}: non-integer"):
+            load_dataset(ds)
+
+    def test_manifest_without_checksums_loads_edited_files(self, tmp_path):
+        g, ds = self.saved_200_node_graph(tmp_path)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        del manifest["checksums"]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        with open(ds / "edges.tsv", "a") as fh:
+            fh.write("0\t199\n")
+        assert not g.adjacency[0, 199]
+        assert load_dataset(ds).arc_count == g.arc_count + 2
+
 
 class TestOneHot:
     def test_examples(self):

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and the
-package imports its own modules at module level only."""
+"""Every module-level import in the package is used by its module, the
+package imports its own modules at module level only, and only the named
+writers open files for writing."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,43 @@ def test_detects_a_function_level_package_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_level_package_imports(path):
     assert function_level_package_imports(path.read_text()) == []
+
+
+# the functions allowed to open a file for writing: CSV text goes through
+# pipeline._write_csv (which calls _atomic_write); the dataset files, the
+# manifest and the binary checkpoint keep their own writers
+FILE_WRITERS = {
+    "pipeline.py": {"_atomic_write"},
+    "graph.py": {"_write_rows", "save_graph"},
+    "mlp.py": {"save_params"},
+}
+
+
+def write_opens(source: str) -> list[str]:
+    """The functions that call ``open`` with a mode that writes, appends or creates."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                    found.append(func.name)
+    return found
+
+
+def test_detects_a_file_write():
+    source = (
+        "def read(p):\n    return open(p).read()\n"
+        "def text(p):\n    with open(p, 'w') as fh:\n        fh.write('x')\n"
+        "def binary(p):\n    open(p, mode='ab').close()\n"
+        "def chosen(p, m):\n    open(p, m).close()\n"
+    )
+    assert write_opens(source) == ["text", "binary", "chosen"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_named_writers_open_files_for_writing(path):
+    allowed = FILE_WRITERS.get(path.name, set())
+    assert [name for name in write_opens(path.read_text()) if name not in allowed] == []

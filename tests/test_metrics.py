@@ -15,6 +15,9 @@ from clprop.metrics import (
     node_homophily,
     true_compatibility,
 )
+from clprop.mlp import TrainConfig
+from clprop.pipeline import ExperimentConfig, inspect_dataset
+from clprop.synth import SyntheticSpec, generate
 
 from conftest import graph_from_edges
 
@@ -225,19 +228,19 @@ class TestBucketAccuracy:
         assert table.rows[-1].bucket is None
         assert table.rows[-1].count == 1  # node 2 is isolated
 
-    def test_csv_format(self, tmp_path, triangle_uniform):
-        b = Beliefs(np.array([[1.0, 0], [1, 0], [0, 1]]), "prior")
-        table = bucket_accuracy(b, triangle_uniform, np.arange(3))
-        path = tmp_path / "buckets.csv"
-        table.to_csv(path)
-        lines = path.read_text().splitlines()
+    def test_csv_format(self, tmp_path):
+        graph, _ = generate(SyntheticSpec(100, 2, 6.0, 0.5, 3))
+        config = ExperimentConfig(dataset={}, seeds=(0,), output_dir=str(tmp_path / "out"),
+                                  mlp=TrainConfig(epochs=20, early_stop_patience=20))
+        table = inspect_dataset(graph, config).bucket_table
+        lines = (tmp_path / "out" / "bucket_accuracy.csv").read_text().splitlines()
         assert lines[0] == "bucket,count,accuracy"
         assert len(lines) == 13
-        cells = [line.split(",")[2] for line in lines[1:]]
-        for cell, row in zip(cells, table.rows):
-            if cell:
-                assert float(cell) == row.accuracy
-        assert any(cells)
+        for line, row in zip(lines[1:], table.rows):
+            bucket = "undefined" if row.bucket is None else repr(row.bucket)
+            acc = "" if row.accuracy is None else repr(float(row.accuracy))
+            assert line == f"{bucket},{row.count},{acc}"
+        assert any(line.split(",")[2] for line in lines[1:])
 
     def test_histogram_counts_every_node(self, path4):
         counts, undefined = local_homophily_histogram(path4)

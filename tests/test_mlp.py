@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from clprop import mlp
+from clprop import mlp, pipeline
+from clprop.cli import main as cli_main
 from clprop.compatibility import Beliefs
 from clprop.graph import build_graph, make_splits
 from clprop.mlp import (
@@ -17,7 +18,6 @@ from clprop.mlp import (
     predict,
     save_params,
     train,
-    training_log_to_csv,
 )
 
 
@@ -252,12 +252,19 @@ class TestSerialization:
             load_params(path)
 
     def test_log_csv(self, tmp_path):
-        log = [EpochRecord(0, 1.5, 0.5), EpochRecord(1, 1.2, 0.75)]
-        path = tmp_path / "log.csv"
-        training_log_to_csv(log, path)
-        lines = path.read_text().splitlines()
+        out = tmp_path / "out"
+        argv = ["train", "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--out", str(out)]
+        assert cli_main(argv) == 0
+        config = pipeline.ExperimentConfig(
+            dataset={"preset": "syn1", "scale": 0.02, "h": 0.5, "seed": 0}, seeds=(0,))
+        graph = pipeline.resolve_dataset(config.dataset)
+        split = make_splits(graph, config.scheme, 0, 1)[0]
+        params, _, log = pipeline._train_base_predictor(graph, split, config)
+        lines = (out / "seed0" / "training_log.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_acc"
-        assert lines[1].startswith("0,1.5,")
+        assert lines[1:] == [f"{r.epoch},{r.train_loss!r},{r.val_acc!r}" for r in log]
+        assert lines[1].startswith("0,")
+        assert params_checksum(load_params(out / "seed0" / "checkpoint.bin")) == params_checksum(params)
 
 
 def _reference_forward_cached(params, x, rng=None):

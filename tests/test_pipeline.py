@@ -167,6 +167,19 @@ class TestConfig:
             )
             assert cfg.propagation.message_normalization is value
 
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [
+            ({"h": 0.5}, "missing dataset config keys: num_classes, num_nodes, target_avg_degree"),
+            ({"preset": "syn1", "scael": 0.02}, "unknown dataset config keys: scael"),
+            ({**SMALL_DATASET, "scale": 0.5}, "unknown dataset config keys: scale"),
+            (5, "dataset must be a directory path or an object, got 5"),
+        ],
+    )
+    def test_synthetic_dataset_keys_are_checked(self, dataset, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_dataset(dataset)
+
 
 class TestStandardize:
     def test_zero_mean_unit_variance(self):
@@ -266,6 +279,17 @@ class TestRunPipeline:
             assert checks == []
         assert len(power_iterations) == sum(count for _, count in checks)
 
+    def test_lp_operator_is_built_once_per_seed(self, small_graph, monkeypatch):
+        graphs = []
+
+        def operator(graph):
+            graphs.append(graph)
+            return propagation.lp_operator(graph)
+
+        monkeypatch.setattr(pipeline, "lp_operator", operator)
+        run_pipeline(small_config(method="lp"), graph=small_graph)
+        assert graphs == [small_graph, small_graph]
+
     def test_lp_runs_without_training(self, small_graph):
         report = run_pipeline(small_config(method="lp"), graph=small_graph)
         assert all(r.checkpoint == "" for r in report.per_seed)
@@ -322,6 +346,10 @@ class TestReports:
         rows = [(np.float64(0.1), 0.25, True, None, "x")]
         pipeline._write_csv(tmp_path / "t.csv", "a,b,c,d,e", rows)
         assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\n0.1,0.25,on,,x\n"
+
+    def test_csv_writer_creates_the_directory(self, tmp_path):
+        pipeline._write_csv(tmp_path / "a" / "b" / "t.csv", "x", [(1,)])
+        assert (tmp_path / "a" / "b" / "t.csv").read_text() == "x\n1\n"
 
     def test_timestamp_confined_to_json_header(self, small_graph, tmp_path):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
@@ -601,6 +629,9 @@ class TestCli:
             {"bogus": 1},
             {"mlp": {"lr": 0.1}},
             {"propagation": {"message_normalization": "maybe"}},
+            {"dataset": {"h": 0.5}},
+            {"dataset": 5},
+            {"dataset": {"preset": "syn1", "scael": 0.02}},
         ],
     )
     def test_bad_config_file_is_data_error(self, raw, tmp_path, capsys):

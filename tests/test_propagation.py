@@ -16,6 +16,7 @@ from clprop.propagation import (
     compute_messages,
     convergence_check,
     edge_weights,
+    lp_operator,
     propagate_clp,
     propagate_clp_star,
     propagate_lp,
@@ -373,34 +374,43 @@ class TestPropagateClpStar:
             np.testing.assert_allclose(out.values[:, k], oracle, atol=1e-9)
 
 
+def lp_teleport(y, train):
+    """The one-hot labels on the training rows, zero rows elsewhere."""
+    teleport = np.zeros_like(y)
+    teleport[train] = y[train]
+    return teleport
+
+
 class TestPropagateLp:
     def test_two_cliques_adopt_their_seed_label(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         g = graph_from_edges(6, edges, [0, 0, 0, 1, 1, 1])
-        y = one_hot(g.labels, 2)
-        out = propagate_lp(g, y, [0, 3], PropagationConfig(0.9, max_iters=200, tol=1e-12))
+        teleport = lp_teleport(one_hot(g.labels, 2), [0, 3])
+        config = PropagationConfig(0.9, max_iters=200, tol=1e-12)
+        out, log = propagate_lp(lp_operator(g), teleport, config)
         np.testing.assert_array_equal(out.argmax(), g.labels)
+        assert log[-1].residual < config.tol
 
     def test_alpha_zero_uniform_off_train(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)], [0, 0, 1, 1])
         y = one_hot(g.labels, 2)
         with pytest.warns(UserWarning, match="unreachable"):
-            out = propagate_lp(g, y, [0], PropagationConfig(0.0, max_iters=5))
+            out, _ = propagate_lp(lp_operator(g), lp_teleport(y, [0]),
+                                  PropagationConfig(0.0, max_iters=5))
         np.testing.assert_array_equal(out.values[0], y[0])
         np.testing.assert_allclose(out.values[1], [0.5, 0.5])
 
     def test_barbell_matches_dense_oracle(self):
         edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
         g = graph_from_edges(6, edges, [0, 0, 0, 1, 1, 1])
-        y = one_hot(g.labels, 2)
-        train = [0, 5]
+        teleport = lp_teleport(one_hot(g.labels, 2), [0, 5])
         alpha = 0.8
-        out = propagate_lp(g, y, train, PropagationConfig(alpha, max_iters=50000, tol=1e-14))
+        out, _ = propagate_lp(
+            lp_operator(g), teleport, PropagationConfig(alpha, max_iters=50000, tol=1e-14)
+        )
         pattern = g.adjacency.maximum(g.adjacency.T)
         deg = np.asarray(pattern.sum(axis=1)).ravel()
         s = np.diag(deg ** -0.5) @ pattern.toarray() @ np.diag(deg ** -0.5)
-        teleport = np.zeros_like(y)
-        teleport[train] = y[train]
         exact = np.linalg.solve(np.eye(6) - alpha * s, (1 - alpha) * teleport)
         np.testing.assert_allclose(out.values, exact, atol=1e-8)
 
