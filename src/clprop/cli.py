@@ -3,6 +3,11 @@
 Subcommands: synth, inspect, train, run, sweep, compat-quality.  One table
 lists the flags of each; a flag is on a subcommand iff the subcommand reads
 it, and any other flag is a usage error.
+
+A handler builds an ``ExperimentConfig`` from its flags, makes one pipeline
+call with it and prints the result; ``inspect`` resolves the graph it
+inspects first, and ``synth``, which writes a dataset tree, takes no config.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -17,21 +22,19 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import GraphFormatError, make_splits, save_graph
-from .metrics import accuracy
-from .mlp import TrainingDivergedError, save_params
+from .graph import GraphFormatError, save_graph
+from .mlp import TrainingDivergedError
 from .pipeline import (
     NORMALIZATION_CHOICES,
     TELEPORT_CHOICES,
     ExperimentConfig,
-    _train_base_predictor,
-    _write_csv,
     inspect_dataset,
     load_config,
     report_compat_quality,
     resolve_dataset,
     run_pipeline,
     sweep_homophily,
+    train_base_predictors,
 )
 from .propagation import DivergenceError
 from .synth import generate, preset_spec, snap_h_fraction
@@ -149,19 +152,9 @@ def _cmd_train(args) -> int:
     config = _config_from_args(args)
     if not config.output_dir:
         raise _UsageError("train requires --out")
-    graph = resolve_dataset(config.dataset, config.directed)
-    out = Path(config.output_dir)
-    for seed in config.seeds:
-        split = make_splits(graph, config.scheme, seed, 1)[0]
-        params, d_hat, log = _train_base_predictor(graph, split, config)
-        seed_dir = out / f"seed{seed}"
-        _write_csv(seed_dir / "training_log.csv", "epoch,train_loss,val_acc",
-                   [(r.epoch, r.train_loss, r.val_acc) for r in log])
-        save_params(params, seed_dir / "checkpoint.bin")
-        print(
-            f"seed {seed}: best val acc {max(r.val_acc for r in log):.4f} "
-            f"({len(log)} epochs, test acc {accuracy(d_hat, graph.labels, split.test):.4f})"
-        )
+    for seed, best_val, epochs, test_acc in train_base_predictors(config):
+        print(f"seed {seed}: best val acc {best_val:.4f} "
+              f"({epochs} epochs, test acc {test_acc:.4f})")
     return 0
 
 
@@ -184,7 +177,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
-    rows = sweep_homophily(config, _H_LEVELS, args.methods, out_dir=config.output_dir)
+    rows = sweep_homophily(config, _H_LEVELS, args.methods)
     for row in rows:
         print(
             f"h={row['h']:.1f} {row['method']}: {row['mean']:.4f} +/- {row['std']:.4f}"
@@ -194,7 +187,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_compat_quality(args) -> int:
     config = _config_from_args(args)
-    rows = report_compat_quality(config, out_dir=config.output_dir)
+    rows = report_compat_quality(config)
     for row in rows:
         print(
             f"{row['scheme']} (label rate {row['label_rate']:.2f}): "

@@ -37,6 +37,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +87,14 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def neighborhood(self) -> sparse.csr_matrix:
+        """The union pattern ``A | A^T``: u and v are neighbours when either arc exists."""
+        return self.adjacency.maximum(self.adjacency.T).tocsr()
+
     def degrees(self) -> np.ndarray:
         """Union in/out degree (equals plain degree on symmetrized graphs)."""
-        pattern = self.adjacency.maximum(self.adjacency.T)
-        return np.diff(pattern.tocsr().indptr)
+        return np.diff(self.neighborhood.indptr)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,6 @@ class SplitMask:
     validation: np.ndarray
     test: np.ndarray
     seed: int
-    scheme: str
-    ratios: tuple[float, float]
 
     def __post_init__(self):
         parts = (self.train, self.validation, self.test)
@@ -401,35 +404,24 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def _resolve_ratios(scheme) -> tuple[str, tuple[float, float]]:
-    if isinstance(scheme, str):
-        if scheme not in SPLIT_RATIOS:
-            raise ValueError(f"unknown split scheme {scheme!r}")
-        return scheme, SPLIT_RATIOS[scheme]
-    train_r, val_r = float(scheme[0]), float(scheme[1])
-    if train_r <= 0 or val_r <= 0 or train_r + val_r >= 1:
-        raise ValueError("custom ratios must be positive and sum below 1")
-    return "custom", (train_r, val_r)
-
-
-def make_splits(graph: Graph, scheme, seed: int, instances: int = 1) -> list[SplitMask]:
+def make_splits(graph: Graph, scheme: str, seed: int, instances: int = 1) -> list[SplitMask]:
     """Generate ``instances`` independent random splits of the graph.
 
-    Train and validation sizes are floor(ratio * n); the remainder is test.
-    Classes are not stratified.  The same seed reproduces the same sequence.
+    ``scheme`` is a named scheme, a key of :data:`SPLIT_RATIOS`; there are no
+    custom ratios.  Train and validation sizes are floor(ratio * n); the
+    remainder is test.  Classes are not stratified.  The same seed reproduces
+    the same sequence.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
-    name, (train_r, val_r) = _resolve_ratios(scheme)
+    train_r, val_r = SPLIT_RATIOS[scheme]
     n = graph.node_count
     # 1e-9 nudge so exact decimal products (0.1 * 1000) do not floor down a ulp
     n_train = int(math.floor(train_r * n + 1e-9))
     n_val = int(math.floor(val_r * n + 1e-9))
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
-        raise ValueError(
-            f"{n} nodes are too few for scheme {name} ({n_train}/{n_val}/{n_test})"
-        )
+        raise ValueError(f"{n} nodes are too few for scheme {scheme} ({n_train}/{n_val}/{n_test})")
     rng = np.random.default_rng(seed)
     masks = []
     for _ in range(instances):
@@ -440,8 +432,6 @@ def make_splits(graph: Graph, scheme, seed: int, instances: int = 1) -> list[Spl
                 validation=np.sort(perm[n_train:n_train + n_val]),
                 test=np.sort(perm[n_train + n_val:]),
                 seed=seed,
-                scheme=name,
-                ratios=(train_r, val_r),
             )
         )
     return masks

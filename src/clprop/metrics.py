@@ -54,7 +54,7 @@ def _induced_arc_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     adj = graph.adjacency
     n = graph.node_count
     y = graph.labels
-    pattern = (adj.maximum(adj.T) + sparse.identity(n, format="csr")).tocsr()
+    pattern = (graph.neighborhood + sparse.identity(n, format="csr")).tocsr()
     pattern.data[:] = 1.0
     same_arcs = sparse.csr_matrix(  # graph.arcs lists the arcs in CSR order
         ((y[graph.arcs[:, 0]] == y[graph.arcs[:, 1]]).astype(np.float64), adj.indices, adj.indptr),

@@ -6,6 +6,9 @@ differences isolate the propagation step.  Candidate propagation settings
 (alpha grid x message normalization x teleport source) are selected by
 validation accuracy, and only the chosen one is certified; reports are plain
 CSV with a JSON header carrying the only timestamp.
+
+Every entry point takes its settings from one :class:`ExperimentConfig` and
+writes its files to ``config.output_dir`` when that is set (nothing otherwise).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import metrics
 from .compatibility import estimate_compatibility, prior_beliefs
 from .graph import SPLIT_RATIOS, Graph, load_dataset, make_splits, one_hot
-from .mlp import TrainConfig, init_mlp, params_checksum, predict, train
+from .mlp import TrainConfig, init_mlp, params_checksum, predict, save_params, train
 from .propagation import (
     DivergenceError,
     PropagationConfig,
@@ -76,6 +79,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if not isinstance(self.scheme, str) or self.scheme not in SPLIT_RATIOS:
+            raise ValueError(
+                f"unknown split scheme {self.scheme!r} (choose from {list(SPLIT_RATIOS)})")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r} (choose from {METHODS})")
         if not self.alpha_grid or not all(0.0 < a < 1.0 for a in self.alpha_grid):
@@ -145,7 +151,8 @@ _SIZE_KEYS = ({"num_nodes", "num_classes", "target_avg_degree"}, {"h", "seed"})
 
 def synthetic_spec_from_dict(dataset: dict) -> SyntheticSpec:
     """The spec of a synthetic dataset object; a key outside its form, a
-    missing size key or a dataset that is not an object raises ValueError."""
+    missing size key, a value of the wrong type or a dataset that is not an
+    object raises ValueError."""
     if not isinstance(dataset, dict):
         raise ValueError(f"dataset must be a directory path or an object, got {dataset!r}")
     required, optional = _PRESET_KEYS if "preset" in dataset else _SIZE_KEYS
@@ -153,17 +160,20 @@ def synthetic_spec_from_dict(dataset: dict) -> SyntheticSpec:
                           ("missing", required - set(dataset))):
         if keys:
             raise ValueError(f"{problem} dataset config keys: {', '.join(sorted(keys))}")
-    h = snap_h_fraction(float(dataset.get("h", 0.5)))
-    seed = int(dataset.get("seed", 0))
-    if "preset" in dataset:
-        return preset_spec(dataset["preset"], h, seed, float(dataset.get("scale", 1.0)))
-    return SyntheticSpec(
-        num_nodes=int(dataset["num_nodes"]),
-        num_classes=int(dataset["num_classes"]),
-        target_avg_degree=float(dataset["target_avg_degree"]),
-        p_in_fraction=h,
-        seed=seed,
-    )
+    try:
+        h = snap_h_fraction(float(dataset.get("h", 0.5)))
+        seed = int(dataset.get("seed", 0))
+        if "preset" in dataset:
+            return preset_spec(dataset["preset"], h, seed, float(dataset.get("scale", 1.0)))
+        return SyntheticSpec(
+            num_nodes=int(dataset["num_nodes"]),
+            num_classes=int(dataset["num_classes"]),
+            target_avg_degree=float(dataset["target_avg_degree"]),
+            p_in_fraction=h,
+            seed=seed,
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed config: {exc}") from None
 
 
 def standardize_features(features: np.ndarray) -> np.ndarray:
@@ -224,6 +234,25 @@ def _train_base_predictor(graph: Graph, split, config: ExperimentConfig):
     )
     params, log = train(params0, work, split, config.mlp)
     return params, predict(params, features), log
+
+
+def train_base_predictors(config: ExperimentConfig) -> list[tuple[int, float, int, float]]:
+    """Train the base predictor of every seed; with an output directory, write
+    seed<s>/training_log.csv and seed<s>/checkpoint.bin.  Returns ``(seed, best
+    validation accuracy, epochs, test accuracy)`` per seed."""
+    graph = resolve_dataset(config.dataset, config.directed)
+    rows = []
+    for seed in config.seeds:
+        split = make_splits(graph, config.scheme, seed, 1)[0]
+        params, d_hat, log = _train_base_predictor(graph, split, config)
+        if config.output_dir:
+            seed_dir = Path(config.output_dir) / f"seed{seed}"
+            _write_csv(seed_dir / "training_log.csv", "epoch,train_loss,val_acc",
+                       [(r.epoch, r.train_loss, r.val_acc) for r in log])
+            save_params(params, seed_dir / "checkpoint.bin")
+        rows.append((seed, max(r.val_acc for r in log), len(log),
+                     metrics.accuracy(d_hat, graph.labels, split.test)))
+    return rows
 
 
 def _select(options, run, labels, validation):
@@ -331,7 +360,7 @@ def run_pipeline(config: ExperimentConfig, graph: Graph | None = None) -> RunRep
     per_seed = [_run_seed(graph, seed, config, true_h) for seed in config.seeds]
     report = RunReport(config.method, "accuracy", per_seed)
     if config.output_dir:
-        write_report(report, config.output_dir, config)
+        write_report(report, config)
     return report
 
 
@@ -369,9 +398,10 @@ def _mlp_facts(log) -> dict:
     return {"mlp_epochs": len(log), "mlp_best_epoch": best.epoch}
 
 
-def write_report(report: RunReport, out_dir, config: ExperimentConfig | None = None) -> None:
-    """report.csv + summary.csv (both deterministic) and run.json (timestamped)."""
-    out = Path(out_dir)
+def write_report(report: RunReport, config: ExperimentConfig) -> None:
+    """report.csv + summary.csv (both deterministic) and run.json (timestamped,
+    with the config) in ``config.output_dir``."""
+    out = Path(config.output_dir)
     _write_csv(
         out / "report.csv",
         "seed,test_accuracy,val_accuracy,chosen_alpha,chosen_normalization,"
@@ -403,51 +433,32 @@ def write_report(report: RunReport, out_dir, config: ExperimentConfig | None = N
         "metric": report.metric,
         "aggregate": {"mean": report.mean, "std": report.std},
         "per_seed": [{"seed": r.seed, **_mlp_facts(r.training_log)} for r in report.per_seed],
+        "config": json.loads(json.dumps(dataclasses.asdict(config), default=str)),
     }
-    if config is not None:
-        header["config"] = json.loads(json.dumps(dataclasses.asdict(config), default=str))
     _atomic_write(out / "run.json", json.dumps(header, indent=2, sort_keys=True) + "\n")
 
 
-def sweep_homophily(
-    base_config: ExperimentConfig,
-    h_grid,
-    methods,
-    out_dir=None,
-) -> list[dict]:
+def sweep_homophily(config: ExperimentConfig, h_grid, methods) -> list[dict]:
     """Paired method comparison across homophily levels of a synthetic family."""
-    if not isinstance(base_config.dataset, dict):
+    if not isinstance(config.dataset, dict):
         raise ValueError("the homophily sweep requires a synthetic dataset config")
     rows = []
     for h in h_grid:
-        dataset = dict(base_config.dataset)
-        dataset["h"] = float(h)
-        graph = resolve_dataset(dataset, base_config.directed)
+        dataset = {**config.dataset, "h": float(h)}
+        graph = resolve_dataset(dataset, config.directed)
         for method in methods:
-            cfg = dataclasses.replace(
-                base_config, dataset=dataset, method=method, output_dir=None
-            )
+            cfg = dataclasses.replace(config, dataset=dataset, method=method, output_dir=None)
             report = run_pipeline(cfg, graph=graph)
-            rows.append(
-                {
-                    "h": float(h),
-                    "method": method,
-                    "mean": report.mean,
-                    "std": report.std,
-                    "n_seeds": len(report.per_seed),
-                }
-            )
-    if out_dir is not None:
-        _write_csv(Path(out_dir) / "sweep.csv", "h,method,mean,std,n_seeds", [r.values() for r in rows])
+            rows.append({"h": float(h), "method": method, "mean": report.mean,
+                         "std": report.std, "n_seeds": len(report.per_seed)})
+    if config.output_dir:
+        _write_csv(Path(config.output_dir) / "sweep.csv", "h,method,mean,std,n_seeds",
+                   [r.values() for r in rows])
     return rows
 
 
-def report_compat_quality(
-    config: ExperimentConfig,
-    schemes=("sparse", "medium", "dense"),
-    out_dir=None,
-    graph: Graph | None = None,
-) -> list[dict]:
+def report_compat_quality(config: ExperimentConfig, schemes=("sparse", "medium", "dense"),
+                          graph: Graph | None = None) -> list[dict]:
     """Compatibility-estimate distance and accuracy per labelling scheme."""
     if graph is None:
         graph = resolve_dataset(config.dataset, config.directed)
@@ -456,21 +467,12 @@ def report_compat_quality(
         cfg = dataclasses.replace(config, scheme=scheme, method="clp", output_dir=None)
         report = run_pipeline(cfg, graph=graph)
         dists = np.array([r.compat_distance for r in report.per_seed], dtype=np.float64)
-        rows.append(
-            {
-                "scheme": scheme,
-                "label_rate": SPLIT_RATIOS[scheme][0],
-                "mean_dist": float(dists.mean()),
-                "std_dist": float(dists.std()),
-                "mean_acc": report.mean,
-            }
-        )
-    if out_dir is not None:
-        _write_csv(
-            Path(out_dir) / "compat_quality.csv",
-            "scheme,label_rate,mean_dist,std_dist,mean_acc",
-            [r.values() for r in rows],
-        )
+        rows.append({"scheme": scheme, "label_rate": SPLIT_RATIOS[scheme][0],
+                     "mean_dist": float(dists.mean()), "std_dist": float(dists.std()),
+                     "mean_acc": report.mean})
+    if config.output_dir:
+        _write_csv(Path(config.output_dir) / "compat_quality.csv",
+                   "scheme,label_rate,mean_dist,std_dist,mean_acc", [r.values() for r in rows])
     return rows
 
 

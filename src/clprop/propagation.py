@@ -259,7 +259,7 @@ def propagate_clp_star(
 
 def lp_operator(graph: Graph) -> sparse.csr_matrix:
     """The symmetric degree-normalized adjacency ``D^-1/2 (A | A^T) D^-1/2``."""
-    pattern = (graph.adjacency.maximum(graph.adjacency.T)).tocsr()
+    pattern = graph.neighborhood
     deg = np.asarray(pattern.sum(axis=1)).ravel()
     inv_sqrt = np.zeros_like(deg)
     np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)

@@ -231,6 +231,19 @@ class TestBuildGraph:
         diff = (g.adjacency != g.adjacency.T).nnz
         assert diff == 0
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_neighborhood_is_the_union_pattern(self, directed):
+        rng = np.random.default_rng(31)
+        edges = rng.integers(0, 30, size=(60, 2))
+        g = build_graph(30, edges, None, rng.integers(0, 3, 30), directed=directed)
+        union = g.adjacency.maximum(g.adjacency.T)
+        assert ((g.adjacency != union).nnz > 0) == directed
+        assert g.neighborhood.format == "csr"
+        assert (g.neighborhood != union).nnz == 0
+        assert (g.neighborhood != g.neighborhood.T).nnz == 0
+        assert g.neighborhood is g.neighborhood  # built once per graph
+        assert np.array_equal(g.degrees(), np.diff(union.tocsr().indptr))
+
     def test_feature_row_mismatch(self):
         with pytest.raises(GraphFormatError, match="feature rows"):
             Graph(
@@ -408,12 +421,6 @@ class TestMakeSplits:
         for labels in (None, g.labels[:9]):
             with pytest.raises(GraphFormatError, match="one entry per node"):
                 dataclasses.replace(g, labels=labels)
-
-    def test_custom_ratios(self):
-        g = self.make_labelled(50)
-        m = make_splits(g, (0.2, 0.2), seed=0)[0]
-        assert m.scheme == "custom"
-        assert (m.train.size, m.validation.size, m.test.size) == (10, 10, 30)
 
     @pytest.mark.parametrize("scheme", ["sparse", "medium", "dense"])
     @pytest.mark.parametrize("n", [97, 250, 1003])

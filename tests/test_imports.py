@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, the
-package imports its own modules at module level only, and only the named
-writers open files for writing."""
+package imports its own modules at module level only, the command line
+imports no private name of the package, and only the named writers open
+files for writing."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,30 @@ def test_detects_a_function_level_package_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_level_package_imports(path):
     assert function_level_package_imports(path.read_text()) == []
+
+
+def private_package_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names imported from the package (relative imports)."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_detects_a_private_package_import():
+    source = (
+        "from .graph import Graph, _resolve\nfrom . import _util\n"
+        "from os import _exit\nfrom .pipeline import run as _run\n"
+    )
+    assert private_package_imports(source) == ["_resolve", "_util"]
+
+
+def test_cli_imports_no_private_package_name():
+    # a subcommand makes its pipeline call through the public entry points
+    assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
 
 
 # the functions allowed to open a file for writing: CSV text goes through

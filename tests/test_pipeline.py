@@ -303,11 +303,22 @@ class TestRunPipeline:
         assert err.startswith("data error: ") and err.endswith("labels.tsv: node 7 has no label\n")
 
 
+class TestTrainBasePredictors:
+    def test_rows_match_the_mlp_run_and_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = small_config(method="mlp_only")
+        rows = pipeline.train_base_predictors(config)
+        per_seed = run_pipeline(config).per_seed
+        assert rows == [(r.seed, r.val_accuracy, len(r.training_log), r.test_accuracy)
+                        for r in per_seed]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReports:
     def test_written_files_are_deterministic(self, small_graph, tmp_path):
         for name in ("first", "second"):
-            report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
-            write_report(report, tmp_path / name, small_config(seeds=(0,)))
+            config = small_config(seeds=(0,), output_dir=str(tmp_path / name))
+            write_report(run_pipeline(small_config(seeds=(0,)), graph=small_graph), config)
         a = (tmp_path / "first" / "report.csv").read_bytes()
         b = (tmp_path / "second" / "report.csv").read_bytes()
         assert a == b
@@ -320,9 +331,9 @@ class TestReports:
         patience_cfg = TrainConfig(epochs=200, early_stop_patience=20)
         facts = {}
         for method in ("mlp_only", "clp", "lp"):
-            config = small_config(method=method, mlp=patience_cfg)
+            config = small_config(method=method, mlp=patience_cfg,
+                                  output_dir=str(tmp_path / method))
             report = run_pipeline(config, graph=small_graph)
-            write_report(report, tmp_path / method, config)
             facts[method] = json.loads((tmp_path / method / "run.json").read_text())["per_seed"]
             if method == "mlp_only":
                 results = report.per_seed
@@ -353,17 +364,18 @@ class TestReports:
 
     def test_timestamp_confined_to_json_header(self, small_graph, tmp_path):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
-        write_report(report, tmp_path, small_config(seeds=(0,)))
+        write_report(report, small_config(seeds=(0,), output_dir=str(tmp_path)))
         header = json.loads((tmp_path / "run.json").read_text())
         assert "timestamp" in header
+        assert header["config"]["output_dir"] == str(tmp_path)
         csv_text = (tmp_path / "report.csv").read_text()
         assert "timestamp" not in csv_text
 
 
 class TestSweep:
     def test_grid_shape(self, tmp_path):
-        cfg = small_config(seeds=(0,))
-        rows = sweep_homophily(cfg, [0.0, 0.5, 1.0], ["mlp_only", "clp"], out_dir=tmp_path)
+        cfg = small_config(seeds=(0,), output_dir=str(tmp_path))
+        rows = sweep_homophily(cfg, [0.0, 0.5, 1.0], ["mlp_only", "clp"])
         assert len(rows) == 6
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "h,method,mean,std,n_seeds"
@@ -377,9 +389,8 @@ class TestSweep:
 
 class TestCompatQuality:
     def test_columns_and_rows(self, small_graph, tmp_path):
-        cfg = small_config(seeds=(0,))
-        rows = report_compat_quality(cfg, schemes=("sparse", "dense"), out_dir=tmp_path,
-                                     graph=small_graph)
+        cfg = small_config(seeds=(0,), output_dir=str(tmp_path))
+        rows = report_compat_quality(cfg, schemes=("sparse", "dense"), graph=small_graph)
         assert [row["scheme"] for row in rows] == ["sparse", "dense"]
         assert rows[0]["label_rate"] == 0.05
         lines = (tmp_path / "compat_quality.csv").read_text().splitlines()
@@ -632,6 +643,12 @@ class TestCli:
             {"dataset": {"h": 0.5}},
             {"dataset": 5},
             {"dataset": {"preset": "syn1", "scael": 0.02}},
+            {"scheme": 5},
+            {"scheme": [0.2, 0.2]},
+            {"scheme": "bogus"},
+            {"dataset": {"preset": "syn1", "scale": None}},
+            {"dataset": {"preset": "syn1", "seed": None}},
+            {"dataset": {**SMALL_DATASET, "num_nodes": [300]}},
         ],
     )
     def test_bad_config_file_is_data_error(self, raw, tmp_path, capsys):
