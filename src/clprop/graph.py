@@ -48,6 +48,7 @@ SPLIT_RATIOS = {
     "medium": (0.10, 0.10),
     "dense": (0.48, 0.32),
 }
+_ROW_BLOCK = 1024  # rows of P per sparse product in Graph.induced_arc_counts
 
 
 class GraphFormatError(ValueError):
@@ -95,6 +96,40 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Union in/out degree (equals plain degree on symmetrized graphs)."""
         return np.diff(self.neighborhood.indptr)
+
+    @cached_property
+    def induced_arc_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(same-label, total) arc counts in the induced 1-hop subgraph of every
+        node, read-only.
+
+        Let P be the closed neighborhood pattern sym(A) + I with every stored
+        entry set to 1.  Arc (a, b) lies in the induced 1-hop subgraph of v
+        exactly when P[v, a] = P[v, b] = 1, so ``total = rowsum((P @ A) * P)``;
+        ``same`` is the same expression with A restricted to arcs whose
+        endpoints share a label.  Every factor holds 0/1 entries and every
+        product sums at most m of them, so the float64 sums are exact integers
+        and the rounding to int64 loses nothing.  P is taken in blocks of
+        ``_ROW_BLOCK`` rows, which bounds the P @ A transient.
+        """
+        adj = self.adjacency
+        n = self.node_count
+        y = self.labels
+        pattern = (self.neighborhood + sparse.identity(n, format="csr")).tocsr()
+        pattern.data[:] = 1.0
+        same_arcs = sparse.csr_matrix(  # arcs lists the arcs in CSR order
+            ((y[self.arcs[:, 0]] == y[self.arcs[:, 1]]).astype(np.float64), adj.indices, adj.indptr),
+            shape=(n, n),
+        )
+        same = np.empty(n)
+        total = np.empty(n)
+        for lo in range(0, n, _ROW_BLOCK):
+            block = pattern[lo:lo + _ROW_BLOCK]
+            same[lo:lo + _ROW_BLOCK] = (block @ same_arcs).multiply(block).sum(axis=1).A1
+            total[lo:lo + _ROW_BLOCK] = (block @ adj).multiply(block).sum(axis=1).A1
+        counts = np.rint(same).astype(np.int64), np.rint(total).astype(np.int64)
+        for array in counts:
+            array.flags.writeable = False
+        return counts
 
 
 @dataclass(frozen=True)

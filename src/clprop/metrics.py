@@ -8,14 +8,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .compatibility import Beliefs, CompatibilityMatrix
 from .graph import Graph
 
 BUCKET_LEVELS = [round(0.1 * i, 1) for i in range(11)]
 _UNDEFINED = len(BUCKET_LEVELS)  # level index of nodes whose h_v is undefined
-_ROW_BLOCK = 1024  # rows of P per sparse product in _induced_arc_counts
 
 
 def edge_homophily(graph: Graph) -> float:
@@ -39,43 +37,13 @@ def node_homophily(graph: Graph) -> float:
     return float(np.mean(same[active] / deg[active]))
 
 
-def _induced_arc_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(same-label, total) arc counts in the induced 1-hop subgraph of every node.
-
-    Let P be the closed neighborhood pattern sym(A) + I with every stored entry
-    set to 1.  Arc (a, b) lies in the induced 1-hop subgraph of v exactly when
-    P[v, a] = P[v, b] = 1, so ``total = rowsum((P @ A) * P)``; ``same`` is the
-    same expression with A restricted to arcs whose endpoints share a label.
-    Every factor holds 0/1 entries and every product sums at most m of them,
-    so the float64 sums are exact integers and the rounding to int64 loses
-    nothing.  P is taken in blocks of ``_ROW_BLOCK`` rows, which bounds the
-    P @ A transient.
-    """
-    adj = graph.adjacency
-    n = graph.node_count
-    y = graph.labels
-    pattern = (graph.neighborhood + sparse.identity(n, format="csr")).tocsr()
-    pattern.data[:] = 1.0
-    same_arcs = sparse.csr_matrix(  # graph.arcs lists the arcs in CSR order
-        ((y[graph.arcs[:, 0]] == y[graph.arcs[:, 1]]).astype(np.float64), adj.indices, adj.indptr),
-        shape=(n, n),
-    )
-    same = np.empty(n)
-    total = np.empty(n)
-    for lo in range(0, n, _ROW_BLOCK):
-        block = pattern[lo:lo + _ROW_BLOCK]
-        same[lo:lo + _ROW_BLOCK] = (block @ same_arcs).multiply(block).sum(axis=1).A1
-        total[lo:lo + _ROW_BLOCK] = (block @ adj).multiply(block).sum(axis=1).A1
-    return np.rint(same).astype(np.int64), np.rint(total).astype(np.int64)
-
-
 def local_homophily(graph: Graph, v: int) -> float | None:
     """Same-label edge fraction of the induced 1-hop subgraph of ``v``.
 
     Returns None when the induced edge set is empty (undefined); callers
     decide whether to exclude such nodes.
     """
-    same, total = _induced_arc_counts(graph)
+    same, total = graph.induced_arc_counts
     if total[v] == 0:
         return None
     return int(same[v]) / int(total[v])
@@ -84,7 +52,7 @@ def local_homophily(graph: Graph, v: int) -> float | None:
 def _hv_levels(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     """Rounded h_v level index (into BUCKET_LEVELS) of each of ``nodes``, or
     ``_UNDEFINED`` where the induced edge set is empty."""
-    same, total = _induced_arc_counts(graph)
+    same, total = graph.induced_arc_counts
     same, total = same[nodes], total[nodes]
     levels = np.full(nodes.size, _UNDEFINED)
     defined = total > 0

@@ -2,21 +2,28 @@
 closed-form solvers, the sender-only variant, classic label propagation, and
 analytic convergence verification.
 
-Propagation iterates through the arc-incidence form: one aggregation step is
-``incidence @ messages``, where ``messages[a] = F_ij * beliefs[i]`` for the arc
-a = (i, j) (optionally normalized to unit sum) and ``incidence[j, a] = 1``, so
-node j sums exactly the messages sent by its in-neighbors i.  Both message
-modes share this one step.
-
 CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  The sender-only variant
 CLP* drops the receiver factor, ``F_ij = b0[i] @ H``, and is otherwise the
 same propagation: same solver, same certificate, same message normalization.
 
-The per-class weight slices are receiver-row matrices, ``slice_k[j, i] =
-F_ij[k]``, so ``slice_k @ beliefs[:, k]`` is the unnormalized step for class k.
-They remain only for the closed-form solver and the convergence certificate
-(its norms and spectral radius).  On symmetrized graphs the slice pattern
-coincides with the arc set.
+Every computation on the weights runs on one layout, built once per tensor:
+the arcs ordered stably by receiver, the weights stored class by class, and
+the block-diagonal CSR matrix whose row ``k*n + j`` holds ``F_ij[k]`` at
+column ``k*n + i`` for each arc (i, j) into j.  Beliefs are flat class-major
+vectors inside the solver.
+
+- The unnormalized step is one CSR mat-vec with that matrix.
+- The normalized step gathers the sender beliefs, multiplies them by the
+  weights, divides each arc's messages by their sum where it is positive,
+  and sums each receiver's messages through the same row pointer.
+- Class k's slice of the matrix is the receiver-row matrix ``slice_k[j, i] =
+  F_ij[k]``, a view that serves the closed-form solver and the convergence
+  certificate (its norms and spectral radius).  On symmetrized graphs the
+  slice pattern coincides with the arc set.
+
+Each receiver sums its arcs in arc order, and an arc's class sum repeats
+numpy's order for ``ndarray.sum(axis=1)``, so every result is bit-identical
+to the arc-major form ``incidence @ (weights * beliefs[senders])``.
 """
 
 from __future__ import annotations
@@ -77,51 +84,97 @@ class IterationRecord:
     residual: float
 
 
-@dataclass(frozen=True)
-class EdgeWeightTensor:
-    """Per-arc, per-class propagation weights (one sparse slice per class).
+def _receiver_order(arcs: np.ndarray) -> np.ndarray:
+    """The arc indices sorted stably by receiver: layout position p holds arc
+    ``_receiver_order(arcs)[p]``."""
+    return np.argsort(arcs[:, 1], kind="stable")
 
-    ``arcs[a] = (i, j)`` carries the weight vector ``weights[a] = F_ij``; all
-    entries are products of probabilities and lie in [0, 1].
+
+class _Layout(NamedTuple):
+    """The receiver-ordered, class-major form of an :class:`EdgeWeightTensor`.
+
+    Positions are the arcs in :func:`_receiver_order`, so they are grouped by
+    receiver and a receiver's arcs keep their arc order.  ``operator`` is the
+    block-diagonal matrix of the module docstring: its data are the
+    class-major ``weights[k, p]``, which share its memory, and its column
+    indices ``k*n + sender of p``.  Every array is read-only.
     """
 
-    arcs: np.ndarray
     weights: np.ndarray
-    node_count: int
+    operator: sparse.csr_matrix
 
-    def __post_init__(self):
-        if self.arcs.shape != (self.weights.shape[0], 2):
+    @classmethod
+    def build(cls, arcs: np.ndarray, weights: np.ndarray, node_count: int) -> "_Layout":
+        n, (m, c) = node_count, weights.shape
+        order = _receiver_order(arcs)
+        # scipy keeps int32 index arrays as they are; int64 ones it copies down when they fit
+        index_type = np.int32 if c * max(n, m) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(c * n + 1, dtype=index_type)
+        np.cumsum(np.tile(np.bincount(arcs[:, 1], minlength=n), c), out=indptr[1:])
+        senders = arcs[order, 0].astype(index_type)
+        indices = (np.arange(c, dtype=index_type)[:, None] * n + senders).ravel()
+        class_major = np.empty((c, m))
+        for k in range(c):
+            class_major[k] = weights[order, k]
+        operator = sparse.csr_matrix((class_major.ravel(), indices, indptr), shape=(c * n, c * n))
+        class_major = operator.data.reshape(class_major.shape)
+        for array in (class_major, operator.indices, operator.indptr):
+            array.flags.writeable = False
+        return cls(class_major, operator)
+
+    @property
+    def senders(self) -> np.ndarray:
+        """The sender of each position: class 0's column indices."""
+        return self.operator.indices[:self.weights.shape[1]]
+
+
+class EdgeWeightTensor:
+    """Per-arc, per-class propagation weights.
+
+    ``arcs[a] = (i, j)`` carries the weight vector ``weights[a] = F_ij``; the
+    arcs are distinct, and all entries are products of probabilities and lie
+    in [0, 1].  The tensor stores the weights once, in the receiver-ordered,
+    class-major layout that propagation and the certificate read (module
+    docstring); ``weights`` rebuilds the arc-major array on each access.
+    """
+
+    def __init__(self, arcs: np.ndarray, weights: np.ndarray, node_count: int):
+        if arcs.shape != (weights.shape[0], 2):
             raise ValueError("arcs and weights disagree on the number of arcs")
-        if self.weights.size and (
-            self.weights.min() < -_WEIGHT_SLACK or self.weights.max() > 1 + _WEIGHT_SLACK
-        ):
+        if arcs.size and (arcs.min() < 0 or arcs.max() >= node_count):
+            raise ValueError(f"arc endpoints must lie in [0, {node_count})")
+        if weights.size and (weights.min() < -_WEIGHT_SLACK or weights.max() > 1 + _WEIGHT_SLACK):
             raise ValueError("edge weights must lie in [0, 1]")
+        self.arcs = arcs
+        self.node_count = node_count
+        self._layout = _Layout.build(arcs, weights, node_count)
 
     @property
     def num_classes(self) -> int:
-        return self.weights.shape[1]
+        return self._layout.weights.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (arcs x classes) weights in arc order, a new array."""
+        out = np.empty(self._layout.weights.T.shape)
+        out[_receiver_order(self.arcs)] = self._layout.weights.T
+        return out
 
     @cached_property
     def per_class(self) -> tuple[sparse.csr_matrix, ...]:
-        """Receiver-row weight slices; explicit zeros keep the shared pattern."""
+        """Receiver-row weight slices, views of the layout: class k's block of
+        the block-diagonal matrix.  Explicit zeros keep the shared pattern."""
+        layout = self._layout
         n = self.node_count
-        dst, src = self.arcs[:, 1], self.arcs[:, 0]
-        return tuple(
-            sparse.csr_matrix((self.weights[:, k], (dst, src)), shape=(n, n))
-            for k in range(self.num_classes)
-        )
-
-    @cached_property
-    def _senders(self) -> np.ndarray:
-        return np.ascontiguousarray(self.arcs[:, 0])
-
-    @cached_property
-    def _receiver_incidence(self) -> sparse.csr_matrix:
-        m = self.arcs.shape[0]
-        return sparse.csr_matrix(
-            (np.ones(m), (self.arcs[:, 1], np.arange(m))),
-            shape=(self.node_count, m),
-        )
+        slices = []
+        for row in layout.weights:
+            # assigned, not passed: the constructor copies a slice of a much larger array
+            slice_k = sparse.csr_matrix((n, n))
+            slice_k.data = row
+            slice_k.indices = layout.senders
+            slice_k.indptr = layout.operator.indptr[:n + 1]
+            slices.append(slice_k)
+        return tuple(slices)
 
     @classmethod
     def from_slices(cls, slices) -> "EdgeWeightTensor":
@@ -162,42 +215,109 @@ def edge_weights(
         )
     outgoing = b0.values @ h_hat.values
     src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
-    weights = outgoing[src] * b0.values[dst] if receiver else outgoing[src]
-    return EdgeWeightTensor(graph.arcs.copy(), weights, graph.node_count)
+    weights = outgoing[src]
+    if receiver:
+        weights *= b0.values[dst]
+    return EdgeWeightTensor(graph.arcs, weights, graph.node_count)
 
 
-def _messages_raw(awf: EdgeWeightTensor, values: np.ndarray, normalize: bool) -> np.ndarray:
-    msgs = awf.weights * np.take(values, awf._senders, axis=0)
+def _class_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of class-major ``rows`` (classes x arcs): the values of
+    ``rows.T.sum(axis=1)``, added in numpy's order for a contiguous row.
+
+    numpy sums a row of fewer than 8 entries sequentially, up to 128 entries
+    with 8 accumulators (entry i goes to accumulator i mod 8, the leftover
+    entries after the last full group of 8 are added in order at the end),
+    and longer rows as two halves whose split is a multiple of 8.
+    """
+    c, m = rows.shape
+    if c < 8:
+        total = np.zeros(m)
+        for row in rows:
+            total += row
+        return total
+    if c <= 128:
+        tail = c - c % 8
+        acc = rows[:8] if tail == 8 else rows[:8] + rows[8:16]
+        for i in range(16, tail, 8):
+            acc += rows[i:i + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place where possible
+        total = acc[0] + acc[1]
+        pair = acc[2] + acc[3]
+        total += pair
+        right = acc[4] + acc[5]
+        np.add(acc[6], acc[7], out=pair)
+        right += pair
+        total += right
+        for row in rows[tail:]:
+            total += row
+        return total
+    half = c // 2 - (c // 2) % 8
+    return _class_sums(rows[:half]) + _class_sums(rows[half:])
+
+
+def _messages(layout: _Layout, beliefs: np.ndarray, out: np.ndarray, normalize: bool) -> np.ndarray:
+    """Write the messages ``F_ij[k] * beliefs[k, i]`` of every layout position
+    into ``out`` (classes x arcs), optionally divided by their class sum where
+    that sum is positive; ``beliefs`` is class-major (classes x nodes)."""
+    # senders are validated node ids, so "clip" never clips; it only avoids
+    # the buffered copy that "raise" makes of ``out``
+    np.take(beliefs, layout.senders, axis=1, out=out, mode="clip")
+    out *= layout.weights
     if normalize:
-        sums = msgs.sum(axis=1, keepdims=True)
-        # rows that do not sum above zero are divided by 1.0, which leaves them as they are
-        msgs /= np.where(sums > 0, sums, 1.0)
-    return msgs
+        sums = _class_sums(out)
+        # arcs whose messages do not sum above zero are divided by 1.0, which leaves them as they are
+        sums[~(sums > 0)] = 1.0
+        out /= sums
+    return out
 
 
 def compute_messages(awf: EdgeWeightTensor, b: Beliefs, normalize: bool = False) -> np.ndarray:
-    """Per-arc messages F_ij * B_i, optionally normalized to unit sum.
+    """Per-arc messages F_ij * B_i in arc order, optionally normalized to
+    unit sum.
 
     Messages that do not sum above zero are left as they are.
     """
     if b.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("beliefs shape does not match the edge weight tensor")
-    return _messages_raw(awf, b.values, normalize)
+    layout = awf._layout
+    msgs = _messages(layout, b.values.T, np.empty(layout.weights.shape), normalize)
+    out = np.empty(msgs.T.shape)
+    out[_receiver_order(awf.arcs)] = msgs.T
+    return out
 
 
-def _aggregate(awf: EdgeWeightTensor, values: np.ndarray, normalize: bool) -> np.ndarray:
-    return awf._receiver_incidence @ _messages_raw(awf, values, normalize)
+def _normalized_step(layout: _Layout, node_count: int):
+    """The normalized-message step on flat class-major beliefs, for one call.
+
+    The message buffer is the data of a CSR matrix over the layout's pattern,
+    so the receiver sums are that matrix times ones.  Buffer and matrix are
+    made here, per call, and die with the step.
+    """
+    operator = layout.operator
+    segments = sparse.csr_matrix(
+        (np.empty(operator.nnz), operator.indices, operator.indptr), shape=operator.shape
+    )
+    msgs = segments.data.reshape(layout.weights.shape)
+    ones = np.ones(operator.shape[1])
+
+    def step(b: np.ndarray) -> np.ndarray:
+        _messages(layout, b.reshape(msgs.shape[0], node_count), msgs, normalize=True)
+        return segments @ ones
+
+    return step
 
 
 def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
     """Shared fixed-point loop with residual logging and divergence detection."""
     alpha = config.alpha
+    anchor = (1.0 - alpha) * teleport
     b = teleport.copy()
     log: list[IterationRecord] = []
     prev_res = math.inf
     streak = 0
     for it in range(1, config.max_iters + 1):
-        new_b = (1.0 - alpha) * teleport + alpha * step(b)
+        new_b = anchor + alpha * step(b)
         res = float(np.abs(new_b - b).max()) if b.size else 0.0
         log.append(IterationRecord(it, res))
         b = new_b
@@ -227,19 +347,21 @@ def propagate_clp(
     """
     if teleport.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("teleport shape does not match the edge weight tensor")
-    values, log = _iterate(
-        lambda b: _aggregate(awf, b, config.message_normalization),
-        teleport.values,
-        config,
-    )
+    layout = awf._layout
+    if config.message_normalization:
+        step = _normalized_step(layout, awf.node_count)
+    else:
+        step = lambda b: layout.operator @ b
+    flat, log = _iterate(step, teleport.values.T.ravel(), config)
+    values = np.ascontiguousarray(flat.reshape(teleport.values.T.shape).T)
     return Beliefs(values, "propagated"), log
 
 
 def clp_star_aggregate(graph: Graph, values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
     """Receivers sum (sender beliefs @ H).
 
-    On the prior beliefs b0 this is the receiver sum of the sender-only
-    weights, ``incidence @ edge_weights(graph, b0, h_hat, receiver=False).weights``.
+    On the prior beliefs b0 this is, per receiver, the sum of the sender-only
+    weights ``edge_weights(graph, b0, h_hat, receiver=False).weights`` of its arcs.
     """
     return (graph.adjacency.T @ values) @ h_values
 

@@ -5,6 +5,12 @@ one of them breaks every traced run, so each name is checked here."""
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+import clprop.pipeline as pipeline
+from clprop.compatibility import Beliefs
+from clprop.propagation import EdgeWeightTensor, PropagationConfig
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -15,3 +21,22 @@ def test_every_probe_resolves_to_a_callable(monkeypatch):
     for probe in workloads.PROBES:
         module = importlib.import_module(probe.module)
         assert callable(getattr(module, probe.attr, None)), f"{probe.module}.{probe.attr}"
+
+
+def test_clp_probe_reads_a_real_call(monkeypatch):
+    """The propagate_clp probe reads the call's tensor (``arcs``,
+    ``num_classes``), its config and the returned log; each span of a traced
+    run carries what it read."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    probe = next(p for p in workloads.PROBES if p.attr == "propagate_clp")
+    awf = EdgeWeightTensor(np.array([[0, 1], [1, 0], [1, 2]]), np.full((3, 2), 0.25), 3)
+    teleport = Beliefs(np.full((3, 2), 0.5), "prior")
+    config = PropagationConfig(0.5, max_iters=4, tol=0.0)
+    with spans.instrument(spans.SpanRecorder(), [probe]) as recorder:
+        pipeline.propagate_clp(awf, teleport, config)
+        pipeline.propagate_clp(awf=awf, teleport=teleport, config=config)
+    assert [span.attrs for span in recorder.spans] == 2 * [
+        {"iterations": 4, "arcs": 3, "classes": 2, "budget": True}
+    ]

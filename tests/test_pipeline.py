@@ -10,7 +10,7 @@ import clprop.pipeline as pipeline
 import clprop.propagation as propagation
 from clprop.cli import _build_parser
 from clprop.cli import main as cli_main
-from clprop.graph import build_graph, make_splits, save_graph
+from clprop.graph import Graph, build_graph, make_splits, save_graph
 from clprop.mlp import TrainConfig
 from clprop.pipeline import (
     ExperimentConfig,
@@ -411,6 +411,22 @@ class TestInspect:
         report = inspect_dataset(small_graph, cfg)
         assert report.bucket_table is not None
         assert len(report.bucket_table.rows) == 12
+
+    def test_hv_counts_computed_once(self, monkeypatch):
+        """The h_v histogram and the bucket table share one pass over the graph."""
+        calls = []
+        counts = Graph.__dict__["induced_arc_counts"]
+        compute = counts.func
+
+        def counting(graph):
+            calls.append(graph)
+            return compute(graph)
+
+        monkeypatch.setattr(counts, "func", counting)
+        graph, _ = generate(SyntheticSpec(300, 3, 8.0, 0.2, 11))
+        report = inspect_dataset(graph, small_config(seeds=(0,)))
+        assert report.bucket_table is not None
+        assert len(calls) == 1 and calls[0] is graph
 
 
 class TestCli:

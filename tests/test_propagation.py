@@ -1,5 +1,10 @@
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 import clprop.propagation as propagation
@@ -208,29 +213,39 @@ class TestPropagateClp:
         assert (raw.values != normed.values).any()
 
 
-def _reference_step(awf, values, normalize):
-    """The aggregation step in its original form: normalized messages divided
-    through a boolean mask and summed by the receiver incidence, unnormalized
-    beliefs aggregated class by class through the receiver-row slices."""
+def _reference_step(awf, normalize):
+    """The aggregation step in its original, arc-major form, built from the
+    arcs and weights alone: normalized messages divided through a boolean mask
+    and summed by the receiver incidence, unnormalized beliefs aggregated
+    class by class through receiver-row slices built from COO."""
+    n, m = awf.node_count, awf.arcs.shape[0]
+    src, dst = awf.arcs[:, 0], awf.arcs[:, 1]
+    weights = awf.weights
     if not normalize:
-        return np.column_stack(
-            [awf.per_class[k] @ values[:, k] for k in range(awf.num_classes)]
+        slices = [
+            sparse.csr_matrix((weights[:, k], (dst, src)), shape=(n, n))
+            for k in range(awf.num_classes)
+        ]
+        return lambda values: np.column_stack(
+            [slice_k @ values[:, k] for k, slice_k in enumerate(slices)]
         )
-    msgs = awf.weights * values[awf.arcs[:, 0]]
-    sums = msgs.sum(axis=1)
-    pos = sums > 0
-    msgs[pos] /= sums[pos, None]
-    m = awf.arcs.shape[0]
-    incidence = sparse.csr_matrix(
-        (np.ones(m), (awf.arcs[:, 1], np.arange(m))), shape=(awf.node_count, m)
-    )
-    return incidence @ msgs
+    incidence = sparse.csr_matrix((np.ones(m), (dst, np.arange(m))), shape=(n, m))
+
+    def step(values):
+        msgs = weights * values[src]
+        sums = msgs.sum(axis=1)
+        pos = sums > 0
+        msgs[pos] /= sums[pos, None]
+        return incidence @ msgs
+
+    return step
 
 
-def _degenerate_instance(rng, directed):
-    """Random arcs plus isolated nodes, zero-weight arcs and silent senders."""
+def _degenerate_instance(rng, directed, num_classes=None):
+    """Random arcs plus isolated nodes, zero-weight arcs and silent senders;
+    2 to 5 classes unless ``num_classes`` is given."""
     n = int(rng.integers(10, 40))
-    c = int(rng.integers(2, 6))
+    c = int(rng.integers(2, 6)) if num_classes is None else num_classes
     active = n - 3  # the last three nodes stay isolated
     pairs = rng.integers(0, active, (int(rng.integers(1, 4 * active)), 2))
     graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, c, n), c, directed)
@@ -246,9 +261,7 @@ def _degenerate_instance(rng, directed):
 
 def _reference_run(awf, teleport, config):
     return propagation._iterate(
-        lambda b: _reference_step(awf, b, config.message_normalization),
-        teleport.values,
-        config,
+        _reference_step(awf, config.message_normalization), teleport.values, config
     )
 
 
@@ -273,6 +286,20 @@ class TestBitIdentityWithReferenceStep:
         rng = np.random.default_rng(41 + directed)
         for _ in range(6):
             awf, teleport = _degenerate_instance(rng, directed)
+            for alpha in (0.1, 0.5, 0.9):
+                _assert_same_run(
+                    awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
+                )
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("num_classes", [1, 8, 9, 10, 16, 17])
+    def test_class_counts_of_every_summation_branch(self, num_classes, normalize, directed):
+        # one class; 8 accumulators with no leftover, with leftovers, and
+        # with a second group of 8
+        rng = np.random.default_rng(num_classes + 50 * directed)
+        for _ in range(3):
+            awf, teleport = _degenerate_instance(rng, directed, num_classes)
             for alpha in (0.1, 0.5, 0.9):
                 _assert_same_run(
                     awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
@@ -316,6 +343,78 @@ class TestBitIdentityWithReferenceStep:
             propagate_clp(awf, teleport, config)
         assert len(err.value.log) == len(expected.value.log)
         assert err.value.log[-1].residual == expected.value.log[-1].residual
+
+
+CLASS_COUNTS = [*range(1, 41), 127, 128, 129, 300]
+
+
+class TestClassSums:
+    """``_class_sums`` must repeat numpy's order of additions for
+    ``ndarray.sum(axis=1)`` exactly: the normalized step divides by it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_numpy_row_sums(self, data):
+        c = data.draw(st.sampled_from(CLASS_COUNTS), label="classes")
+        m = data.draw(st.integers(0, 6), label="arcs")
+        # message entries: products of weights in [-1e-12, 1] and beliefs
+        entry = st.floats(0.0, 1.0) | st.sampled_from([0.0, -1e-12, -5e-13])
+        msgs = data.draw(hnp.arrays(np.float64, (m, c), elements=entry), label="messages")
+        msgs[data.draw(hnp.arrays(bool, m), label="zero rows")] = 0.0
+        np.testing.assert_array_equal(
+            propagation._class_sums(np.ascontiguousarray(msgs.T)), msgs.sum(axis=1)
+        )
+
+    @pytest.mark.parametrize("c", CLASS_COUNTS)
+    def test_equals_numpy_on_spread_magnitudes(self, c):
+        # entries over 16 decades make every order of addition visible in the
+        # last bits: from 8 classes on, a plain sequential sum differs
+        rng = np.random.default_rng(c)
+        msgs = rng.random((400, c)) * 10.0 ** rng.integers(-8, 8, (400, c))
+        rows = np.ascontiguousarray(msgs.T)
+        np.testing.assert_array_equal(propagation._class_sums(rows), msgs.sum(axis=1))
+        sequential = np.zeros(400)
+        for row in rows:
+            sequential += row
+        assert (sequential != msgs.sum(axis=1)).any() == (c >= 8)
+
+
+class TestNoStateOutlivesACall:
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_repeated_calls_are_byte_equal(self, normalize):
+        rng = np.random.default_rng(8)
+        awf, teleport = _degenerate_instance(rng, False, 9)
+        other, other_teleport = _degenerate_instance(rng, True, 4)
+        config = PropagationConfig(0.3, message_normalization=normalize)
+        first, first_log = propagate_clp(awf, teleport, config)
+        for mode in (False, True):
+            propagate_clp(other, other_teleport, PropagationConfig(0.3, message_normalization=mode))
+        propagate_clp(awf, teleport, PropagationConfig(0.3, message_normalization=not normalize))
+        second, second_log = propagate_clp(awf, teleport, config)
+        assert first.values.tobytes() == second.values.tobytes()
+        assert first_log == second_log
+
+    def test_certificate_on_views_matches_coo_slices(self):
+        rng = np.random.default_rng(9)
+        tensors = [scaled_random_tensor(14, rho, seed, 3) for seed, rho in enumerate((0.9, 1.3))]
+        for directed in (False, True):
+            awf, _ = _degenerate_instance(rng, directed, 9)
+            tensors.append(EdgeWeightTensor(awf.arcs, awf.weights * 2.0, awf.node_count))
+        statuses = set()
+        for awf in tensors:
+            n = awf.node_count
+            src, dst = awf.arcs[:, 0], awf.arcs[:, 1]
+            coo = types.SimpleNamespace(per_class=[
+                sparse.csr_matrix((awf.weights[:, k], (dst, src)), shape=(n, n))
+                for k in range(awf.num_classes)
+            ])
+            for slice_k in awf.per_class:  # views of the layout, not copies
+                assert np.shares_memory(slice_k.data, awf._layout.weights)
+            for alpha in DEFAULT_ALPHA_GRID:
+                verdicts = convergence_check(awf, alpha)
+                assert verdicts == convergence_check(coo, alpha)
+                statuses |= {v.status for v in verdicts}
+        assert {"certified", "convergent", "divergent"} <= statuses
 
 
 def _receiver_sums(graph, awf):
