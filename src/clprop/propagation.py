@@ -181,7 +181,7 @@ class EdgeWeightTensor:
         """Build from receiver-row slices sharing one sparsity pattern."""
         if not slices:
             raise ValueError("at least one class slice is required")
-        mats = [sparse.csr_matrix(s) for s in slices]
+        mats = [sparse.csr_matrix(s, copy=True) for s in slices]  # sort_indices works in place
         ref = mats[0]
         ref.sort_indices()
         n = ref.shape[0]

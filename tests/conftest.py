@@ -5,6 +5,22 @@ from clprop.compatibility import Beliefs, CompatibilityMatrix
 from clprop.graph import build_graph
 
 
+def line_writer_bytes(rows: np.ndarray) -> bytes:
+    """``rows`` written one line at a time: the row's values tab-separated, ints
+    in decimal and floats by ``repr``; a zero-width row is an empty line."""
+    scalar = int if rows.dtype.kind == "i" else float
+    return "".join("\t".join(repr(scalar(x)) for x in row) + "\n" for row in rows).encode()
+
+
+def line_writer_files(graph) -> dict[str, bytes]:
+    """The dataset TSVs of ``graph`` as a writer of one line at a time writes them."""
+    return {
+        "edges.tsv": "".join(f"{u}\t{v}\n" for u, v in graph.arcs).encode(),
+        "features.tsv": line_writer_bytes(graph.features),
+        "labels.tsv": "".join(f"{node}\t{cls}\n" for node, cls in enumerate(graph.labels)).encode(),
+    }
+
+
 def graph_from_edges(n, edges, labels, directed=False, features=None, num_classes=None):
     labels = np.asarray(labels, dtype=np.int64)
     if features is None:

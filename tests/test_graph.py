@@ -1,9 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clprop import graph as graph_module
 from clprop.graph import (
@@ -17,7 +24,7 @@ from clprop.graph import (
     save_graph,
 )
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, line_writer_bytes, line_writer_files
 
 
 def write_dataset(tmp_path, edges_lines, features_lines, labels_lines=None):
@@ -303,18 +310,10 @@ class TestRoundTrip:
         features = np.array([[-0.0, 5e-324], [1e308, 0.1], [-1.5, 1e-7]])
         g = graph_from_edges(3, [(0, 1), (2, 1)], [0, 2, 1], features=features)
         manifest = save_graph(g, tmp_path / "ds", extra_manifest={"note": "x"})
-        # reference: the one-line-at-a-time writer
-        expected = {
-            "edges.tsv": "".join(f"{u}\t{v}\n" for u, v in g.arcs),
-            "features.tsv": "".join(
-                "\t".join(repr(float(x)) for x in row) + "\n" for row in g.features
-            ),
-            "labels.tsv": "".join(f"{node}\t{cls}\n" for node, cls in enumerate(g.labels)),
-        }
         checksums = {}
-        for name, text in expected.items():
-            assert (tmp_path / "ds" / name).read_bytes() == text.encode()
-            checksums[name] = hashlib.sha256(text.encode()).hexdigest()
+        for name, data in line_writer_files(g).items():
+            assert (tmp_path / "ds" / name).read_bytes() == data
+            checksums[name] = hashlib.sha256(data).hexdigest()
         assert manifest == {
             "node_count": 3, "num_classes": 3, "directed": False, "checksums": checksums,
             "note": "x",
@@ -322,6 +321,32 @@ class TestRoundTrip:
         written = (tmp_path / "ds" / "manifest.json").read_text()
         assert written == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         assert load_dataset(tmp_path / "ds").features.tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["undirected", "directed", "no-arcs", "zero-width"])
+    def test_block_boundaries_keep_the_bytes(self, tmp_path, monkeypatch, block_rows, case):
+        # 7 rows split into blocks of 1, 2 and 3 rows, with a short last block
+        features = np.array([[-0.0, 5e-324, 1e16, 1e-5, 1e15, 1.7976931348623157e308, 0.1]]).T
+        edges = [(0, 1), (2, 1), (3, 4), (6, 5), (5, 0), (4, 6)]
+        g = {
+            "undirected": graph_from_edges(7, edges, [0, 1, 2, 0, 1, 2, 0], features=features),
+            "directed": graph_from_edges(7, edges, [1, 1, 0, 0, 1, 0, 1], directed=True,
+                                         features=np.hstack([features, -features])),
+            "no-arcs": graph_from_edges(7, [], [0] * 7, features=features),
+            "zero-width": graph_from_edges(7, edges, [0, 1] * 3 + [0], features=np.zeros((7, 0))),
+        }[case]
+        monkeypatch.setattr(graph_module, "_WRITE_BLOCK_ROWS", block_rows)
+        manifest = save_graph(g, tmp_path / "ds")
+        expected = line_writer_files(g)
+        for name, data in expected.items():
+            assert (tmp_path / "ds" / name).read_bytes() == data
+        assert manifest["checksums"] == {
+            name: hashlib.sha256(data).hexdigest() for name, data in expected.items()
+        }
+        if case == "no-arcs":
+            assert expected["edges.tsv"] == b""
+        loaded = load_dataset(tmp_path / "ds")
+        assert loaded.directed == g.directed and np.array_equal(loaded.arcs, g.arcs)
 
     def test_manifest_contents(self, tmp_path):
         g = graph_from_edges(3, [(0, 1)], [0, 1, 1])
@@ -361,6 +386,47 @@ class TestRoundTrip:
             fh.write("0\t199\n")
         assert not g.adjacency[0, 199]
         assert load_dataset(ds).arc_count == g.arc_count + 2
+
+
+def _float_bits(bits: int) -> float:
+    return np.array(bits, dtype=np.uint64).view(np.float64).item()
+
+
+# every float64 bit pattern is reachable: subnormals, both zeros, each exponent,
+# infinities and NaNs with any payload
+ANY_FLOAT = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(_float_bits))
+FINITE_FLOAT = ANY_FLOAT.filter(math.isfinite)
+
+
+def matrices(dtype, elements=None, min_rows=0):
+    shape = st.tuples(st.integers(min_rows, 9), st.integers(0, 4))
+    return hnp.arrays(dtype, shape, elements=elements)
+
+
+class TestWriterProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.one_of(matrices(np.float64, ANY_FLOAT), matrices(np.int64)),
+        block_rows=st.integers(1, 4),
+    )
+    def test_bytes_match_line_writer(self, rows, block_rows):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(graph_module, "_WRITE_BLOCK_ROWS", block_rows):
+            path = Path(tmp) / "rows.tsv"
+            checksum = graph_module._write_rows(path, rows)
+            data = path.read_bytes()
+        assert data == line_writer_bytes(rows)
+        assert checksum == hashlib.sha256(data).hexdigest()
+
+    @settings(max_examples=150, deadline=None)
+    @given(features=matrices(np.float64, FINITE_FLOAT, min_rows=1))
+    def test_finite_features_round_trip_bit_for_bit(self, features):
+        g = build_graph(features.shape[0], [], features, np.zeros(features.shape[0], np.int64))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_graph(g, tmp)
+            loaded = load_dataset(tmp)
+        assert loaded.features.shape == features.shape
+        assert loaded.features.tobytes() == features.tobytes()
 
 
 class TestOneHot:

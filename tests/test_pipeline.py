@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import re
 
@@ -10,7 +11,7 @@ import clprop.pipeline as pipeline
 import clprop.propagation as propagation
 from clprop.cli import _build_parser
 from clprop.cli import main as cli_main
-from clprop.graph import Graph, build_graph, make_splits, save_graph
+from clprop.graph import Graph, build_graph, load_dataset, make_splits, save_graph
 from clprop.mlp import TrainConfig
 from clprop.pipeline import (
     ExperimentConfig,
@@ -26,7 +27,7 @@ from clprop.pipeline import (
 )
 from clprop.synth import SyntheticSpec, generate
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, line_writer_files
 
 FAST_MLP = TrainConfig(epochs=80, early_stop_patience=80)
 
@@ -526,6 +527,26 @@ class TestCli:
         assert code == 0
         assert (run_out / "report.csv").exists()
         assert "test acc" in capsys.readouterr().out
+
+    def test_synth_writes_line_writer_bytes_reproducibly(self, tmp_path):
+        trees = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            argv = ["synth", "--preset", "syn1", "--scale", "0.05", "--seeds", "4", "--out", str(out)]
+            assert cli_main(argv) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        assert trees[0] == trees[1]
+        directories = sorted((tmp_path / "a").iterdir())
+        assert len(directories) == 11
+        for directory in directories:
+            generator = json.loads((directory / "manifest.json").read_text())["generator"]
+            fields = dataclasses.fields(SyntheticSpec)
+            graph, _ = generate(SyntheticSpec(**{f.name: generator[f.name] for f in fields}))
+            for name, data in line_writer_files(graph).items():
+                assert (directory / name).read_bytes() == data
+            loaded = load_dataset(directory)  # checks the manifest checksums
+            assert np.array_equal(loaded.arcs, graph.arcs)
+            assert loaded.features.tobytes() == graph.features.tobytes()
 
     def test_cli_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "bench"

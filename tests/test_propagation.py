@@ -106,6 +106,17 @@ class TestEdgeWeightTensor:
         for rebuilt, original in zip(awf.per_class, slices):
             np.testing.assert_allclose(rebuilt.toarray(), original.toarray())
 
+    def test_from_slices_leaves_its_input_unchanged(self):
+        unsorted = sparse.csr_matrix(
+            (np.array([0.2, 0.7]), np.array([1, 0]), np.array([0, 2, 2])), shape=(2, 2)
+        )
+        assert not unsorted.has_sorted_indices
+        awf = EdgeWeightTensor.from_slices([unsorted, unsorted.copy()])
+        assert unsorted.indices.tolist() == [1, 0]
+        assert unsorted.data.tolist() == [0.2, 0.7]
+        assert not unsorted.has_sorted_indices
+        np.testing.assert_array_equal(awf.per_class[0].toarray(), unsorted.toarray())
+
     def test_rejects_out_of_range_weights(self):
         with pytest.raises(ValueError, match="0, 1"):
             EdgeWeightTensor(
