@@ -277,7 +277,7 @@ def _select(options, run, labels, validation):
     return best, candidates
 
 
-def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> SeedResult:
+def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
     split = make_splits(graph, config.scheme, seed, 1)[0]
     labels = graph.labels
     y_hot = one_hot(labels, graph.num_classes)
@@ -308,7 +308,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig, true_h) -> Seed
 
         b0 = prior_beliefs(d_hat, y_hot, split.train)
         h_hat = estimate_compatibility(graph, b0, y_hot, split.train)
-        base.compat_distance = metrics.compat_distance(true_h, h_hat)
+        base.compat_distance = metrics.compat_distance(metrics.true_compatibility(graph), h_hat)
         prop = config.propagation
         norms = (False, True) if prop.message_normalization is None else (prop.message_normalization,)
         teleport_names = (
@@ -356,8 +356,7 @@ def run_pipeline(config: ExperimentConfig, graph: Graph | None = None) -> RunRep
     """Run every seed of the configured experiment and aggregate the metric."""
     if graph is None:
         graph = resolve_dataset(config.dataset, config.directed)
-    true_h = metrics.true_compatibility(graph)
-    per_seed = [_run_seed(graph, seed, config, true_h) for seed in config.seeds]
+    per_seed = [_run_seed(graph, seed, config) for seed in config.seeds]
     report = RunReport(config.method, "accuracy", per_seed)
     if config.output_dir:
         write_report(report, config)

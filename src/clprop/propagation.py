@@ -6,20 +6,21 @@ CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  The sender-only variant
 CLP* drops the receiver factor, ``F_ij = b0[i] @ H``, and is otherwise the
 same propagation: same solver, same certificate, same message normalization.
 
-Every computation on the weights runs on one layout, built once per tensor:
-the arcs ordered stably by receiver, the weights stored class by class, and
-the block-diagonal CSR matrix whose row ``k*n + j`` holds ``F_ij[k]`` at
-column ``k*n + i`` for each arc (i, j) into j.  Beliefs are flat class-major
-vectors inside the solver.
+An :class:`EdgeWeightTensor` stores its weights once, in the block-diagonal
+CSR matrix ``operator`` built by its constructor: the arcs ordered stably by
+receiver, the weights stored class by class, and row ``k*n + j`` holding
+``F_ij[k]`` at column ``k*n + i`` for each arc (i, j) into j.  Every
+computation on the weights reads that matrix or its views on the tensor.
+Beliefs are flat class-major vectors inside the solver.
 
-- The unnormalized step is one CSR mat-vec with that matrix.
-- The normalized step gathers the sender beliefs, multiplies them by the
-  weights, divides each arc's messages by their sum where it is positive,
-  and sums each receiver's messages through the same row pointer.
-- Class k's slice of the matrix is the receiver-row matrix ``slice_k[j, i] =
-  F_ij[k]``, a view that serves the closed-form solver and the convergence
-  certificate (its norms and spectral radius).  On symmetrized graphs the
-  slice pattern coincides with the arc set.
+- The unnormalized step is one CSR mat-vec with ``operator``.
+- The normalized step gathers the sender beliefs, multiplies them by
+  ``class_weights``, divides each arc's messages by their sum where it is
+  positive, and sums each receiver's messages through the same row pointer.
+- Class k's block of ``operator`` is the receiver-row matrix ``slice_k[j, i]
+  = F_ij[k]``, a view in ``per_class`` that serves the closed-form solver and
+  the convergence certificate (its norm and spectral radius).  On symmetrized
+  graphs the slice pattern coincides with the arc set.
 
 Each receiver sums its arcs in arc order, and an arc's class sum repeats
 numpy's order for ``ndarray.sum(axis=1)``, so every result is bit-identical
@@ -85,47 +86,9 @@ class IterationRecord:
 
 
 def _receiver_order(arcs: np.ndarray) -> np.ndarray:
-    """The arc indices sorted stably by receiver: layout position p holds arc
+    """The arc indices sorted stably by receiver: position p holds arc
     ``_receiver_order(arcs)[p]``."""
     return np.argsort(arcs[:, 1], kind="stable")
-
-
-class _Layout(NamedTuple):
-    """The receiver-ordered, class-major form of an :class:`EdgeWeightTensor`.
-
-    Positions are the arcs in :func:`_receiver_order`, so they are grouped by
-    receiver and a receiver's arcs keep their arc order.  ``operator`` is the
-    block-diagonal matrix of the module docstring: its data are the
-    class-major ``weights[k, p]``, which share its memory, and its column
-    indices ``k*n + sender of p``.  Every array is read-only.
-    """
-
-    weights: np.ndarray
-    operator: sparse.csr_matrix
-
-    @classmethod
-    def build(cls, arcs: np.ndarray, weights: np.ndarray, node_count: int) -> "_Layout":
-        n, (m, c) = node_count, weights.shape
-        order = _receiver_order(arcs)
-        # scipy keeps int32 index arrays as they are; int64 ones it copies down when they fit
-        index_type = np.int32 if c * max(n, m) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(c * n + 1, dtype=index_type)
-        np.cumsum(np.tile(np.bincount(arcs[:, 1], minlength=n), c), out=indptr[1:])
-        senders = arcs[order, 0].astype(index_type)
-        indices = (np.arange(c, dtype=index_type)[:, None] * n + senders).ravel()
-        class_major = np.empty((c, m))
-        for k in range(c):
-            class_major[k] = weights[order, k]
-        operator = sparse.csr_matrix((class_major.ravel(), indices, indptr), shape=(c * n, c * n))
-        class_major = operator.data.reshape(class_major.shape)
-        for array in (class_major, operator.indices, operator.indptr):
-            array.flags.writeable = False
-        return cls(class_major, operator)
-
-    @property
-    def senders(self) -> np.ndarray:
-        """The sender of each position: class 0's column indices."""
-        return self.operator.indices[:self.weights.shape[1]]
 
 
 class EdgeWeightTensor:
@@ -133,9 +96,12 @@ class EdgeWeightTensor:
 
     ``arcs[a] = (i, j)`` carries the weight vector ``weights[a] = F_ij``; the
     arcs are distinct, and all entries are products of probabilities and lie
-    in [0, 1].  The tensor stores the weights once, in the receiver-ordered,
-    class-major layout that propagation and the certificate read (module
-    docstring); ``weights`` rebuilds the arc-major array on each access.
+    in [0, 1].  The tensor stores them once, as the block-diagonal
+    ``operator`` of the module docstring, whose positions are the arcs in
+    :func:`_receiver_order`.  ``class_weights`` (classes x positions) is a
+    view of ``operator.data`` and ``senders`` one of class 0's column
+    indices; all three are read-only.  ``weights`` rebuilds the arc-major
+    array on each access.
     """
 
     def __init__(self, arcs: np.ndarray, weights: np.ndarray, node_count: int):
@@ -147,32 +113,51 @@ class EdgeWeightTensor:
             raise ValueError("edge weights must lie in [0, 1]")
         self.arcs = arcs
         self.node_count = node_count
-        self._layout = _Layout.build(arcs, weights, node_count)
+        n, (m, c) = node_count, weights.shape
+        order = _receiver_order(arcs)
+        # scipy keeps int32 index arrays as they are; int64 ones it copies down when they fit
+        index_type = np.int32 if c * max(n, m) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(c * n + 1, dtype=index_type)
+        np.cumsum(np.tile(np.bincount(arcs[:, 1], minlength=n), c), out=indptr[1:])
+        senders = arcs[order, 0].astype(index_type)
+        indices = (np.arange(c, dtype=index_type)[:, None] * n + senders).ravel()
+        data = np.empty((c, m))
+        for k in range(c):
+            data[k] = weights[order, k]
+        self.operator = sparse.csr_matrix((data.ravel(), indices, indptr), shape=(c * n, c * n))
+        for array in (self.operator.data, self.operator.indices, self.operator.indptr):
+            array.flags.writeable = False
+        self.class_weights = self.operator.data.reshape(c, m)
+        self.senders = self.operator.indices[:m]
 
     @property
     def num_classes(self) -> int:
-        return self._layout.weights.shape[0]
+        return self.class_weights.shape[0]
+
+    def _arc_major(self, rows: np.ndarray) -> np.ndarray:
+        """Class-major ``rows`` (classes x positions) as a new (arcs x classes)
+        array in arc order."""
+        out = np.empty(rows.T.shape)
+        out[_receiver_order(self.arcs)] = rows.T
+        return out
 
     @property
     def weights(self) -> np.ndarray:
         """The (arcs x classes) weights in arc order, a new array."""
-        out = np.empty(self._layout.weights.T.shape)
-        out[_receiver_order(self.arcs)] = self._layout.weights.T
-        return out
+        return self._arc_major(self.class_weights)
 
     @cached_property
     def per_class(self) -> tuple[sparse.csr_matrix, ...]:
-        """Receiver-row weight slices, views of the layout: class k's block of
-        the block-diagonal matrix.  Explicit zeros keep the shared pattern."""
-        layout = self._layout
+        """Receiver-row weight slices, views of the tensor: class k's block of
+        ``operator``.  Explicit zeros keep the shared pattern."""
         n = self.node_count
         slices = []
-        for row in layout.weights:
+        for row in self.class_weights:
             # assigned, not passed: the constructor copies a slice of a much larger array
             slice_k = sparse.csr_matrix((n, n))
             slice_k.data = row
-            slice_k.indices = layout.senders
-            slice_k.indptr = layout.operator.indptr[:n + 1]
+            slice_k.indices = self.senders
+            slice_k.indptr = self.operator.indptr[:n + 1]
             slices.append(slice_k)
         return tuple(slices)
 
@@ -256,14 +241,17 @@ def _class_sums(rows: np.ndarray) -> np.ndarray:
     return _class_sums(rows[:half]) + _class_sums(rows[half:])
 
 
-def _messages(layout: _Layout, beliefs: np.ndarray, out: np.ndarray, normalize: bool) -> np.ndarray:
-    """Write the messages ``F_ij[k] * beliefs[k, i]`` of every layout position
-    into ``out`` (classes x arcs), optionally divided by their class sum where
-    that sum is positive; ``beliefs`` is class-major (classes x nodes)."""
+def _messages(
+    awf: EdgeWeightTensor, beliefs: np.ndarray, out: np.ndarray, normalize: bool
+) -> np.ndarray:
+    """Write the messages ``F_ij[k] * beliefs[k, i]`` of every position of
+    ``awf`` into ``out`` (classes x positions), optionally divided by their
+    class sum where that sum is positive; ``beliefs`` is class-major
+    (classes x nodes)."""
     # senders are validated node ids, so "clip" never clips; it only avoids
     # the buffered copy that "raise" makes of ``out``
-    np.take(beliefs, layout.senders, axis=1, out=out, mode="clip")
-    out *= layout.weights
+    np.take(beliefs, awf.senders, axis=1, out=out, mode="clip")
+    out *= awf.class_weights
     if normalize:
         sums = _class_sums(out)
         # arcs whose messages do not sum above zero are divided by 1.0, which leaves them as they are
@@ -280,29 +268,26 @@ def compute_messages(awf: EdgeWeightTensor, b: Beliefs, normalize: bool = False)
     """
     if b.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("beliefs shape does not match the edge weight tensor")
-    layout = awf._layout
-    msgs = _messages(layout, b.values.T, np.empty(layout.weights.shape), normalize)
-    out = np.empty(msgs.T.shape)
-    out[_receiver_order(awf.arcs)] = msgs.T
-    return out
+    msgs = _messages(awf, b.values.T, np.empty(awf.class_weights.shape), normalize)
+    return awf._arc_major(msgs)
 
 
-def _normalized_step(layout: _Layout, node_count: int):
+def _normalized_step(awf: EdgeWeightTensor):
     """The normalized-message step on flat class-major beliefs, for one call.
 
-    The message buffer is the data of a CSR matrix over the layout's pattern,
-    so the receiver sums are that matrix times ones.  Buffer and matrix are
-    made here, per call, and die with the step.
+    The message buffer is the data of a CSR matrix over the pattern of
+    ``awf.operator``, so the receiver sums are that matrix times ones.
+    Buffer and matrix are made here, per call, and die with the step.
     """
-    operator = layout.operator
+    operator = awf.operator
     segments = sparse.csr_matrix(
         (np.empty(operator.nnz), operator.indices, operator.indptr), shape=operator.shape
     )
-    msgs = segments.data.reshape(layout.weights.shape)
+    msgs = segments.data.reshape(awf.class_weights.shape)
     ones = np.ones(operator.shape[1])
 
     def step(b: np.ndarray) -> np.ndarray:
-        _messages(layout, b.reshape(msgs.shape[0], node_count), msgs, normalize=True)
+        _messages(awf, b.reshape(msgs.shape[0], awf.node_count), msgs, normalize=True)
         return segments @ ones
 
     return step
@@ -347,11 +332,10 @@ def propagate_clp(
     """
     if teleport.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("teleport shape does not match the edge weight tensor")
-    layout = awf._layout
     if config.message_normalization:
-        step = _normalized_step(layout, awf.node_count)
+        step = _normalized_step(awf)
     else:
-        step = lambda b: layout.operator @ b
+        step = lambda b: awf.operator @ b
     flat, log = _iterate(step, teleport.values.T.ravel(), config)
     values = np.ascontiguousarray(flat.reshape(teleport.values.T.shape).T)
     return Beliefs(values, "propagated"), log
@@ -522,7 +506,6 @@ class ClassConvergence:
 
     class_index: int
     status: str  # certified | convergent | divergent | inconclusive
-    norm_1: float
     frobenius: float
     rho: float | None = None
     residual: float | None = None
@@ -537,10 +520,8 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
 
     A class whose Frobenius norm, an upper bound of the spectral radius, is
     below 1/alpha is certified; for any other class it runs power iteration
-    on that class's slice.  The entrywise 1-norm is reported but certifies
-    nothing more: it never lies below the Frobenius norm.  Every call
-    recomputes all of them: the pipeline certifies only the chosen candidate's
-    alpha, once per seed.
+    on that class's slice.  Every call recomputes the norms: the pipeline
+    certifies only the chosen candidate's alpha, once per seed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -548,15 +529,14 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
     verdicts = []
     for k, slice_k in enumerate(awf.per_class):
         data = slice_k.data
-        norm_1 = float(np.abs(data).sum())
         frobenius = float(np.sqrt(np.sum(data * data)))
         if frobenius < threshold:
-            verdicts.append(ClassConvergence(k, "certified", norm_1, frobenius))
+            verdicts.append(ClassConvergence(k, "certified", frobenius))
             continue
         rho, residual = spectral_radius(slice_k)
         if residual <= 1e-6 * max(1.0, rho):
             status = "convergent" if rho < threshold else "divergent"
         else:
             status = "inconclusive"
-        verdicts.append(ClassConvergence(k, status, norm_1, frobenius, rho, residual))
+        verdicts.append(ClassConvergence(k, status, frobenius, rho, residual))
     return verdicts

@@ -1,8 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +61,27 @@ SMALL_DATASET = {
     "target_avg_degree": 8.0,
     "h": 0.2,
     "seed": 11,
+}
+
+
+# SHA-256 of the files `clprop run --seeds 0,1` writes on SyntheticSpec(300, 3, 8.0, h, 11)
+REPORT_DIGESTS = {
+    (0.2, "mlp", "report.csv"): "18b83c4b4af8d491d9cdec12c415ecd587389c46fcb8d85bc43b44edfbc9a3a3",
+    (0.2, "mlp", "summary.csv"): "f8781039471541c866686b65ad5787205727c5f80c21b04045756f1a3fb362ed",
+    (0.2, "lp", "report.csv"): "6007271f5e86171775ae83f15e3e508088ad508d2c87514fd6b97f8bde138404",
+    (0.2, "lp", "summary.csv"): "a2c579a3e16d9efefdd4eca9cc38ac11b43118fa85217abeaa8413c76cbe0a16",
+    (0.2, "clp", "report.csv"): "c206fa4a4ba013bd23272288842ce7ccede9e00f0e62359187bffac1723bbac7",
+    (0.2, "clp", "summary.csv"): "277ec8c9e72c84f41cdb362e9970581fe6ea6c6a1817cf8c92b9b0578f7004c6",
+    (0.2, "clp-star", "report.csv"): "b13a5c6e85372d491b68ce16749c27eab11517d9a0c1a8fdf87b611ba55da5e9",
+    (0.2, "clp-star", "summary.csv"): "57bf4f11a0dd327de1f388593a6c4ac297a01c7135bec13b430d21007792b8dc",
+    (0.8, "mlp", "report.csv"): "18b83c4b4af8d491d9cdec12c415ecd587389c46fcb8d85bc43b44edfbc9a3a3",
+    (0.8, "mlp", "summary.csv"): "f8781039471541c866686b65ad5787205727c5f80c21b04045756f1a3fb362ed",
+    (0.8, "lp", "report.csv"): "42285b7695fd45e0c21a352d98d0cdf79d44c3e501674cb37344a85677c1ea43",
+    (0.8, "lp", "summary.csv"): "3bfeaa5358e669fe9ce39cf017e6347acafa1272a5ac4ed42042f98bb9bb92ee",
+    (0.8, "clp", "report.csv"): "98fce1d068817ecd57a03fac51f5dbdee772ddb0711d01f3c93e54944d87881e",
+    (0.8, "clp", "summary.csv"): "377387c092f807cfe37abc764a340c6ea2b9bd8f8ee36d4613b1219c9b711f78",
+    (0.8, "clp-star", "report.csv"): "04ce54a6c32d331c5545a45a673e70f7728c415c1035e4ef64b6c3f9ae333c03",
+    (0.8, "clp-star", "summary.csv"): "20205b5d2165782ca30c19cb8c4abd989ab912759667fad7b7a0a1da2ee8c533",
 }
 
 
@@ -291,6 +314,19 @@ class TestRunPipeline:
         run_pipeline(small_config(method="lp"), graph=small_graph)
         assert graphs == [small_graph, small_graph]
 
+    @pytest.mark.parametrize("method, warns", [("mlp_only", False), ("lp", False),
+                                               ("clp", True), ("clp_star", True)])
+    def test_true_compatibility_only_where_it_is_used(self, method, warns):
+        """Only the compatibility methods compare their estimate with the true
+        matrix, so only they warn about a class without outgoing arcs."""
+        rng = np.random.default_rng(5)
+        edges = rng.integers(0, 40, (120, 2))  # class 2, nodes 40-59, has no arcs
+        graph = graph_from_edges(60, edges, np.repeat([0, 1, 2], 20), features=rng.random((60, 4)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_pipeline(small_config(method=method, seeds=(0,)), graph=graph)
+        assert any("no outgoing arcs" in str(w.message) for w in caught) == warns
+
     def test_lp_runs_without_training(self, small_graph):
         report = run_pipeline(small_config(method="lp"), graph=small_graph)
         assert all(r.checkpoint == "" for r in report.per_seed)
@@ -326,6 +362,25 @@ class TestReports:
         a = (tmp_path / "first" / "summary.csv").read_bytes()
         b = (tmp_path / "second" / "summary.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("h", [0.2, 0.8])
+    @pytest.mark.parametrize("method", ["mlp", "lp", "clp", "clp-star"])
+    def test_report_bytes_match_recorded_digests(self, h, method, tmp_path):
+        """``clprop run --seeds 0,1`` on a 300-node graph writes the same
+        report.csv and summary.csv as the commit that recorded these SHA-256
+        digests, so a refactor that claims to keep the results shows it here.
+        A change meant to alter results, such as a new MLP optimizer, changes
+        the digests on purpose and records the new ones."""
+        save_graph(generate(SyntheticSpec(300, 3, 8.0, h, 11))[0], tmp_path / "ds")
+        out = tmp_path / "out"
+        args = ["run", "--dataset", str(tmp_path / "ds"), "--method", method,
+                "--seeds", "0,1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli_main(args) == 0
+        for name in ("report.csv", "summary.csv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == REPORT_DIGESTS[h, method, name], name
 
     def test_run_json_records_mlp_facts(self, small_graph, tmp_path):
         # a patience below the budget, so early stopping may end a run

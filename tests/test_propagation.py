@@ -47,6 +47,25 @@ def scaled_random_tensor(n, rho_target, seed, num_classes=1):
     return EdgeWeightTensor.from_slices(slices)
 
 
+def _owner(array):
+    """The array that owns the memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _held_arrays(obj):
+    """Every ndarray ``obj`` holds, through attributes, sparse matrices and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif isinstance(obj, EdgeWeightTensor) or sparse.issparse(obj):
+        for value in vars(obj).values():
+            yield from _held_arrays(value)
+
+
 class TestEdgeWeights:
     def test_worked_instance_values(self, worked_example):
         graph, compat, beliefs = worked_example
@@ -116,6 +135,35 @@ class TestEdgeWeightTensor:
         assert unsorted.data.tolist() == [0.2, 0.7]
         assert not unsorted.has_sorted_indices
         np.testing.assert_array_equal(awf.per_class[0].toarray(), unsorted.toarray())
+
+    @pytest.mark.parametrize("num_classes", [1, 3, 17])
+    @pytest.mark.parametrize("arcs", ["undirected", "directed", "none"])
+    def test_weights_are_stored_once_in_the_operator(self, arcs, num_classes):
+        rng = np.random.default_rng(num_classes)
+        n = 12
+        pairs = rng.integers(0, n, (0 if arcs == "none" else 30, 2))
+        graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, num_classes, n),
+                            num_classes, arcs == "directed")
+        weights = rng.random((graph.arc_count, num_classes))
+        awf = EdgeWeightTensor(graph.arcs, weights, n)
+        slices = awf.per_class  # cached on first access, so the tensor holds them below
+        op = awf.operator
+        assert awf.class_weights.shape == (num_classes, graph.arc_count)
+        assert _owner(awf.class_weights) is _owner(op.data)
+        assert _owner(awf.senders) is _owner(op.indices)
+        for array in (awf.class_weights, awf.senders, op.data, op.indices, op.indptr):
+            assert not array.flags.writeable
+        for k, slice_k in enumerate(slices):
+            assert _owner(slice_k.data) is _owner(awf.class_weights)
+            np.testing.assert_array_equal(slice_k.data, awf.class_weights[k])
+        if graph.arc_count:
+            assert np.shares_memory(awf.class_weights, op.data)
+            assert np.shares_memory(awf.senders, op.indices)
+            assert all(np.shares_memory(s.data, awf.class_weights) for s in slices)
+        # the float buffer of C*m entries is op.data alone, and no index array is copied
+        stores = {id(_owner(a)) for a in (awf.arcs, op.data, op.indices, op.indptr)}
+        assert {id(_owner(a)) for a in _held_arrays(awf)} == stores
+        np.testing.assert_array_equal(awf.weights, weights)
 
     def test_rejects_out_of_range_weights(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -419,8 +467,8 @@ class TestNoStateOutlivesACall:
                 sparse.csr_matrix((awf.weights[:, k], (dst, src)), shape=(n, n))
                 for k in range(awf.num_classes)
             ])
-            for slice_k in awf.per_class:  # views of the layout, not copies
-                assert np.shares_memory(slice_k.data, awf._layout.weights)
+            for slice_k in awf.per_class:  # views of the tensor, not copies
+                assert np.shares_memory(slice_k.data, awf.class_weights)
             for alpha in DEFAULT_ALPHA_GRID:
                 verdicts = convergence_check(awf, alpha)
                 assert verdicts == convergence_check(coo, alpha)
@@ -584,7 +632,7 @@ class TestConvergenceCheck:
         awf = EdgeWeightTensor.from_slices([m])
         verdict = convergence_check(awf, alpha=0.5)[0]
         assert verdict.status == "certified"
-        assert verdict.norm_1 == pytest.approx(0.9)
+        assert verdict.frobenius == pytest.approx(0.45 * np.sqrt(2))
         assert verdict.rho is None
 
     def test_divergent_verdict_and_growing_residuals(self):
