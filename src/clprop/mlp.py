@@ -5,8 +5,11 @@ softmax probabilities, mean cross-entropy over the training nodes, and
 full-batch gradient descent with decoupled weight decay.  Everything is
 deterministic given the seed.  A BLAS matrix product is bitwise-stable for
 a fixed row count, but a row subset can take another BLAS kernel and round
-differently; so validation runs the forward pass over every row and slices
-the logits, never forwarding the validation rows alone.
+differently.  Each epoch's validation accuracy must be the one the forward
+pass over every row gives, so validation forwards the validation rows alone
+and proves, with a forward-error bound, that each row's argmax is the
+full-batch forward's; an epoch where the proof fails forwards every row
+instead.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .compatibility import Beliefs
 from .graph import Graph, SplitMask
 
 _MAGIC = b"CLPROP01"
+_UNIT_ROUNDOFF = 2.0**-53
+_TIE_SLACK = 2.0**-30  # keeps exp/divide rounding in softmax far from a tie
 
 
 class TrainingDivergedError(RuntimeError):
@@ -78,6 +83,14 @@ class TrainConfig:
         # learning_rate 0 is admitted as a diagnostic no-op run
         if self.learning_rate < 0:
             raise ValueError("learning rate must be nonnegative")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.early_stop_patience < 0:
+            raise ValueError(
+                f"early_stop_patience must be nonnegative, got {self.early_stop_patience}"
+            )
+        if not self.weight_decay >= 0:  # NaN too
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.early_stop_patience > self.epochs:
             raise ValueError("patience cannot exceed the epoch budget")
         if self.num_hidden_layers not in (1, 2, 3):
@@ -197,6 +210,51 @@ def loss_and_gradients(
     return loss, grads
 
 
+def _certified_predictions(params: MlpParams, x_val: np.ndarray) -> np.ndarray | None:
+    """Per-row argmax of the logits of ``x_val``, or None when it cannot be
+    proved equal to ``argmax(softmax(...))`` of the same rows in another
+    forward pass, such as one over every row, whose BLAS kernel may round
+    differently.
+
+    Whatever the summation order, blocking or FMA use of the kernel, a layer's
+    ``fl(h @ W) + b`` differs from the exact ``h W + b`` by at most
+    gamma (|h| |W| + |b|) elementwise, with gamma = (K+1)u / (1 - (K+1)u), K
+    the largest fan-in and u the unit roundoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1).  Two evaluations whose
+    inputs differ by at most E therefore differ by at most
+    2 gamma (|h| |W| + |b|) + (1 + gamma) E |W|.  ReLU is 1-Lipschitz and
+    both passes read the same feature values, so E = 2 gamma G at every
+    layer, where G = 0 at the features and G <- (|h| + (1 + gamma) G) |W| + |b|.
+    ``g`` runs this recursion without the (1 + gamma) factors; while depth
+    times fan-in stays far below 2^50, one factor of 2 covers them and the
+    rounding of ``g``'s own computation, so the two passes' logits differ
+    by at most 4 gamma g.  A row is certified when its top two logits satisfy
+    l1 - l2 > 16 gamma max(g) + 2^-30 (1 + |l1|): twice that difference,
+    doubled for the rounding of the test itself.  Then the other pass's
+    maximum sits in the same column, and the slack keeps the exp/divide
+    rounding of softmax from closing the gap.  Underflow, which the bound
+    leaves out, adds absolute errors near 2^-1074 that the slack absorbs.
+    Exact ties, NaN and infinite bounds fail the test, and so give None.
+    """
+    if params.num_classes == 1:
+        return np.zeros(x_val.shape[0], dtype=np.int64)
+    logits, caches = _forward_cached(params, x_val)
+    k = (max(w.shape[0] for w in params.weights) + 1) * _UNIT_ROUNDOFF
+    gamma = k / (1.0 - k)
+    g = None
+    for (h, _, _), w, b in zip(caches, params.weights, params.biases):
+        # hidden-layer inputs are ReLU outputs, so only the features need abs
+        h = np.abs(h) if g is None else h + g
+        g = h @ np.abs(w)
+        g += np.abs(b)
+    ranked = np.sort(logits, axis=1)  # NaN sorts last, so l1 is NaN
+    l1, l2 = ranked[:, -1], ranked[:, -2]
+    certified = l1 - l2 > (16.0 * gamma) * g.max(axis=1) + _TIE_SLACK * (1.0 + np.abs(l1))
+    if not certified.all():
+        return None
+    return np.argmax(logits, axis=1)
+
+
 def train(
     params: MlpParams,
     graph: Graph,
@@ -207,7 +265,11 @@ def train(
 
     Returns the parameter snapshot with the best validation accuracy seen
     (ties keep the earliest) together with the per-epoch log.  Dropout masks
-    draw from the split's seed.
+    draw from the split's seed.  Each epoch scores the validation rows from
+    their own forward pass when ``_certified_predictions`` proves every row's
+    argmax equal to the full-batch forward's, and otherwise from the
+    validation rows of a forward pass over every row, so the log is the one
+    a full predict() per epoch would give.
     """
     if mask.train.size == 0:
         raise ValueError("training requires a nonempty train mask")
@@ -217,6 +279,7 @@ def train(
     if val_idx.size == 0:
         raise ValueError("training requires a nonempty validation mask")
     y_val = np.asarray(graph.labels, dtype=np.int64)[val_idx]
+    x_val = np.asarray(graph.features[val_idx], dtype=np.float64)
     rng = np.random.default_rng(mask.seed)
 
     params = params.copy()
@@ -236,10 +299,12 @@ def train(
             w *= 1.0 - lr * wd  # decoupled decay: not part of the logged loss
             w -= lr * gw
             b -= lr * gb
-        # softmax is row-wise, so the validation rows of the full forward
-        # give the same argmax as the full predict()
-        val_probs = softmax(forward(params, graph.features)[val_idx])
-        val_acc = float(np.mean(np.argmax(val_probs, axis=1) == y_val))
+        val_pred = _certified_predictions(params, x_val)
+        if val_pred is None:
+            # softmax is row-wise, so the validation rows of the full forward
+            # give the same argmax as the full predict()
+            val_pred = np.argmax(softmax(forward(params, graph.features)[val_idx]), axis=1)
+        val_acc = float(np.mean(val_pred == y_val))
         log.append(EpochRecord(epoch, loss, val_acc))
         if val_acc > best_val:
             best_val = val_acc

@@ -750,3 +750,22 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    @pytest.mark.parametrize(
+        "mlp,field",
+        [
+            ({"epochs": 0, "early_stop_patience": 0}, "epochs"),
+            ({"epochs": -3, "early_stop_patience": -5}, "epochs"),
+            ({"early_stop_patience": -1}, "early_stop_patience"),
+            ({"weight_decay": -1e-4}, "weight_decay"),
+        ],
+    )
+    def test_out_of_range_mlp_config_is_data_error(self, command, mlp, field, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], "mlp": mlp}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {field} must be ")
+        assert not out.exists()
