@@ -158,7 +158,6 @@ def estimate_compatibility(
     b0: Beliefs,
     y_onehot: np.ndarray,
     train_mask,
-    tol: float = SINKHORN_TOL,
 ) -> CompatibilityMatrix:
     """Estimate the class compatibility matrix from sparse labels.
 
@@ -182,5 +181,5 @@ def estimate_compatibility(
         )
     neighbor_mass = graph.adjacency @ b0.values
     raw = masked.T @ neighbor_mass
-    balanced, deviation = sinkhorn_knopp(_floor_zeros(raw), tol=tol)
+    balanced, deviation = sinkhorn_knopp(_floor_zeros(raw))
     return CompatibilityMatrix(balanced, "doubly_stochastic", sinkhorn_deviation=deviation)

@@ -118,21 +118,16 @@ class BucketRow:
     accuracy: float | None
 
 
-@dataclass(frozen=True)
-class BucketTable:
-    rows: tuple[BucketRow, ...]
-
-
 def _bucket_index(same: np.ndarray, total: np.ndarray) -> np.ndarray:
     # round-half-up of 10 * same/total in exact integer arithmetic
     return (20 * same + total) // (2 * total)
 
 
-def bucket_accuracy(beliefs: Beliefs, graph: Graph, mask) -> BucketTable:
+def bucket_accuracy(beliefs: Beliefs, graph: Graph, mask) -> tuple[BucketRow, ...]:
     """Accuracy per h_v level {0, 0.1, ..., 1} over the mask nodes.
 
-    h_v is rounded half-up to the nearest 0.1.  Mask nodes with undefined
-    h_v are excluded from the levels and reported in a trailing row.
+    Returns a tuple of 12 :class:`BucketRow`: one per level, h_v rounded
+    half-up to the nearest 0.1, then one for the mask nodes with undefined h_v.
     """
     mask = np.asarray(mask, dtype=np.int64)
     pred = np.argmax(beliefs.values[mask], axis=1)
@@ -140,12 +135,11 @@ def bucket_accuracy(beliefs: Beliefs, graph: Graph, mask) -> BucketTable:
     levels = _hv_levels(graph, mask)
     counts = np.bincount(levels, minlength=_UNDEFINED + 1)
     hits = np.bincount(levels[correct], minlength=_UNDEFINED + 1)
-    rows = [
+    return tuple(
         BucketRow(
             bucket=BUCKET_LEVELS[i] if i < _UNDEFINED else None,
             count=int(counts[i]),
             accuracy=(hits[i] / counts[i]) if counts[i] else None,
         )
         for i in range(_UNDEFINED + 1)
-    ]
-    return BucketTable(tuple(rows))
+    )

@@ -15,6 +15,7 @@ instead.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -80,6 +81,10 @@ class TrainConfig:
     num_hidden_layers: int = 1
 
     def __post_init__(self):
+        for name in ("epochs", "early_stop_patience", "hidden_dim", "num_hidden_layers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # learning_rate 0 is admitted as a diagnostic no-op run
         if self.learning_rate < 0:
             raise ValueError("learning rate must be nonnegative")
@@ -139,27 +144,25 @@ def _forward_cached(params: MlpParams, x: np.ndarray, rng=None):
     keep = 1.0 - params.dropout_rate
     caches = []
     h = x
-    last = len(params.weights) - 1
-    for idx, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = h @ w
         z += b
-        if idx == last:
-            caches.append((h, z, None))
-            return z, caches
         np.maximum(z, 0.0, out=z)  # ReLU(z) > 0 exactly where z > 0
         mask = None
         if rng is not None and params.dropout_rate > 0:
             mask = (rng.random(z.shape) < keep) / keep
         caches.append((h, z, mask))
         h = z if mask is None else z * mask
-    raise AssertionError("unreachable")
+    z = h @ params.weights[-1]
+    z += params.biases[-1]
+    caches.append((h, z, None))
+    return z, caches
 
 
 def forward(params: MlpParams, x: np.ndarray, train_mode: bool = False, seed: int = 0) -> np.ndarray:
     """Logits for every row of ``x``; dropout is active only in train mode."""
     rng = np.random.default_rng(seed) if train_mode else None
-    logits, _ = _forward_cached(params, np.asarray(x, dtype=np.float64), rng)
-    return logits
+    return _forward_cached(params, np.asarray(x, dtype=np.float64), rng)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -288,8 +291,7 @@ def train(
     stale = 0
     log: list[EpochRecord] = []
     for epoch in range(config.epochs):
-        drop_rng = rng if params.dropout_rate > 0 else None
-        loss, grads = loss_and_gradients(params, x_train, y_train, drop_rng)
+        loss, grads = loss_and_gradients(params, x_train, y_train, rng)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}; lower the learning rate"

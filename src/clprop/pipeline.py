@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -77,8 +78,9 @@ class ExperimentConfig:
     directed: bool = False
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if not self.seeds or not all(
+                isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+            raise ValueError(f"seeds must be one or more integers, got {list(self.seeds)}")
         if not isinstance(self.scheme, str) or self.scheme not in SPLIT_RATIOS:
             raise ValueError(
                 f"unknown split scheme {self.scheme!r} (choose from {list(SPLIT_RATIOS)})")
@@ -88,8 +90,10 @@ class ExperimentConfig:
             raise ValueError("alpha grid values must lie strictly inside (0, 1)")
 
 
-def _from_fields(cls, raw: dict, section: str):
-    """``cls(**raw)``, naming every key that ``cls`` does not have."""
+def _from_fields(cls, raw, section: str):
+    """``cls(**raw)`` for an object ``raw``, naming every key that ``cls`` does not have."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{section} config must be an object, got {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} config keys: {', '.join(unknown)}")
@@ -103,19 +107,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """
     try:
         data = dict(raw)
-        if "mlp" in data and isinstance(data["mlp"], dict):
+        if "mlp" in data:
             data["mlp"] = _from_fields(TrainConfig, data["mlp"], "mlp")
-        if "propagation" in data and isinstance(data["propagation"], dict):
-            prop = dict(data["propagation"])
+        if "propagation" in data:
+            prop = data["propagation"]
             for key, choices in (
                 ("message_normalization", NORMALIZATION_CHOICES),
                 ("teleport_source", TELEPORT_CHOICES),
             ):
-                if isinstance(prop.get(key), str):
-                    prop[key] = choices.get(prop[key], prop[key])
+                if isinstance(prop, dict) and isinstance(prop.get(key), str):
+                    prop = {**prop, key: choices.get(prop[key], prop[key])}
             data["propagation"] = _from_fields(PropagationOverrides, prop, "propagation")
         if "seeds" in data:
-            data["seeds"] = tuple(int(s) for s in data["seeds"])
+            data["seeds"] = tuple(data["seeds"])
         if "alpha_grid" in data:
             data["alpha_grid"] = tuple(float(a) for a in data["alpha_grid"])
         return _from_fields(ExperimentConfig, data, "top-level")
@@ -482,7 +486,7 @@ class InspectReport:
     true_compatibility: np.ndarray
     degree_stats: dict
     hv_histogram: list[tuple[str, int]]
-    bucket_table: metrics.BucketTable | None = None
+    bucket_table: tuple[metrics.BucketRow, ...] | None = None
 
     def render(self) -> str:
         lines = [
@@ -502,7 +506,7 @@ class InspectReport:
             lines.append(f"  {level}: {count}")
         if self.bucket_table is not None:
             lines.append("per-bucket accuracy (bucket, count, accuracy):")
-            for row in self.bucket_table.rows:
+            for row in self.bucket_table:
                 bucket = "undefined" if row.bucket is None else f"{row.bucket:.1f}"
                 acc = "no data" if row.accuracy is None else f"{row.accuracy:.4f}"
                 lines.append(f"  {bucket}: {row.count} nodes, {acc}")
@@ -535,7 +539,7 @@ def inspect_dataset(graph: Graph, config: ExperimentConfig | None = None) -> Ins
                 Path(config.output_dir) / "bucket_accuracy.csv",
                 "bucket,count,accuracy",
                 [("undefined" if r.bucket is None else r.bucket, r.count, r.accuracy)
-                 for r in bucket_table.rows],
+                 for r in bucket_table],
             )
     return InspectReport(
         edge_homophily=metrics.edge_homophily(graph),

@@ -332,10 +332,7 @@ def propagate_clp(
     """
     if teleport.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("teleport shape does not match the edge weight tensor")
-    if config.message_normalization:
-        step = _normalized_step(awf)
-    else:
-        step = lambda b: awf.operator @ b
+    step = _normalized_step(awf) if config.message_normalization else awf.operator.dot
     flat, log = _iterate(step, teleport.values.T.ravel(), config)
     values = np.ascontiguousarray(flat.reshape(teleport.values.T.shape).T)
     return Beliefs(values, "propagated"), log
@@ -433,34 +430,26 @@ def spectral_radius(
     m: sparse.spmatrix | np.ndarray,
     iters: int = 1000,
     tol: float = 1e-10,
-    seed: int = 0,
 ) -> SpectralRadiusEstimate:
     """Power-iteration estimate of the dominant eigenvalue magnitude.
 
-    Random start, restarted up to 3 times on stagnation.  Restarts of
+    Dense input is converted to CSR first, so one sparse path serves every
+    matrix.  Random start, restarted up to 3 times on stagnation.  Restarts of
     nonnegative matrices add a diagonal shift, which breaks the period-two
     oscillation of bipartite-like patterns without changing the Perron root
     (the shift is subtracted from the estimate).  The residual
     ||m x - rho x|| is reported; treat large residuals as inconclusive.
     """
-    is_sparse = sparse.issparse(m)
-    if not is_sparse:
-        m = np.asarray(m, dtype=np.float64)
+    if not sparse.issparse(m):
+        m = sparse.csr_matrix(m, dtype=np.float64)
     n, ncol = m.shape
     if n != ncol:
         raise ValueError("spectral radius requires a square matrix")
-    if n == 0:
+    if m.nnz == 0:
         return SpectralRadiusEstimate(0.0, 0.0)
-    if is_sparse:
-        nonneg = m.nnz == 0 or m.data.min() >= 0
-        if m.nnz == 0:
-            return SpectralRadiusEstimate(0.0, 0.0)
-    else:
-        nonneg = m.min() >= 0
-        if not m.any():
-            return SpectralRadiusEstimate(0.0, 0.0)
+    nonneg = m.data.min() >= 0
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = SpectralRadiusEstimate(0.0, math.inf)
     shift = 0.0
     for attempt in range(4):

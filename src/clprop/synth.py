@@ -85,18 +85,10 @@ def _pair_rng(seed: int, a: int, b: int):
 
 def _decode_triangular(idx: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Map pair indices in [0, size*(size-1)/2) to (i, j) with i < j."""
-    idx = idx.astype(np.int64)
-    # row i starts at offset i*size - i*(i+1)/2; invert by solving the quadratic,
-    # then correct the float rounding in exact integer arithmetic
-    i = ((2 * size - 1 - np.sqrt((2 * size - 1) ** 2 - 8.0 * idx)) // 2).astype(np.int64)
-    i = np.clip(i, 0, size - 2)
-    for _ in range(2):
-        start = i * size - (i * (i + 1)) // 2
-        i = np.where(start > idx, i - 1, i)
-        start = i * size - (i * (i + 1)) // 2
-        i = np.where(idx - start >= size - 1 - i, i + 1, i)
-    start = i * size - (i * (i + 1)) // 2
-    j = idx - start + i + 1
+    rows = np.arange(size - 1, dtype=np.int64)
+    # row i starts at offset i*size - i*(i+1)/2; idx lies in the last row starting at or before it
+    i = np.searchsorted(rows * size - rows * (rows + 1) // 2, idx, side="right") - 1
+    j = idx - (i * size - i * (i + 1) // 2) + i + 1
     return i, j
 
 
@@ -109,8 +101,6 @@ def _sample_block_pairs(rng, n_rows: int, n_cols: int, p: float, within: bool) -
     """
     total = n_rows * (n_rows - 1) // 2 if within else n_rows * n_cols
     count = int(rng.binomial(total, p))
-    if count == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     idx = rng.choice(total, size=count, replace=False)
     if within:
         i, j = _decode_triangular(idx, n_rows)
@@ -140,11 +130,8 @@ def generate_structure(spec: SyntheticSpec) -> Graph:
             rng = _pair_rng(spec.seed, a, b)
             p = spec.p_in if a == b else spec.p_out
             pairs = sample(rng, s, s, p, within=(a == b))
-            if pairs.size:
-                pairs = pairs + np.array([a * s, b * s], dtype=np.int64)
-                edges.append(pairs)
-    all_edges = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
-    return build_graph(n, all_edges, None, labels, num_classes=c, directed=False)
+            edges.append(pairs + np.array([a * s, b * s], dtype=np.int64))
+    return build_graph(n, np.concatenate(edges), None, labels, num_classes=c, directed=False)
 
 
 def _rotation(theta: float) -> np.ndarray:

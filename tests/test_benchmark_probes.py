@@ -40,3 +40,22 @@ def test_clp_probe_reads_a_real_call(monkeypatch):
     assert [span.attrs for span in recorder.spans] == 2 * [
         {"iterations": 4, "arcs": 3, "classes": 2, "budget": True}
     ]
+
+
+def test_workloads_run_at_tiny_size(monkeypatch, tmp_path):
+    """Beyond the probes, the harness calls the program through ``warm_up``
+    (``run_pipeline(config, graph=...)``, ``inspect_dataset``) and through
+    each workload's set-up and unit (``preset_spec``, ``gaussian_features``,
+    ``make_splits(..., 1)[0]``, the CLI); one tiny round of each keeps those
+    calls working."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    workloads.warm_up(1)
+    for cls in (workloads.HSweep, workloads.InspectSyn2):
+        work = tmp_path / cls.name
+        work.mkdir()
+        workload = cls(1, "tiny", work)
+        workload.setup()
+        unit = workload.run_unit()
+        assert unit.errors == [], cls.name
+        assert workload.check([unit]) == [], cls.name

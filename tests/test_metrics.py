@@ -203,10 +203,10 @@ class TestBucketAccuracy:
     def test_all_homophilous_correct(self, triangle_uniform):
         b = Beliefs(np.array([[1.0, 0], [1, 0], [1, 0]]), "prior")
         table = bucket_accuracy(b, triangle_uniform, np.arange(3))
-        by_bucket = {row.bucket: row for row in table.rows}
+        by_bucket = {row.bucket: row for row in table}
         assert by_bucket[1.0].count == 3 and by_bucket[1.0].accuracy == 1.0
         assert all(
-            row.count == 0 for row in table.rows if row.bucket not in (1.0, None)
+            row.count == 0 for row in table if row.bucket not in (1.0, None)
         )
 
     def test_quarter_rounds_half_up_to_point_three(self):
@@ -217,16 +217,16 @@ class TestBucketAccuracy:
         assert local_homophily(g, 0) == 0.25
         b = Beliefs(np.tile([1.0, 0.0], (5, 1)), "prior")
         table = bucket_accuracy(b, g, [0])
-        populated = [row.bucket for row in table.rows if row.count]
+        populated = [row.bucket for row in table if row.count]
         assert populated == [0.3]
 
     def test_row_count_and_undefined_row(self):
         g = graph_from_edges(3, [(0, 1)], [0, 0, 1], num_classes=2)
         b = Beliefs(np.tile([1.0, 0.0], (3, 1)), "prior")
         table = bucket_accuracy(b, g, np.arange(3))
-        assert len(table.rows) == 12
-        assert table.rows[-1].bucket is None
-        assert table.rows[-1].count == 1  # node 2 is isolated
+        assert len(table) == 12
+        assert table[-1].bucket is None
+        assert table[-1].count == 1  # node 2 is isolated
 
     def test_csv_format(self, tmp_path):
         graph, _ = generate(SyntheticSpec(100, 2, 6.0, 0.5, 3))
@@ -236,7 +236,7 @@ class TestBucketAccuracy:
         lines = (tmp_path / "out" / "bucket_accuracy.csv").read_text().splitlines()
         assert lines[0] == "bucket,count,accuracy"
         assert len(lines) == 13
-        for line, row in zip(lines[1:], table.rows):
+        for line, row in zip(lines[1:], table):
             bucket = "undefined" if row.bucket is None else repr(row.bucket)
             acc = "" if row.accuracy is None else repr(float(row.accuracy))
             assert line == f"{bucket},{row.count},{acc}"
@@ -324,4 +324,4 @@ class TestVectorizedHvMatchesReference:
                 for level, hits in members.items()
             ]
             table = bucket_accuracy(beliefs, g, mask)
-            assert [(r.bucket, r.count, r.accuracy) for r in table.rows] == expected
+            assert [(r.bucket, r.count, r.accuracy) for r in table] == expected

@@ -103,6 +103,11 @@ def drop_label_line(dataset_dir, node):
     labels.write_text("".join(lines[:node] + lines[node + 1:]))
 
 
+def _diverge(*args, **kwargs):
+    """A propagation call that always diverges."""
+    raise propagation.DivergenceError("residual grew")
+
+
 @pytest.fixture(scope="module")
 def small_graph():
     graph, _ = generate(SyntheticSpec(300, 3, 8.0, 0.2, 11))
@@ -466,7 +471,7 @@ class TestInspect:
         cfg = small_config(seeds=(0,))
         report = inspect_dataset(small_graph, cfg)
         assert report.bucket_table is not None
-        assert len(report.bucket_table.rows) == 12
+        assert len(report.bucket_table) == 12
 
     def test_hv_counts_computed_once(self, monkeypatch):
         """The h_v histogram and the bucket table share one pass over the graph."""
@@ -741,6 +746,9 @@ class TestCli:
             {"dataset": {"preset": "syn1", "scale": None}},
             {"dataset": {"preset": "syn1", "seed": None}},
             {"dataset": {**SMALL_DATASET, "num_nodes": [300]}},
+            {"mlp": 5},
+            {"propagation": "on"},
+            {"seeds": [0.7]},
         ],
     )
     def test_bad_config_file_is_data_error(self, raw, tmp_path, capsys):
@@ -759,6 +767,8 @@ class TestCli:
             ({"epochs": -3, "early_stop_patience": -5}, "epochs"),
             ({"early_stop_patience": -1}, "early_stop_patience"),
             ({"weight_decay": -1e-4}, "weight_decay"),
+            ({"epochs": 2.5, "early_stop_patience": 1}, "epochs"),
+            ({"hidden_dim": 2.5}, "hidden_dim"),
         ],
     )
     def test_out_of_range_mlp_config_is_data_error(self, command, mlp, field, tmp_path, capsys):
@@ -769,3 +779,79 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {field} must be ")
         assert not out.exists()
+
+    @staticmethod
+    def _fast_config(tmp_path):
+        """A config file for the 300-node synthetic dataset with a short MLP budget."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], "alpha_grid": [0.5],
+                                    "mlp": {"epochs": 80, "early_stop_patience": 80}}))
+        return path
+
+    @staticmethod
+    def _report_row(out):
+        with open(out / "report.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        return row
+
+    def test_every_clp_candidate_diverging_falls_back_to_the_mlp(self, monkeypatch, tmp_path,
+                                                                  capsys):
+        config = self._fast_config(tmp_path)
+        assert cli_main(["run", "--config", str(config), "--method", "mlp",
+                         "--out", str(tmp_path / "mlp")]) == 0
+        capsys.readouterr()
+
+        monkeypatch.setattr(pipeline, "propagate_clp", _diverge)
+        with pytest.warns(UserWarning, match="every propagation candidate diverged"):
+            assert cli_main(["run", "--config", str(config), "--method", "clp",
+                             "--out", str(tmp_path / "clp")]) == 0
+        assert "(fallback=mlp)" in capsys.readouterr().out
+        row = self._report_row(tmp_path / "clp")
+        assert row["fallback"] == "yes"
+        assert row["test_accuracy"] == self._report_row(tmp_path / "mlp")["test_accuracy"]
+
+    def test_every_lp_candidate_diverging_is_numerical_failure(self, monkeypatch, tmp_path,
+                                                               capsys):
+        monkeypatch.setattr(pipeline, "propagate_lp", _diverge)
+        out = tmp_path / "out"
+        args = ["run", "--config", str(self._fast_config(tmp_path)), "--method", "lp",
+                "--out", str(out)]
+        assert cli_main(args) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not out.exists()
+
+    def test_compat_quality_end_to_end(self, tmp_path, capsys):
+        config = self._fast_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli_main(["compat-quality", "--config", str(config), "--out", str(out)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        rows = report_compat_quality(config_from_dict(json.loads(config.read_text())))
+        lines = (out / "compat_quality.csv").read_text().splitlines()
+        assert lines[1:] == [",".join(pipeline._fmt(v) for v in row.values()) for row in rows]
+
+    @pytest.mark.parametrize("teleport", ["base", "prior"])
+    def test_teleport_flag_reaches_report(self, teleport, tmp_path):
+        out = tmp_path / "out"
+        args = ["run", "--config", str(self._fast_config(tmp_path)), "--method", "clp",
+                "--teleport", teleport, "--out", str(out)]
+        assert cli_main(args) == 0
+        assert self._report_row(out)["chosen_teleport"] == teleport
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "--dataset", "ds", "--preset", "syn1"],
+             "--dataset and --preset are mutually exclusive"),
+            (["run", "--seeds", "0"], "provide --dataset, --preset, or --config"),
+            (["train", "--preset", "syn1", "--scale", "0.02", "--seeds", "0"],
+             "train requires --out"),
+            (["sweep", "--config", "CONFIG"], "sweep requires a synthetic dataset"),
+        ],
+        ids=["dataset-and-preset", "no-dataset", "train-without-out", "sweep-dataset-directory"],
+    )
+    def test_usage_errors(self, args, message, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": str(tmp_path / "ds"), "seeds": [0]}))
+        args = [str(config) if arg == "CONFIG" else arg for arg in args]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")

@@ -51,6 +51,14 @@ class TestDecodeTriangular:
         i, j = _decode_triangular(idx, size)
         assert list(zip(i.tolist(), j.tolist())) == expected
 
+    @pytest.mark.parametrize("size", [46341, 100000])
+    def test_round_trips_at_large_sizes(self, size):
+        total = size * (size - 1) // 2
+        idx = np.concatenate([np.random.default_rng(0).integers(0, total, 10000), [0, total - 1]])
+        i, j = _decode_triangular(idx, size)
+        assert ((0 <= i) & (i < j) & (j < size)).all()
+        assert np.array_equal(i * size - i * (i + 1) // 2 + j - i - 1, idx)
+
 
 class TestStructure:
     def test_deterministic(self):
