@@ -83,6 +83,14 @@ REPORT_DIGESTS = {
     (0.8, "clp-star", "report.csv"): "04ce54a6c32d331c5545a45a673e70f7728c415c1035e4ef64b6c3f9ae333c03",
     (0.8, "clp-star", "summary.csv"): "20205b5d2165782ca30c19cb8c4abd989ab912759667fad7b7a0a1da2ee8c533",
 }
+# SHA-256 of report.csv of `clprop run --method clp --seeds 0,1` with one override flag,
+# on SyntheticSpec(300, 3, 8.0, 0.2, 11)
+OVERRIDE_DIGESTS = {
+    ("--normalize-messages", "on"): "d4d0e186d0e18563c425a86bc59eea6e7ba012293e93974bb7f983ab152a1a8e",
+    ("--normalize-messages", "off"): "c206fa4a4ba013bd23272288842ce7ccede9e00f0e62359187bffac1723bbac7",
+    ("--teleport", "base"): "c206fa4a4ba013bd23272288842ce7ccede9e00f0e62359187bffac1723bbac7",
+    ("--teleport", "prior"): "d4334696f9c9f9c9675bfa9b0fafe5ae857e7cb56722d2e6a937ed4eb91f7f37",
+}
 
 
 def small_config(**overrides):
@@ -386,6 +394,18 @@ class TestReports:
         for name in ("report.csv", "summary.csv"):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == REPORT_DIGESTS[h, method, name], name
+
+    @pytest.mark.parametrize("flag", sorted(OVERRIDE_DIGESTS))
+    def test_override_report_bytes_match_recorded_digests(self, flag, tmp_path):
+        save_graph(generate(SyntheticSpec(300, 3, 8.0, 0.2, 11))[0], tmp_path / "ds")
+        out = tmp_path / "out"
+        args = ["run", "--dataset", str(tmp_path / "ds"), "--method", "clp",
+                "--seeds", "0,1", "--out", str(out), *flag]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli_main(args) == 0
+        digest = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
+        assert digest == OVERRIDE_DIGESTS[flag]
 
     def test_run_json_records_mlp_facts(self, small_graph, tmp_path):
         # a patience below the budget, so early stopping may end a run
@@ -829,13 +849,22 @@ class TestCli:
         lines = (out / "compat_quality.csv").read_text().splitlines()
         assert lines[1:] == [",".join(pipeline._fmt(v) for v in row.values()) for row in rows]
 
-    @pytest.mark.parametrize("teleport", ["base", "prior"])
-    def test_teleport_flag_reaches_report(self, teleport, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, word, column",
+        [
+            ("--teleport", "base", "chosen_teleport"),
+            ("--teleport", "prior", "chosen_teleport"),
+            ("--normalize-messages", "on", "chosen_normalization"),
+            ("--normalize-messages", "off", "chosen_normalization"),
+        ],
+        ids=["teleport-base", "teleport-prior", "normalize-on", "normalize-off"],
+    )
+    def test_override_flag_reaches_report(self, flag, word, column, tmp_path):
         out = tmp_path / "out"
         args = ["run", "--config", str(self._fast_config(tmp_path)), "--method", "clp",
-                "--teleport", teleport, "--out", str(out)]
+                flag, word, "--out", str(out)]
         assert cli_main(args) == 0
-        assert self._report_row(out)["chosen_teleport"] == teleport
+        assert self._report_row(out)[column] == word
 
     @pytest.mark.parametrize(
         "args, message",
