@@ -25,8 +25,8 @@ import numpy as np
 from .graph import GraphFormatError, save_graph
 from .mlp import TrainingDivergedError
 from .pipeline import (
-    NORMALIZATION_CHOICES,
-    TELEPORT_CHOICES,
+    NORMALIZATIONS,
+    TELEPORTS,
     ExperimentConfig,
     inspect_dataset,
     load_config,
@@ -84,12 +84,14 @@ _FLAGS = {
                                  default=("mlp_only", "clp"), help="comma list (default mlp,clp)")),
     "alpha": ("--alpha", dict(type=_comma_list(float, "floats"),
                               help="comma-separated alpha grid, each in (0,1)")),
-    "normalize-messages": ("--normalize-messages", dict(choices=list(NORMALIZATION_CHOICES))),
-    "teleport": ("--teleport", dict(choices=list(TELEPORT_CHOICES))),
+    "normalize-messages": ("--normalize-messages", dict(choices=[*NORMALIZATIONS, "auto"])),
+    "teleport": ("--teleport", dict(choices=[*TELEPORTS, "auto"])),
 }
 # flag -> the ExperimentConfig field it overrides when given
 _CONFIG_FIELDS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alpha": "alpha_grid",
                   "out": "output_dir", "directed": "directed"}
+# flag -> the PropagationOverrides field it overrides when given
+_PROPAGATION_FIELDS = {"normalize_messages": "message_normalization", "teleport": "teleport_source"}
 
 
 def _dataset_from_args(flags: dict):
@@ -114,18 +116,16 @@ def _config_from_args(args) -> ExperimentConfig:
     updates = {field: flags[flag] for flag, field in _CONFIG_FIELDS.items() if flags.get(flag)}
     if dataset is not None:
         updates["dataset"] = dataset
-    prop_updates = {}
-    if flags.get("normalize_messages") is not None:
-        prop_updates["message_normalization"] = NORMALIZATION_CHOICES[flags["normalize_messages"]]
-    if flags.get("teleport") is not None:
-        prop_updates["teleport_source"] = TELEPORT_CHOICES[flags["teleport"]]
-    if prop_updates:
-        updates["propagation"] = dataclasses.replace(config.propagation, **prop_updates)
+    prop = {field: flags[flag] for flag, field in _PROPAGATION_FIELDS.items() if flags.get(flag)}
+    if prop:
+        updates["propagation"] = dataclasses.replace(config.propagation, **prop)
     return dataclasses.replace(config, **updates) if updates else config
 
 
 def _cmd_synth(args) -> int:
     seeds = args.seeds or (0,)
+    if len(seeds) > 1:
+        raise _UsageError(f"synth takes one seed, got {len(seeds)}")
     out = Path(args.out)
     for idx, level in enumerate(_H_LEVELS):
         spec = preset_spec(args.preset, snap_h_fraction(level), seeds[0], args.scale)

@@ -15,6 +15,7 @@ instead.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 import struct
 from dataclasses import dataclass
@@ -81,13 +82,17 @@ class TrainConfig:
     num_hidden_layers: int = 1
 
     def __post_init__(self):
-        for name in ("epochs", "early_stop_patience", "hidden_dim", "num_hidden_layers"):
+        reals = ("learning_rate", "weight_decay")
+        for name in ("epochs", "early_stop_patience", "hidden_dim", "num_hidden_layers") + reals:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            kind = numbers.Real if name in reals else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "a number" if name in reals else "an integer"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         # learning_rate 0 is admitted as a diagnostic no-op run
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be a finite nonnegative number, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.early_stop_patience < 0:

@@ -14,6 +14,7 @@ writes its files to ``config.output_dir`` when that is set (nothing otherwise).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -45,24 +46,39 @@ DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
 METHODS = ("mlp_only", "lp", "clp", "clp_star")
 
-# Spellings of the propagation overrides in config files and on the command line.
-NORMALIZATION_CHOICES = {"on": True, "off": False, "auto": None}
-TELEPORT_CHOICES = {"base": "base_prediction", "prior": "prior", "auto": None}
+# The choices of the candidate grid, spelled as in config files, flags and
+# report.csv; "auto" evaluates each tuple's choices in this order.
+NORMALIZATIONS = ("off", "on")
+TELEPORTS = ("base", "prior")
 
 
 @dataclass(frozen=True)
 class PropagationOverrides:
-    """Pipeline-level propagation knobs; None means "select by validation"."""
+    """Pipeline-level propagation knobs: ``message_normalization`` is "on",
+    "off" or "auto", ``teleport_source`` is "base" (the MLP's prediction),
+    "prior" or "auto"; "auto" selects by validation."""
 
-    message_normalization: bool | None = None
-    teleport_source: str | None = None
+    message_normalization: str = "auto"
+    teleport_source: str = "auto"
 
     def __post_init__(self):
         norm = self.message_normalization
-        if not (norm is None or isinstance(norm, bool)):
+        if norm not in ("auto", *NORMALIZATIONS):
             raise ValueError(f"message normalization must be on, off or auto, got {norm!r}")
-        if self.teleport_source not in (None, "base_prediction", "prior"):
-            raise ValueError(f"unknown teleport source {self.teleport_source!r}")
+        if self.teleport_source not in ("auto", *TELEPORTS):
+            raise ValueError(f"teleport source must be base, prior or auto, "
+                             f"got {self.teleport_source!r}")
+
+
+_KIND_WORDS = {numbers.Integral: "an integer", numbers.Real: "a number", str: "a string",
+               bool: "true or false"}
+
+
+def _check_kind(name: str, value, kind) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is of ``kind``; a bool
+    is only ever of kind bool."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KIND_WORDS[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,11 @@ class ExperimentConfig:
         if not self.seeds or not all(
                 isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
             raise ValueError(f"seeds must be one or more integers, got {list(self.seeds)}")
+        _check_kind("directed", self.directed, bool)
+        if self.output_dir is not None:
+            _check_kind("output_dir", self.output_dir, str)
+        for alpha in self.alpha_grid:
+            _check_kind("alpha_grid value", alpha, numbers.Real)
         if not isinstance(self.scheme, str) or self.scheme not in SPLIT_RATIOS:
             raise ValueError(
                 f"unknown split scheme {self.scheme!r} (choose from {list(SPLIT_RATIOS)})")
@@ -107,21 +128,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """
     try:
         data = dict(raw)
-        if "mlp" in data:
-            data["mlp"] = _from_fields(TrainConfig, data["mlp"], "mlp")
-        if "propagation" in data:
-            prop = data["propagation"]
-            for key, choices in (
-                ("message_normalization", NORMALIZATION_CHOICES),
-                ("teleport_source", TELEPORT_CHOICES),
-            ):
-                if isinstance(prop, dict) and isinstance(prop.get(key), str):
-                    prop = {**prop, key: choices.get(prop[key], prop[key])}
-            data["propagation"] = _from_fields(PropagationOverrides, prop, "propagation")
-        if "seeds" in data:
-            data["seeds"] = tuple(data["seeds"])
-        if "alpha_grid" in data:
-            data["alpha_grid"] = tuple(float(a) for a in data["alpha_grid"])
+        for key, cls in (("mlp", TrainConfig), ("propagation", PropagationOverrides)):
+            if key in data:
+                data[key] = _from_fields(cls, data[key], key)
+        for key in ("seeds", "alpha_grid"):
+            if key in data:
+                data[key] = tuple(data[key])
         return _from_fields(ExperimentConfig, data, "top-level")
     except TypeError as exc:
         raise ValueError(f"malformed config: {exc}") from None
@@ -151,6 +163,9 @@ def resolve_dataset(dataset, directed: bool = False) -> Graph:
 # required and optional keys of the two synthetic dataset forms
 _PRESET_KEYS = ({"preset"}, {"scale", "h", "seed"})
 _SIZE_KEYS = ({"num_nodes", "num_classes", "target_avg_degree"}, {"h", "seed"})
+# the kind of each dataset value that is not an integer
+_DATASET_KINDS = {"preset": str, "scale": numbers.Real, "h": numbers.Real,
+                  "target_avg_degree": numbers.Real}
 
 
 def synthetic_spec_from_dict(dataset: dict) -> SyntheticSpec:
@@ -164,20 +179,12 @@ def synthetic_spec_from_dict(dataset: dict) -> SyntheticSpec:
                           ("missing", required - set(dataset))):
         if keys:
             raise ValueError(f"{problem} dataset config keys: {', '.join(sorted(keys))}")
-    try:
-        h = snap_h_fraction(float(dataset.get("h", 0.5)))
-        seed = int(dataset.get("seed", 0))
-        if "preset" in dataset:
-            return preset_spec(dataset["preset"], h, seed, float(dataset.get("scale", 1.0)))
-        return SyntheticSpec(
-            num_nodes=int(dataset["num_nodes"]),
-            num_classes=int(dataset["num_classes"]),
-            target_avg_degree=float(dataset["target_avg_degree"]),
-            p_in_fraction=h,
-            seed=seed,
-        )
-    except TypeError as exc:
-        raise ValueError(f"malformed config: {exc}") from None
+    for key, value in dataset.items():
+        _check_kind(f"dataset {key}", value, _DATASET_KINDS.get(key, numbers.Integral))
+    h, seed = snap_h_fraction(dataset.get("h", 0.5)), dataset.get("seed", 0)
+    if "preset" in dataset:
+        return preset_spec(dataset["preset"], h, seed, dataset.get("scale", 1.0))
+    return SyntheticSpec(**{key: dataset[key] for key in required}, p_in_fraction=h, seed=seed)
 
 
 def standardize_features(features: np.ndarray) -> np.ndarray:
@@ -194,7 +201,7 @@ class SeedResult:
     test_accuracy: float
     val_accuracy: float
     chosen_alpha: float | None = None
-    chosen_normalization: bool | None = None
+    chosen_normalization: str | None = None
     chosen_teleport: str | None = None
     compat_distance: float | None = None
     convergence: str = ""
@@ -260,11 +267,11 @@ def train_base_predictors(config: ExperimentConfig) -> list[tuple[int, float, in
 
 
 def _select(options, run, labels, validation):
-    """Run every ``(alpha, normalization, teleport)`` option through ``run``.
+    """Run every ``(alpha, teleport, normalization)`` option through ``run``.
 
     Returns the first option with the best validation accuracy as
     ``(val, option, beliefs)`` (None when every option diverged) and the
-    candidate log of ``(alpha, normalization, teleport, val, status)``.
+    candidate log of ``(alpha, teleport, normalization, val, status)``.
     """
     best = None
     candidates = []
@@ -295,7 +302,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         teleport = np.zeros_like(y_hot)
         teleport[split.train] = y_hot[split.train]
 
-        def run(alpha, _norm, _teleport):
+        def run(alpha, _teleport, _norm):
             return propagate_lp(operator, teleport, PropagationConfig(alpha))[0]
 
     else:
@@ -313,24 +320,17 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         b0 = prior_beliefs(d_hat, y_hot, split.train)
         h_hat = estimate_compatibility(graph, b0, y_hot, split.train)
         base.compat_distance = metrics.compat_distance(metrics.true_compatibility(graph), h_hat)
-        prop = config.propagation
-        norms = (False, True) if prop.message_normalization is None else (prop.message_normalization,)
-        teleport_names = (
-            ("base_prediction", "prior") if prop.teleport_source is None else (prop.teleport_source,)
-        )
-        options = [
-            (alpha, norm, name)
-            for alpha in config.alpha_grid
-            for name in teleport_names
-            for norm in norms
-        ]
-        teleports = {"base_prediction": d_hat, "prior": b0}
+        name, norm = config.propagation.teleport_source, config.propagation.message_normalization
+        options = itertools.product(config.alpha_grid,
+                                    TELEPORTS if name == "auto" else (name,),
+                                    NORMALIZATIONS if norm == "auto" else (norm,))
+        teleports = {"base": d_hat, "prior": b0}
         propagate = propagate_clp if config.method == "clp" else propagate_clp_star
         awf = edge_weights(graph, b0, h_hat, receiver=config.method == "clp")
 
-        def run(alpha, norm, teleport_name):
-            pcfg = PropagationConfig(alpha, message_normalization=norm)
-            return propagate(awf, teleports[teleport_name], pcfg)[0]
+        def run(alpha, teleport, norm):
+            pcfg = PropagationConfig(alpha, message_normalization=norm == "on")
+            return propagate(awf, teleports[teleport], pcfg)[0]
 
     best, base.candidate_log = _select(options, run, labels, split.validation)
     if best is None:
@@ -343,7 +343,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         base.fallback = True
         return base
 
-    val, (alpha, norm, teleport_name), beliefs = best
+    val, (alpha, teleport, norm), beliefs = best
     if config.method != "lp":
         base.convergence = _convergence_summary(convergence_check(awf, alpha))
     return dataclasses.replace(
@@ -352,7 +352,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         val_accuracy=val,
         chosen_alpha=alpha,
         chosen_normalization=norm,
-        chosen_teleport=teleport_name,
+        chosen_teleport=teleport,
     )
 
 
@@ -377,8 +377,6 @@ def _atomic_write(path: Path, text: str) -> None:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "on" if value else "off"
     if isinstance(value, float):  # float() first: repr(np.float64) is "np.float64(...)"
         return repr(float(value))
     return str(value)
@@ -416,7 +414,7 @@ def write_report(report: RunReport, config: ExperimentConfig) -> None:
                 r.val_accuracy,
                 r.chosen_alpha,
                 r.chosen_normalization,
-                {"base_prediction": "base", "prior": "prior", None: None}[r.chosen_teleport],
+                r.chosen_teleport,
                 r.compat_distance,
                 r.convergence,
                 r.checkpoint,

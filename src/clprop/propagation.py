@@ -6,12 +6,13 @@ CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  The sender-only variant
 CLP* drops the receiver factor, ``F_ij = b0[i] @ H``, and is otherwise the
 same propagation: same solver, same certificate, same message normalization.
 
-An :class:`EdgeWeightTensor` stores its weights once, in the block-diagonal
-CSR matrix ``operator`` built by its constructor: the arcs ordered stably by
-receiver, the weights stored class by class, and row ``k*n + j`` holding
-``F_ij[k]`` at column ``k*n + i`` for each arc (i, j) into j.  Every
-computation on the weights reads that matrix or its views on the tensor.
-Beliefs are flat class-major vectors inside the solver.
+An :class:`EdgeWeightTensor` lists its arcs in one order, stably by
+receiver, and stores its weights once, in the block-diagonal CSR matrix
+``operator`` built by its constructor: the weights stored class by class, and
+row ``k*n + j`` holding ``F_ij[k]`` at column ``k*n + i`` for each arc (i, j)
+into j.  Every computation on the weights reads that matrix or its views on
+the tensor, and every per-arc array it returns is in that arc order.  Beliefs
+are flat class-major vectors inside the solver.
 
 - The unnormalized step is one CSR mat-vec with ``operator``.
 - The normalized step gathers the sender beliefs, multiplies them by
@@ -85,23 +86,17 @@ class IterationRecord:
     residual: float
 
 
-def _receiver_order(arcs: np.ndarray) -> np.ndarray:
-    """The arc indices sorted stably by receiver: position p holds arc
-    ``_receiver_order(arcs)[p]``."""
-    return np.argsort(arcs[:, 1], kind="stable")
-
-
 class EdgeWeightTensor:
     """Per-arc, per-class propagation weights.
 
-    ``arcs[a] = (i, j)`` carries the weight vector ``weights[a] = F_ij``; the
-    arcs are distinct, and all entries are products of probabilities and lie
-    in [0, 1].  The tensor stores them once, as the block-diagonal
-    ``operator`` of the module docstring, whose positions are the arcs in
-    :func:`_receiver_order`.  ``class_weights`` (classes x positions) is a
-    view of ``operator.data`` and ``senders`` one of class 0's column
-    indices; all three are read-only.  ``weights`` rebuilds the arc-major
-    array on each access.
+    The caller's ``arcs[a] = (i, j)`` carries the weight vector ``weights[a] =
+    F_ij``; the arcs are distinct, and all entries are products of
+    probabilities and lie in [0, 1].  The tensor keeps one arc order, stable
+    by receiver: ``self.arcs``, the rows of ``weights`` (a new array on each
+    access) and the columns of ``class_weights`` follow it.  The weights are
+    stored once, as the block-diagonal ``operator`` of the module docstring;
+    ``class_weights`` is a view of ``operator.data`` and ``senders`` one of
+    class 0's column indices, and all three are read-only.
     """
 
     def __init__(self, arcs: np.ndarray, weights: np.ndarray, node_count: int):
@@ -111,19 +106,17 @@ class EdgeWeightTensor:
             raise ValueError(f"arc endpoints must lie in [0, {node_count})")
         if weights.size and (weights.min() < -_WEIGHT_SLACK or weights.max() > 1 + _WEIGHT_SLACK):
             raise ValueError("edge weights must lie in [0, 1]")
-        self.arcs = arcs
+        order = np.argsort(arcs[:, 1], kind="stable")
+        self.arcs = arcs[order]
         self.node_count = node_count
         n, (m, c) = node_count, weights.shape
-        order = _receiver_order(arcs)
         # scipy keeps int32 index arrays as they are; int64 ones it copies down when they fit
         index_type = np.int32 if c * max(n, m) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(c * n + 1, dtype=index_type)
         np.cumsum(np.tile(np.bincount(arcs[:, 1], minlength=n), c), out=indptr[1:])
-        senders = arcs[order, 0].astype(index_type)
+        senders = self.arcs[:, 0].astype(index_type)
         indices = (np.arange(c, dtype=index_type)[:, None] * n + senders).ravel()
-        data = np.empty((c, m))
-        for k in range(c):
-            data[k] = weights[order, k]
+        data = np.ascontiguousarray(weights[order].T, dtype=np.float64)
         self.operator = sparse.csr_matrix((data.ravel(), indices, indptr), shape=(c * n, c * n))
         for array in (self.operator.data, self.operator.indices, self.operator.indptr):
             array.flags.writeable = False
@@ -134,17 +127,10 @@ class EdgeWeightTensor:
     def num_classes(self) -> int:
         return self.class_weights.shape[0]
 
-    def _arc_major(self, rows: np.ndarray) -> np.ndarray:
-        """Class-major ``rows`` (classes x positions) as a new (arcs x classes)
-        array in arc order."""
-        out = np.empty(rows.T.shape)
-        out[_receiver_order(self.arcs)] = rows.T
-        return out
-
     @property
     def weights(self) -> np.ndarray:
-        """The (arcs x classes) weights in arc order, a new array."""
-        return self._arc_major(self.class_weights)
+        """The (arcs x classes) weights in the order of ``arcs``, a new array."""
+        return self.class_weights.T.copy()
 
     @cached_property
     def per_class(self) -> tuple[sparse.csr_matrix, ...]:
@@ -163,24 +149,21 @@ class EdgeWeightTensor:
 
     @classmethod
     def from_slices(cls, slices) -> "EdgeWeightTensor":
-        """Build from receiver-row slices sharing one sparsity pattern."""
+        """Build from receiver-row slices sharing one sparsity pattern; the
+        arcs are its entries in sorted CSR order, by receiver, then sender."""
         if not slices:
             raise ValueError("at least one class slice is required")
         mats = [sparse.csr_matrix(s, copy=True) for s in slices]  # sort_indices works in place
-        ref = mats[0]
-        ref.sort_indices()
-        n = ref.shape[0]
-        for m in mats[1:]:
+        for m in mats:
             m.sort_indices()
-            if m.shape != ref.shape or not (
-                np.array_equal(m.indptr, ref.indptr) and np.array_equal(m.indices, ref.indices)
-            ):
-                raise ValueError("class slices must share one sparsity pattern")
+        ref = mats[0]
+        if any(m.shape != ref.shape or not (np.array_equal(m.indptr, ref.indptr)
+                                            and np.array_equal(m.indices, ref.indices))
+               for m in mats[1:]):
+            raise ValueError("class slices must share one sparsity pattern")
         coo = ref.tocoo()
         arcs = np.stack([coo.col, coo.row], axis=1).astype(np.int64)
-        order = np.lexsort((arcs[:, 1], arcs[:, 0]))
-        weights = np.column_stack([m.tocoo().data for m in mats])[order]
-        return cls(arcs[order], weights, n)
+        return cls(arcs, np.column_stack([m.data for m in mats]), ref.shape[0])
 
 
 def edge_weights(
@@ -244,10 +227,9 @@ def _class_sums(rows: np.ndarray) -> np.ndarray:
 def _messages(
     awf: EdgeWeightTensor, beliefs: np.ndarray, out: np.ndarray, normalize: bool
 ) -> np.ndarray:
-    """Write the messages ``F_ij[k] * beliefs[k, i]`` of every position of
-    ``awf`` into ``out`` (classes x positions), optionally divided by their
-    class sum where that sum is positive; ``beliefs`` is class-major
-    (classes x nodes)."""
+    """Write the messages ``F_ij[k] * beliefs[k, i]`` of every arc of ``awf``
+    into ``out`` (classes x arcs), optionally divided by their class sum where
+    that sum is positive; ``beliefs`` is class-major (classes x nodes)."""
     # senders are validated node ids, so "clip" never clips; it only avoids
     # the buffered copy that "raise" makes of ``out``
     np.take(beliefs, awf.senders, axis=1, out=out, mode="clip")
@@ -261,15 +243,14 @@ def _messages(
 
 
 def compute_messages(awf: EdgeWeightTensor, b: Beliefs, normalize: bool = False) -> np.ndarray:
-    """Per-arc messages F_ij * B_i in arc order, optionally normalized to
-    unit sum.
+    """Per-arc messages F_ij * B_i (arcs x classes) in the order of
+    ``awf.arcs``, optionally normalized to unit sum.
 
     Messages that do not sum above zero are left as they are.
     """
     if b.values.shape != (awf.node_count, awf.num_classes):
         raise ValueError("beliefs shape does not match the edge weight tensor")
-    msgs = _messages(awf, b.values.T, np.empty(awf.class_weights.shape), normalize)
-    return awf._arc_major(msgs)
+    return _messages(awf, b.values.T, np.empty(awf.class_weights.shape), normalize).T
 
 
 def _normalized_step(awf: EdgeWeightTensor):

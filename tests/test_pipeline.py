@@ -136,10 +136,10 @@ class TestConfig:
         cfg = config_from_dict(raw)
         assert cfg.seeds == (0, 1, 2)
         assert cfg.mlp.hidden_dim == 32
-        assert cfg.propagation.teleport_source == "base_prediction"
-        assert cfg.propagation.message_normalization is False
+        assert cfg.propagation == PropagationOverrides(message_normalization="off",
+                                                       teleport_source="base")
 
-    def test_auto_maps_to_none(self):
+    def test_auto_is_the_default(self):
         cfg = config_from_dict(
             {
                 "dataset": "some/dir",
@@ -147,8 +147,8 @@ class TestConfig:
                 "propagation": {"message_normalization": "auto", "teleport_source": "auto"},
             }
         )
-        assert cfg.propagation.message_normalization is None
-        assert cfg.propagation.teleport_source is None
+        assert cfg.propagation == PropagationOverrides()
+        assert cfg.propagation.message_normalization == cfg.propagation.teleport_source == "auto"
 
     def test_alpha_grid_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -183,26 +183,30 @@ class TestConfig:
         [
             ({"dataset": "d"}, "missing 1 required positional argument: 'seeds'"),
             ({"dataset": "d", "seeds": 5}, "'int' object is not iterable"),
-            ({"dataset": "d", "seeds": [0], "mlp": {"learning_rate": "fast"}}, "'<' not supported"),
         ],
     )
     def test_missing_keys_and_mistyped_values(self, raw, reason):
         with pytest.raises(ValueError, match=f"malformed config: .*{reason}"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("value", ["maybe", 0, 1, "true"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"directed": "no"}, "directed must be true or false, got 'no'"),
+            ({"output_dir": 5}, "output_dir must be a string, got 5"),
+            ({"alpha_grid": ["0.5"]}, "alpha_grid value must be a number, got '0.5'"),
+        ],
+    )
+    def test_mistyped_values_name_the_field(self, extra, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({"dataset": "d", "seeds": [0], **extra})
+
+    @pytest.mark.parametrize("value", ["maybe", 0, 1, "true", True, False, None])
     def test_message_normalization_rejects_other_values(self, value):
         with pytest.raises(ValueError, match="message normalization must be on, off or auto"):
             config_from_dict(
                 {"dataset": "d", "seeds": [0], "propagation": {"message_normalization": value}}
             )
-
-    def test_json_booleans_and_null_are_accepted(self):
-        for value in (True, False, None):
-            cfg = config_from_dict(
-                {"dataset": "d", "seeds": [0], "propagation": {"message_normalization": value}}
-            )
-            assert cfg.propagation.message_normalization is value
 
     @pytest.mark.parametrize(
         "dataset, message",
@@ -211,6 +215,12 @@ class TestConfig:
             ({"preset": "syn1", "scael": 0.02}, "unknown dataset config keys: scael"),
             ({**SMALL_DATASET, "scale": 0.5}, "unknown dataset config keys: scale"),
             (5, "dataset must be a directory path or an object, got 5"),
+            ({**SMALL_DATASET, "h": "0.2"}, "dataset h must be a number, got '0.2'"),
+            ({"preset": "syn1", "scale": "0.02"}, "dataset scale must be a number, got '0.02'"),
+            ({**SMALL_DATASET, "num_nodes": 300.7}, "dataset num_nodes must be an integer, got 300.7"),
+            ({**SMALL_DATASET, "num_classes": 3.0}, "dataset num_classes must be an integer, got 3.0"),
+            ({**SMALL_DATASET, "seed": True}, "dataset seed must be an integer, got True"),
+            ({"preset": 2}, "dataset preset must be a string, got 2"),
         ],
     )
     def test_synthetic_dataset_keys_are_checked(self, dataset, message):
@@ -244,7 +254,7 @@ class TestRunPipeline:
         evaluated = [c for c in result.candidate_log if c[4] == "ok"]
         best_val = max(c[3] for c in evaluated)
         assert result.val_accuracy == best_val
-        chosen = (result.chosen_alpha, result.chosen_normalization, result.chosen_teleport)
+        chosen = (result.chosen_alpha, result.chosen_teleport, result.chosen_normalization)
         assert any(
             (c[0], c[1], c[2]) == chosen and c[3] == best_val for c in evaluated
         )
@@ -435,13 +445,26 @@ class TestReports:
         ]
 
     def test_csv_cells_write_numpy_floats_as_python_floats(self, tmp_path):
-        rows = [(np.float64(0.1), 0.25, True, None, "x")]
+        rows = [(np.float64(0.1), 0.25, "on", None, "x")]
         pipeline._write_csv(tmp_path / "t.csv", "a,b,c,d,e", rows)
         assert (tmp_path / "t.csv").read_text() == "a,b,c,d,e\n0.1,0.25,on,,x\n"
 
     def test_csv_writer_creates_the_directory(self, tmp_path):
         pipeline._write_csv(tmp_path / "a" / "b" / "t.csv", "x", [(1,)])
         assert (tmp_path / "a" / "b" / "t.csv").read_text() == "x\n1\n"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [PropagationOverrides(), PropagationOverrides(message_normalization="on",
+                                                      teleport_source="prior")],
+        ids=["auto", "on-prior"],
+    )
+    def test_run_json_config_loads_back(self, overrides, small_graph, tmp_path):
+        config = small_config(seeds=(0,), alpha_grid=(0.5,), propagation=overrides,
+                              output_dir=str(tmp_path))
+        run_pipeline(config, graph=small_graph)
+        written = json.loads((tmp_path / "run.json").read_text())["config"]
+        assert config_from_dict(written) == config
 
     def test_timestamp_confined_to_json_header(self, small_graph, tmp_path):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
@@ -769,6 +792,17 @@ class TestCli:
             {"mlp": 5},
             {"propagation": "on"},
             {"seeds": [0.7]},
+            {"directed": "no"},
+            {"alpha_grid": ["0.5"]},
+            {"output_dir": 5},
+            {"dataset": {**SMALL_DATASET, "h": "0.2"}},
+            {"dataset": {"preset": "syn1", "scale": "0.02"}},
+            {"dataset": {**SMALL_DATASET, "num_nodes": 300.7}},
+            {"dataset": {**SMALL_DATASET, "num_classes": 3.0}},
+            {"dataset": {**SMALL_DATASET, "seed": True}},
+            {"propagation": {"message_normalization": True}},
+            {"propagation": {"message_normalization": None}},
+            {"propagation": {"teleport_source": "base_prediction"}},
         ],
     )
     def test_bad_config_file_is_data_error(self, raw, tmp_path, capsys):
@@ -789,6 +823,11 @@ class TestCli:
             ({"weight_decay": -1e-4}, "weight_decay"),
             ({"epochs": 2.5, "early_stop_patience": 1}, "epochs"),
             ({"hidden_dim": 2.5}, "hidden_dim"),
+            ({"learning_rate": True}, "learning_rate"),
+            ({"learning_rate": "0.1"}, "learning_rate"),
+            ({"learning_rate": "fast"}, "learning_rate"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"weight_decay": "0"}, "weight_decay"),
         ],
     )
     def test_out_of_range_mlp_config_is_data_error(self, command, mlp, field, tmp_path, capsys):
@@ -875,12 +914,16 @@ class TestCli:
             (["train", "--preset", "syn1", "--scale", "0.02", "--seeds", "0"],
              "train requires --out"),
             (["sweep", "--config", "CONFIG"], "sweep requires a synthetic dataset"),
+            (["synth", "--preset", "syn1", "--scale", "0.02", "--seeds", "4,5", "--out", "OUT"],
+             "synth takes one seed, got 2"),
         ],
-        ids=["dataset-and-preset", "no-dataset", "train-without-out", "sweep-dataset-directory"],
+        ids=["dataset-and-preset", "no-dataset", "train-without-out", "sweep-dataset-directory",
+             "synth-two-seeds"],
     )
     def test_usage_errors(self, args, message, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": str(tmp_path / "ds"), "seeds": [0]}))
-        args = [str(config) if arg == "CONFIG" else arg for arg in args]
-        assert cli_main(args) == 1
+        places = {"CONFIG": str(config), "OUT": str(tmp_path / "out")}
+        assert cli_main([places.get(arg, arg) for arg in args]) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not (tmp_path / "out").exists()

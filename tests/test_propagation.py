@@ -160,10 +160,18 @@ class TestEdgeWeightTensor:
             assert np.shares_memory(awf.class_weights, op.data)
             assert np.shares_memory(awf.senders, op.indices)
             assert all(np.shares_memory(s.data, awf.class_weights) for s in slices)
-        # the float buffer of C*m entries is op.data alone, and no index array is copied
+        # the float buffer of C*m entries is op.data alone, and no index array is held twice
         stores = {id(_owner(a)) for a in (awf.arcs, op.data, op.indices, op.indptr)}
         assert {id(_owner(a)) for a in _held_arrays(awf)} == stores
-        np.testing.assert_array_equal(awf.weights, weights)
+        # arcs, weights, class_weights and messages share one order: stable by receiver
+        order = np.argsort(graph.arcs[:, 1], kind="stable")
+        np.testing.assert_array_equal(awf.arcs, graph.arcs[order])
+        np.testing.assert_array_equal(awf.weights, weights[order])
+        np.testing.assert_array_equal(awf.class_weights.T, awf.weights)
+        np.testing.assert_array_equal(awf.senders, awf.arcs[:, 0])
+        beliefs = Beliefs(rng.random((n, num_classes)), "propagated")
+        np.testing.assert_array_equal(compute_messages(awf, beliefs),
+                                      awf.weights * beliefs.values[awf.arcs[:, 0]])
 
     def test_rejects_out_of_range_weights(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -478,7 +486,7 @@ class TestNoStateOutlivesACall:
 
 def _receiver_sums(graph, awf):
     sums = np.zeros((graph.node_count, awf.num_classes))
-    np.add.at(sums, graph.arcs[:, 1], awf.weights)
+    np.add.at(sums, awf.arcs[:, 1], awf.weights)
     return sums
 
 
@@ -504,9 +512,10 @@ class TestPropagateClpStar:
                 graph.num_classes, directed=True,
             )
         awf = edge_weights(graph, b0, compat, receiver=False)
-        np.testing.assert_array_equal(awf.arcs, graph.arcs)
+        order = np.argsort(graph.arcs[:, 1], kind="stable")
+        np.testing.assert_array_equal(awf.arcs, graph.arcs[order])
         np.testing.assert_array_equal(
-            awf.weights, (b0.values @ compat.values)[graph.arcs[:, 0]]
+            awf.weights, (b0.values @ compat.values)[awf.arcs[:, 0]]
         )
         np.testing.assert_allclose(
             _receiver_sums(graph, awf),
