@@ -267,22 +267,27 @@ def train_base_predictors(config: ExperimentConfig) -> list[tuple[int, float, in
 
 
 def _select(options, run, labels, validation):
-    """Run every ``(alpha, teleport, normalization)`` option through ``run``.
+    """Run every ``(alpha, teleport, normalization)`` option through ``run``,
+    which returns the beliefs and the iteration log.
 
     Returns the first option with the best validation accuracy as
     ``(val, option, beliefs)`` (None when every option diverged) and the
-    candidate log of ``(alpha, teleport, normalization, val, status)``.
+    candidate log of ``(alpha, teleport, normalization, val, status)``.  The
+    status is "converged", "diverged" or "budget": the last residual is at or
+    above the default tolerance of :class:`PropagationConfig`, at which every
+    candidate runs, so all ``max_iters`` steps ran.  Budget stops still compete.
     """
     best = None
     candidates = []
     for option in options:
         try:
-            beliefs = run(*option)
+            beliefs, log = run(*option)
         except DivergenceError:
             candidates.append((*option, None, "diverged"))
             continue
         val = metrics.accuracy(beliefs, labels, validation)
-        candidates.append((*option, val, "ok"))
+        status = "converged" if log[-1].residual < PropagationConfig.tol else "budget"
+        candidates.append((*option, val, status))
         if best is None or val > best[0]:
             best = (val, option, beliefs)
     return best, candidates
@@ -303,7 +308,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         teleport[split.train] = y_hot[split.train]
 
         def run(alpha, _teleport, _norm):
-            return propagate_lp(operator, teleport, PropagationConfig(alpha))[0]
+            return propagate_lp(operator, teleport, PropagationConfig(alpha))
 
     else:
         params, d_hat, training_log = _train_base_predictor(graph, split, config)
@@ -330,7 +335,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
 
         def run(alpha, teleport, norm):
             pcfg = PropagationConfig(alpha, message_normalization=norm == "on")
-            return propagate(awf, teleports[teleport], pcfg)[0]
+            return propagate(awf, teleports[teleport], pcfg)
 
     best, base.candidate_log = _select(options, run, labels, split.validation)
     if best is None:

@@ -20,12 +20,22 @@ are flat class-major vectors inside the solver.
   positive, and sums each receiver's messages through the same row pointer.
 - Class k's block of ``operator`` is the receiver-row matrix ``slice_k[j, i]
   = F_ij[k]``, a view in ``per_class`` that serves the closed-form solver and
-  the convergence certificate (its norm and spectral radius).  On symmetrized
-  graphs the slice pattern coincides with the arc set.
+  the convergence certificate.  On symmetrized graphs the slice pattern
+  coincides with the arc set.
 
 Each receiver sums its arcs in arc order, and an arc's class sum repeats
 numpy's order for ``ndarray.sum(axis=1)``, so every result is bit-identical
 to the arc-major form ``incidence @ (weights * beliefs[senders])``.
+
+The certificate proves, class by class, whether the unnormalized iteration
+converges at alpha, that is whether ``rho(slice_k) < 1/alpha``.  A class is
+``certified`` when the Frobenius norm of its slice is below 1/alpha.
+Otherwise the Collatz–Wielandt bound ``min_i (Mx)_i/x_i <= rho(M) <= max_i
+(Mx)_i/x_i`` for M >= 0 and x > 0 brackets rho, with x from at most
+``SPECTRAL_STEPS`` (300) power steps from x = 1 and each bound widened by the
+relative rounding margin ``(max row nnz + 2) * 2**-52``.  The class is
+``convergent`` when the upper bound is below 1/alpha, ``divergent`` when the
+lower bound is above it, and ``unproved`` otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +44,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -100,6 +109,7 @@ class EdgeWeightTensor:
     """
 
     def __init__(self, arcs: np.ndarray, weights: np.ndarray, node_count: int):
+        weights = np.asarray(weights, dtype=np.float64)
         if arcs.shape != (weights.shape[0], 2):
             raise ValueError("arcs and weights disagree on the number of arcs")
         if arcs.size and (arcs.min() < 0 or arcs.max() >= node_count):
@@ -116,7 +126,9 @@ class EdgeWeightTensor:
         np.cumsum(np.tile(np.bincount(arcs[:, 1], minlength=n), c), out=indptr[1:])
         senders = self.arcs[:, 0].astype(index_type)
         indices = (np.arange(c, dtype=index_type)[:, None] * n + senders).ravel()
-        data = np.ascontiguousarray(weights[order].T, dtype=np.float64)
+        data = np.empty((c, m))
+        for k in range(c):  # class by class: no (arcs x classes) copy in arc order
+            np.take(weights[:, k], order, out=data[k])
         self.operator = sparse.csr_matrix((data.ravel(), indices, indptr), shape=(c * n, c * n))
         for array in (self.operator.data, self.operator.indices, self.operator.indptr):
             array.flags.writeable = False
@@ -402,83 +414,57 @@ def closed_form_clp(
         raise SingularSystemError(f"singular propagation system{which}: {exc}") from exc
 
 
-class SpectralRadiusEstimate(NamedTuple):
-    value: float
-    residual: float
+SPECTRAL_STEPS = 300  # power steps of the Collatz–Wielandt bracket before it gives up
 
 
-def spectral_radius(
-    m: sparse.spmatrix | np.ndarray,
-    iters: int = 1000,
-    tol: float = 1e-10,
-) -> SpectralRadiusEstimate:
-    """Power-iteration estimate of the dominant eigenvalue magnitude.
+def spectral_radius(m: sparse.spmatrix | np.ndarray, threshold: float) -> tuple[float, float]:
+    """Collatz–Wielandt bracket ``(lower, upper)`` of the spectral radius of ``m``.
 
-    Dense input is converted to CSR first, so one sparse path serves every
-    matrix.  Random start, restarted up to 3 times on stagnation.  Restarts of
-    nonnegative matrices add a diagonal shift, which breaks the period-two
-    oscillation of bipartite-like patterns without changing the Perron root
-    (the shift is subtracted from the estimate).  The residual
-    ||m x - rho x|| is reported; treat large residuals as inconclusive.
+    For M >= 0 and x > 0, ``min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i``
+    (Horn & Johnson, *Matrix Analysis*, section 8.1), and ``rho(m) <=
+    rho(|m|)``.  Starting from x = 1, each step takes ``x <- |m|x / max +
+    1e-12`` (the shift keeps x positive on reducible matrices) until the
+    bracket excludes ``threshold`` or after ``SPECTRAL_STEPS`` steps.  Each
+    bound is widened by the relative margin ``(max row nnz + 2) * 2**-52``,
+    which covers the rounding of ``|m|x`` and of the ratios.  ``lower`` is 0
+    when ``m`` has a negative entry, which ``_WEIGHT_SLACK`` admits down to
+    -1e-12.
     """
-    if not sparse.issparse(m):
-        m = sparse.csr_matrix(m, dtype=np.float64)
+    m = sparse.csr_matrix(m, dtype=np.float64)
     n, ncol = m.shape
     if n != ncol:
         raise ValueError("spectral radius requires a square matrix")
     if m.nnz == 0:
-        return SpectralRadiusEstimate(0.0, 0.0)
+        return 0.0, 0.0
     nonneg = m.data.min() >= 0
-
-    rng = np.random.default_rng(0)
-    best = SpectralRadiusEstimate(0.0, math.inf)
-    shift = 0.0
-    for attempt in range(4):
-        x = rng.random(n) + 0.5 if nonneg else rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        best_res = math.inf
-        stall = 0
-        lam = 0.0
-        for _ in range(iters):
-            y = m @ x
-            if shift:
-                y = y + shift * x
-            ny = float(np.linalg.norm(y))
-            if ny == 0.0:  # x fell into the nullspace: nilpotent direction
-                return SpectralRadiusEstimate(0.0, 0.0)
-            lam = float(x @ y)
-            res = float(np.linalg.norm(y - lam * x))
-            if res < tol * max(1.0, abs(lam)):
-                return SpectralRadiusEstimate(abs(lam - shift), res)
-            if res < best_res * (1.0 - 1e-3):
-                best_res = res
-                stall = 0
-            else:
-                stall += 1
-            x = y / ny
-            if stall >= 50:
-                break
-        estimate = SpectralRadiusEstimate(abs(lam - shift), best_res)
-        if estimate.residual < best.residual:
-            best = estimate
-        if nonneg:
-            shift = 0.75 * max(abs(lam - shift), 1e-6)
-    return best
+    m = m if nonneg else abs(m)
+    margin = (int(np.diff(m.indptr).max()) + 2) * 2.0**-52
+    x = np.ones(n)
+    for _ in range(SPECTRAL_STEPS):
+        y = m @ x
+        ratios = y / x
+        lower = float(ratios.min()) * (1.0 - margin) if nonneg else 0.0
+        upper = float(ratios.max()) * (1.0 + margin)
+        if not lower <= threshold <= upper or upper == 0.0:  # [0, 0] is exact, and y is 0
+            break
+        x = y / y.max() + 1e-12
+    return lower, upper
 
 
 @dataclass(frozen=True)
 class ClassConvergence:
-    """Per-class convergence verdict for a given alpha.
-
-    ``certified`` means the Frobenius norm already proves the spectral radius
-    is below 1/alpha, so no eigen-computation ran and ``rho`` is None.
-    """
+    """Per-class convergence verdict for a given alpha.  ``status`` is
+    ``certified`` (the Frobenius norm is below 1/alpha; no bracket ran, and
+    ``lower``/``upper`` are None), ``convergent`` (the Collatz–Wielandt upper
+    bound, widened by its rounding margin, is below 1/alpha), ``divergent``
+    (the widened lower bound is above it) or ``unproved`` (the bracket still
+    holds 1/alpha after ``SPECTRAL_STEPS`` steps, or has no lower bound)."""
 
     class_index: int
-    status: str  # certified | convergent | divergent | inconclusive
+    status: str  # certified | convergent | divergent | unproved
     frobenius: float
-    rho: float | None = None
-    residual: float | None = None
+    lower: float | None = None
+    upper: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -488,10 +474,14 @@ class ClassConvergence:
 def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConvergence]:
     """Verdict per class: does the fixed-point iteration converge at this alpha?
 
-    A class whose Frobenius norm, an upper bound of the spectral radius, is
-    below 1/alpha is certified; for any other class it runs power iteration
-    on that class's slice.  Every call recomputes the norms: the pipeline
-    certifies only the chosen candidate's alpha, once per seed.
+    A class whose Frobenius norm is below 1/alpha is certified.  Any other
+    gets the bracket ``[lower, upper]`` of its slice's spectral radius from
+    :func:`spectral_radius` (at most ``SPECTRAL_STEPS`` power steps, each
+    bound widened by the rounding margin ``(max row nnz + 2) * 2**-52``): it
+    is convergent when ``upper < 1/alpha``, divergent when ``lower > 1/alpha``
+    and unproved otherwise.  Each verdict is a proof about the unnormalized
+    operator.  Every call recomputes the norms: the pipeline certifies only
+    the chosen candidate's alpha, once per seed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -503,10 +493,12 @@ def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConverge
         if frobenius < threshold:
             verdicts.append(ClassConvergence(k, "certified", frobenius))
             continue
-        rho, residual = spectral_radius(slice_k)
-        if residual <= 1e-6 * max(1.0, rho):
-            status = "convergent" if rho < threshold else "divergent"
+        lower, upper = spectral_radius(slice_k, threshold)
+        if upper < threshold:
+            status = "convergent"
+        elif lower > threshold:
+            status = "divergent"
         else:
-            status = "inconclusive"
-        verdicts.append(ClassConvergence(k, status, frobenius, rho, residual))
+            status = "unproved"
+        verdicts.append(ClassConvergence(k, status, frobenius, lower, upper))
     return verdicts

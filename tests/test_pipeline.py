@@ -13,6 +13,7 @@ import clprop.pipeline as pipeline
 import clprop.propagation as propagation
 from clprop.cli import _build_parser
 from clprop.cli import main as cli_main
+from clprop.compatibility import Beliefs
 from clprop.graph import Graph, build_graph, load_dataset, make_splits, save_graph
 from clprop.mlp import TrainConfig
 from clprop.pipeline import (
@@ -251,13 +252,32 @@ class TestRunPipeline:
     def test_chosen_alpha_maximizes_validation(self, small_graph):
         report = run_pipeline(small_config(seeds=(0,)), graph=small_graph)
         result = report.per_seed[0]
-        evaluated = [c for c in result.candidate_log if c[4] == "ok"]
+        evaluated = [c for c in result.candidate_log if c[4] != "diverged"]
         best_val = max(c[3] for c in evaluated)
         assert result.val_accuracy == best_val
         chosen = (result.chosen_alpha, result.chosen_teleport, result.chosen_normalization)
         assert any(
             (c[0], c[1], c[2]) == chosen and c[3] == best_val for c in evaluated
         )
+
+    def test_select_logs_a_budget_stop_apart_from_convergence(self):
+        """A candidate that runs every step with its residual at or above the
+        tolerance is logged "budget", not "converged", and still competes."""
+        weights = np.array([[0.0, 0.5], [0.5, 0.0]])
+        awf = propagation.EdgeWeightTensor.from_slices([weights, weights])
+        teleport = Beliefs(np.array([[0.9, 0.1], [0.2, 0.8]]), "base_prediction")
+
+        def run(alpha, _teleport, _norm):
+            if alpha == 0.9:
+                _diverge()
+            return propagation.propagate_clp(
+                awf, teleport, propagation.PropagationConfig(alpha, max_iters=3))
+
+        options = [(0.0, "base", "off"), (0.5, "base", "off"), (0.9, "base", "off")]
+        best, log = pipeline._select(options, run, np.array([0, 1]), np.array([0, 1]))
+        assert [c[4] for c in log] == ["converged", "budget", "diverged"]
+        assert [c[3] for c in log] == [1.0, 1.0, None]
+        assert best[:2] == (1.0, options[0])
 
     def test_aggregate_recomputable(self, small_graph):
         report = run_pipeline(small_config(), graph=small_graph)
@@ -290,8 +310,8 @@ class TestRunPipeline:
         result = report.per_seed[0]
         assert not result.fallback
         assert re.fullmatch(
-            r"(certified|convergent|divergent|inconclusive):\d+"
-            r"(;(certified|convergent|divergent|inconclusive):\d+)*",
+            r"(certified|convergent|divergent|unproved):\d+"
+            r"(;(certified|convergent|divergent|unproved):\d+)*",
             result.convergence,
         )
         # 9 alphas x 2 message normalizations x 2 teleport sources
@@ -301,18 +321,18 @@ class TestRunPipeline:
                                                    ("clp", True), ("clp_star", True)])
     def test_certificate_runs_once_per_seed(self, method, certifies, small_graph, monkeypatch):
         """One convergence check per seed, at the chosen alpha, with at most
-        one power iteration per class; LP and the MLP never certify."""
-        power_iterations, checks = [], []
+        one bracket per class; LP and the MLP never certify."""
+        brackets, checks = [], []
         real_check, real_radius = pipeline.convergence_check, propagation.spectral_radius
 
         def radius(m, *args, **kwargs):
-            power_iterations.append(m)
+            brackets.append(m)
             return real_radius(m, *args, **kwargs)
 
         def check(awf, alpha):
-            before = len(power_iterations)
+            before = len(brackets)
             verdicts = real_check(awf, alpha)
-            checks.append((alpha, len(power_iterations) - before))
+            checks.append((alpha, len(brackets) - before))
             return verdicts
 
         monkeypatch.setattr(propagation, "spectral_radius", radius)
@@ -324,7 +344,7 @@ class TestRunPipeline:
             assert all(count <= small_graph.num_classes for _, count in checks)
         else:
             assert checks == []
-        assert len(power_iterations) == sum(count for _, count in checks)
+        assert len(brackets) == sum(count for _, count in checks)
 
     def test_lp_operator_is_built_once_per_seed(self, small_graph, monkeypatch):
         graphs = []

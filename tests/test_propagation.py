@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -172,6 +174,23 @@ class TestEdgeWeightTensor:
         beliefs = Beliefs(rng.random((n, num_classes)), "propagated")
         np.testing.assert_array_equal(compute_messages(awf, beliefs),
                                       awf.weights * beliefs.values[awf.arcs[:, 0]])
+
+    def test_construction_peak_memory(self):
+        """The weights are gathered class by class into the operator's data.
+        One construction peaks at 3.36 MB (numpy 2.4); a gather of the whole
+        (arcs x classes) array in arc order would add 1.3 MB and fail."""
+        rng = np.random.default_rng(0)
+        n, m, c = 2000, 20000, 10
+        arcs = rng.integers(0, n, (m, 2))
+        weights = rng.random((m, c))
+        tracemalloc.start()
+        try:
+            awf = EdgeWeightTensor(arcs, weights, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert awf.operator.nnz == m * c
+        assert peak < 3.6e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_rejects_out_of_range_weights(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -606,28 +625,104 @@ class TestClosedForm:
 
 class TestSpectralRadius:
     def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((4, 4))).value == 0.0
+        assert spectral_radius(np.zeros((4, 4)), 1.0) == (0.0, 0.0)
+
+    def test_first_step_is_the_row_sum_bracket(self):
+        """From x = 1, the bracket is the min and max row sum of |m|."""
+        m = np.array([[0.2, 0.5, 0.0], [0.1, 0.0, 0.3], [0.6, 0.3, 0.1]])
+        lower, upper = spectral_radius(m, math.inf)
+        margin = 5 * 2.0**-52  # max row nnz 3, plus 2
+        assert lower == pytest.approx(0.4 * (1 - margin), rel=1e-15)
+        assert upper == pytest.approx(1.0 * (1 + margin), rel=1e-15)
+        assert lower < 0.4 and upper > 1.0
 
     def test_diagonal(self):
-        est = spectral_radius(np.diag([2.0, 1.0]))
-        assert est.value == pytest.approx(2.0, abs=1e-9)
+        # reducible: the row of the 1.0 block keeps the lower bound at 1
+        lower, upper = spectral_radius(np.diag([2.0, 1.0]), 1.5)
+        assert lower == pytest.approx(1.0, rel=1e-15) and lower < 1.0
+        assert upper == pytest.approx(2.0, rel=1e-15) and upper > 2.0
+        assert spectral_radius(np.diag([2.0, 1.0]), 2.5)[1] < 2.5
 
     def test_permutation_pair(self):
-        est = spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert est.value == pytest.approx(1.0, abs=1e-8)
+        # every ratio is exactly 1; only the rounding margin opens the bracket
+        lower, upper = spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+        assert lower < 1.0 < upper
+        assert upper - lower < 1e-14
 
-    def test_random_nonnegative_matches_dense_eigensolver(self):
+    def test_negative_entry_gives_no_lower_bound(self):
+        m = np.array([[0.5, 0.4], [-1e-12, 0.5]])
+        lower, upper = spectral_radius(m, 0.5)
+        assert lower == 0.0
+        assert upper >= np.max(np.abs(np.linalg.eigvals(m)))
+
+    def test_random_nonnegative_brackets_dense_eigensolver(self):
+        """Positive matrices are primitive, so the bracket closes on rho, to
+        within what the 1e-12 shift of x allows; a threshold at rho itself is
+        never excluded and all steps run."""
         rng = np.random.default_rng(14)
         for _ in range(10):
             n = int(rng.integers(3, 30))
             m = rng.random((n, n)) * rng.random()
             expected = np.max(np.abs(np.linalg.eigvals(m)))
-            est = spectral_radius(m, iters=5000, tol=1e-12)
-            assert est.value == pytest.approx(expected, rel=1e-6, abs=1e-8)
+            lower, upper = spectral_radius(m, expected)
+            assert lower <= expected * (1 + 1e-12) and upper >= expected * (1 - 1e-12)
+            assert upper - lower <= 1e-10 * expected
+
+    def test_bracket_excludes_a_threshold_on_either_side(self):
+        m = np.full((3, 3), 0.25)  # rho 0.75, every row sum 0.75
+        assert spectral_radius(m, 0.9)[1] < 0.9
+        assert spectral_radius(m, 0.6)[0] > 0.6
 
     def test_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            spectral_radius(np.ones((2, 3)))
+            spectral_radius(np.ones((2, 3)), 1.0)
+
+
+# Kinds of matrix for the bracket's property test.  Their blocks are positive
+# or irreducible, so every root of largest modulus is simple and the dense
+# eigensolver gives it to near machine precision.
+MATRIX_KINDS = ("irreducible", "reducible", "permutation", "bipartite", "zero", "slack")
+
+
+def _kind_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, n))
+    split = int(rng.integers(1, n))
+    if kind in ("irreducible", "slack"):
+        m = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 1.0))
+        m[np.arange(n), np.roll(np.arange(n), 1)] = rng.uniform(0.05, 1.0, n)  # a Hamilton cycle
+        if kind == "slack":
+            m[rng.integers(n), rng.integers(n)] = -1e-12
+    elif kind == "reducible":  # block triangular, with a node that no arc enters
+        m = rng.uniform(0.05, 1.0, (n, n))
+        m[split:, :split] = 0.0
+        m[rng.integers(n)] = 0.0
+    elif kind == "permutation":
+        m[np.arange(n), rng.permutation(n)] = rng.uniform(0.05, 1.0, n)
+    elif kind == "bipartite":
+        m[:split, split:] = rng.uniform(0.05, 1.0, (split, n - split))
+        m[split:, :split] = rng.uniform(0.05, 1.0, (n - split, split))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(MATRIX_KINDS), n=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from(DEFAULT_ALPHA_GRID))
+def test_bracket_proves_what_the_dense_radius_says(kind, n, seed, alpha):
+    m = _kind_matrix(kind, n, seed)
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+    slack = 1e-10 * rho + 1e-15  # the dense eigensolver's own rounding
+    threshold = 1.0 / alpha
+    for target in (rho, threshold):  # all steps, and the certificate's early stop
+        lower, upper = spectral_radius(m, target)
+        assert lower <= rho + slack and rho - slack <= upper, (lower, rho, upper)
+    (verdict,) = convergence_check(EdgeWeightTensor.from_slices([sparse.csr_matrix(m)]), alpha)
+    if verdict.ok:
+        assert rho < threshold + slack
+    if verdict.status == "divergent":
+        assert rho > threshold - slack
+        assert kind != "slack"
+    assert verdict.status in ("certified", "convergent", "divergent", "unproved")
 
 
 class TestConvergenceCheck:
@@ -642,12 +737,13 @@ class TestConvergenceCheck:
         verdict = convergence_check(awf, alpha=0.5)[0]
         assert verdict.status == "certified"
         assert verdict.frobenius == pytest.approx(0.45 * np.sqrt(2))
-        assert verdict.rho is None
+        assert verdict.lower is None and verdict.upper is None
 
     def test_divergent_verdict_and_growing_residuals(self):
         awf = scaled_random_tensor(12, rho_target=1.5, seed=3)
         verdict = convergence_check(awf, alpha=0.8)[0]
         assert verdict.status == "divergent"
+        assert 1 / 0.8 < verdict.lower <= 1.5 <= verdict.upper
         teleport = Beliefs(np.ones((12, 1)), "prior")
         with pytest.raises(DivergenceError) as err:
             propagate_clp(awf, teleport, PropagationConfig(0.8, max_iters=300, tol=1e-300))
@@ -655,8 +751,8 @@ class TestConvergenceCheck:
         assert residuals[-1] > residuals[max(0, len(residuals) - 8)]
 
     def test_spectral_radius_runs_once_per_class(self, monkeypatch):
-        """Within one call, power iteration runs once for each class that
-        neither norm certifies, and for no other class."""
+        """Within one call, the bracket runs once for each class that the
+        Frobenius norm does not certify, and for no other class."""
         rng = np.random.default_rng(5)
         base = rng.random((12, 12))
         np.fill_diagonal(base, 0.0)
@@ -677,7 +773,7 @@ class TestConvergenceCheck:
         for alpha in DEFAULT_ALPHA_GRID:
             calls.clear()
             verdicts = convergence_check(awf, alpha)
-            assert len(calls) == sum(v.rho is not None for v in verdicts) <= awf.num_classes
+            assert len(calls) == sum(v.upper is not None for v in verdicts) <= awf.num_classes
             assert len({id(m) for m in calls}) == len(calls)  # no class twice
             statuses |= {v.status for v in verdicts}
         assert {"certified", "convergent", "divergent"} <= statuses
@@ -686,10 +782,10 @@ class TestConvergenceCheck:
         rng = np.random.default_rng(15)
         graph, b0, compat = random_propagation_instance(rng, max_nodes=30)
         awf = edge_weights(graph, b0, compat)
-        for k, slice_k in enumerate(awf.per_class):
-            rho, residual = spectral_radius(slice_k)
+        for slice_k in awf.per_class:
+            rho = np.max(np.abs(np.linalg.eigvals(slice_k.toarray())))  # at most 30 nodes
             data = slice_k.data
             frob = np.sqrt(np.sum(data ** 2))
             norm1 = np.abs(data).sum()
-            assert rho <= frob + max(residual, 1e-6)
+            assert rho <= frob + 1e-12
             assert frob <= norm1 + 1e-12
