@@ -30,6 +30,7 @@ from .pipeline import (
 from .propagation import (
     EdgeWeightTensor,
     PropagationConfig,
+    SenderWeights,
     closed_form_clp,
     compute_messages,
     convergence_check,

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import GraphFormatError, save_graph
+from .graph import save_graph
 from .mlp import TrainingDivergedError
 from .pipeline import (
     NORMALIZATIONS,
@@ -243,10 +242,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (GraphFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, TrainingDivergedError, np.linalg.LinAlgError) as exc:

@@ -33,6 +33,7 @@ from .mlp import TrainConfig, init_mlp, params_checksum, predict, save_params, t
 from .propagation import (
     DivergenceError,
     PropagationConfig,
+    SenderWeights,
     convergence_check,
     edge_weights,
     lp_operator,
@@ -330,12 +331,14 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
                                     TELEPORTS if name == "auto" else (name,),
                                     NORMALIZATIONS if norm == "auto" else (norm,))
         teleports = {"base": d_hat, "prior": b0}
-        propagate = propagate_clp if config.method == "clp" else propagate_clp_star
-        awf = edge_weights(graph, b0, h_hat, receiver=config.method == "clp")
+        if config.method == "clp":
+            weights, propagate = edge_weights(graph, b0, h_hat), propagate_clp
+        else:
+            weights, propagate = SenderWeights(graph, b0, h_hat), propagate_clp_star
 
         def run(alpha, teleport, norm):
             pcfg = PropagationConfig(alpha, message_normalization=norm == "on")
-            return propagate(awf, teleports[teleport], pcfg)
+            return propagate(weights, teleports[teleport], pcfg)
 
     best, base.candidate_log = _select(options, run, labels, split.validation)
     if best is None:
@@ -350,7 +353,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
 
     val, (alpha, teleport, norm), beliefs = best
     if config.method != "lp":
-        base.convergence = _convergence_summary(convergence_check(awf, alpha))
+        base.convergence = _convergence_summary(convergence_check(weights.per_class, alpha))
     return dataclasses.replace(
         base,
         test_accuracy=metrics.accuracy(beliefs, labels, split.test),

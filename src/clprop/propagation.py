@@ -1,18 +1,15 @@
 """Class-conditioned label propagation: per-edge weight tensors, iterative and
-closed-form solvers, the sender-only variant, classic label propagation, and
-analytic convergence verification.
+closed-form solvers, the sender-only variant in node space, classic label
+propagation, and analytic convergence verification.
 
-CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  The sender-only variant
-CLP* drops the receiver factor, ``F_ij = b0[i] @ H``, and is otherwise the
-same propagation: same solver, same certificate, same message normalization.
-
-An :class:`EdgeWeightTensor` lists its arcs in one order, stably by
-receiver, and stores its weights once, in the block-diagonal CSR matrix
-``operator`` built by its constructor: the weights stored class by class, and
-row ``k*n + j`` holding ``F_ij[k]`` at column ``k*n + i`` for each arc (i, j)
-into j.  Every computation on the weights reads that matrix or its views on
-the tensor, and every per-arc array it returns is in that arc order.  Beliefs
-are flat class-major vectors inside the solver.
+CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  An
+:class:`EdgeWeightTensor` lists its arcs in one order, stably by receiver, and
+stores its weights once, in the block-diagonal CSR matrix ``operator`` built by
+its constructor: the weights stored class by class, and row ``k*n + j``
+holding ``F_ij[k]`` at column ``k*n + i`` for each arc (i, j) into j.  Every
+computation on the weights reads that matrix or its views on the tensor, and
+every per-arc array it returns is in that arc order.  Beliefs are flat
+class-major vectors inside the solver.
 
 - The unnormalized step is one CSR mat-vec with ``operator``.
 - The normalized step gathers the sender beliefs, multiplies them by
@@ -20,22 +17,29 @@ are flat class-major vectors inside the solver.
   positive, and sums each receiver's messages through the same row pointer.
 - Class k's block of ``operator`` is the receiver-row matrix ``slice_k[j, i]
   = F_ij[k]``, a view in ``per_class`` that serves the closed-form solver and
-  the convergence certificate.  On symmetrized graphs the slice pattern
-  coincides with the arc set.
+  the convergence certificate.
 
 Each receiver sums its arcs in arc order, and an arc's class sum repeats
 numpy's order for ``ndarray.sum(axis=1)``, so every result is bit-identical
 to the arc-major form ``incidence @ (weights * beliefs[senders])``.
 
+The sender-only variant CLP* drops the receiver factor, ``F_ij = b0[i] @ H``,
+so it needs no edge tensor: :class:`SenderWeights` keeps ``incoming = A^T`` and
+``outgoing = b0 @ H``, and a step is ``A^T (outgoing * B)`` on (nodes x
+classes) beliefs (LinBP's matrix form, Gatterbauer et al., VLDB 2015).  It is
+bit-identical to CLP on the tensor of those weights: each receiver adds its
+senders in the CSR order of A^T, which is the tensor's arc order, and the
+class sums of the contiguous messages are the ones ``_class_sums`` repeats.
+
 The certificate proves, class by class, whether the unnormalized iteration
 converges at alpha, that is whether ``rho(slice_k) < 1/alpha``.  A class is
 ``certified`` when the Frobenius norm of its slice is below 1/alpha.
 Otherwise the Collatz–Wielandt bound ``min_i (Mx)_i/x_i <= rho(M) <= max_i
-(Mx)_i/x_i`` for M >= 0 and x > 0 brackets rho, with x from at most
-``SPECTRAL_STEPS`` (300) power steps from x = 1 and each bound widened by the
-relative rounding margin ``(max row nnz + 2) * 2**-52``.  The class is
-``convergent`` when the upper bound is below 1/alpha, ``divergent`` when the
-lower bound is above it, and ``unproved`` otherwise.
+(Mx)_i/x_i`` for M >= 0 and x > 0 brackets rho on the slice without its zero
+rows, with x from at most ``SPECTRAL_STEPS`` (300) power steps from x = 1 and
+each bound widened by the relative rounding margin ``(max row nnz + 2) *
+2**-52``.  The class is ``convergent`` when the upper bound is below 1/alpha,
+``divergent`` when the lower bound is above it, and ``unproved`` otherwise.
 """
 
 from __future__ import annotations
@@ -159,46 +163,38 @@ class EdgeWeightTensor:
             slices.append(slice_k)
         return tuple(slices)
 
-    @classmethod
-    def from_slices(cls, slices) -> "EdgeWeightTensor":
-        """Build from receiver-row slices sharing one sparsity pattern; the
-        arcs are its entries in sorted CSR order, by receiver, then sender."""
-        if not slices:
-            raise ValueError("at least one class slice is required")
-        mats = [sparse.csr_matrix(s, copy=True) for s in slices]  # sort_indices works in place
-        for m in mats:
-            m.sort_indices()
-        ref = mats[0]
-        if any(m.shape != ref.shape or not (np.array_equal(m.indptr, ref.indptr)
-                                            and np.array_equal(m.indices, ref.indices))
-               for m in mats[1:]):
-            raise ValueError("class slices must share one sparsity pattern")
-        coo = ref.tocoo()
-        arcs = np.stack([coo.col, coo.row], axis=1).astype(np.int64)
-        return cls(arcs, np.column_stack([m.data for m in mats]), ref.shape[0])
 
-
-def edge_weights(
-    graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix, receiver: bool = True
-) -> EdgeWeightTensor:
-    """Weight vector per arc: (sender beliefs @ compatibility) * receiver beliefs.
-
-    ``receiver=False`` drops the receiver factor (the sender-only CLP*
-    weights); its entries stay in [0, 1] because b0 rows are distributions and
-    the compatibility entries lie in [0, 1].  Computed once from the prior
-    beliefs and never updated during propagation.
-    """
+def _outgoing(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> np.ndarray:
+    """``b0 @ H``, in [0, 1]: b0 rows are distributions, H entries lie in [0, 1]."""
     if b0.values.shape != (graph.node_count, h_hat.num_classes):
-        raise ValueError(
-            f"beliefs {b0.values.shape} do not match {graph.node_count} nodes "
-            f"x {h_hat.num_classes} classes"
-        )
-    outgoing = b0.values @ h_hat.values
-    src, dst = graph.arcs[:, 0], graph.arcs[:, 1]
-    weights = outgoing[src]
-    if receiver:
-        weights *= b0.values[dst]
+        raise ValueError(f"beliefs {b0.values.shape} do not match {graph.node_count} nodes "
+                         f"x {h_hat.num_classes} classes")
+    return b0.values @ h_hat.values
+
+
+def edge_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> EdgeWeightTensor:
+    """The CLP weight vector of each arc (i, j), ``(b0[i] @ H) * b0[j]``."""
+    weights = _outgoing(graph, b0, h_hat)[graph.arcs[:, 0]]
+    weights *= b0.values[graph.arcs[:, 1]]
     return EdgeWeightTensor(graph.arcs, weights, graph.node_count)
+
+
+class SenderWeights:
+    """The CLP* weights in node space, computed once from the prior beliefs:
+    arc (i, j) weighs ``outgoing[i] = (b0 @ H)[i]``, and row j of ``incoming``
+    (A^T in CSR) lists j's senders in the arc order of an edge tensor."""
+
+    def __init__(self, graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix):
+        self.outgoing = _outgoing(graph, b0, h_hat)
+        self.incoming = graph.adjacency.T.tocsr()
+
+    @property
+    def per_class(self) -> tuple[sparse.csr_matrix, ...]:
+        """Receiver-row weight slices, built on each access: ``incoming`` with
+        class k's sender weights as data, explicit zeros included."""
+        a = self.incoming
+        return tuple(sparse.csr_matrix((column[a.indices], a.indices, a.indptr), shape=a.shape)
+                     for column in self.outgoing.T)
 
 
 def _class_sums(rows: np.ndarray) -> np.ndarray:
@@ -331,26 +327,26 @@ def propagate_clp(
     return Beliefs(values, "propagated"), log
 
 
-def clp_star_aggregate(graph: Graph, values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
-    """Receivers sum (sender beliefs @ H).
-
-    On the prior beliefs b0 this is, per receiver, the sum of the sender-only
-    weights ``edge_weights(graph, b0, h_hat, receiver=False).weights`` of its arcs.
-    """
-    return (graph.adjacency.T @ values) @ h_values
-
-
 def propagate_clp_star(
-    awf: EdgeWeightTensor,
+    weights: SenderWeights,
     teleport: Beliefs,
     config: PropagationConfig,
 ) -> tuple[Beliefs, list[IterationRecord]]:
-    """Sender-only propagation: :func:`propagate_clp` on the weights of
-    ``edge_weights(..., receiver=False)``.
+    """Sender-only propagation in node space, bit-identical to
+    :func:`propagate_clp` on the tensor of the same weights."""
+    if teleport.values.shape != weights.outgoing.shape:
+        raise ValueError("teleport shape does not match the sender weights")
 
-    A name of its own, so that a trace of the pipeline can time the two
-    methods apart."""
-    return propagate_clp(awf, teleport, config)
+    def step(b: np.ndarray) -> np.ndarray:
+        messages = weights.outgoing * b
+        if config.message_normalization:
+            sums = messages.sum(axis=1)
+            sums[~(sums > 0)] = 1.0  # rows that do not sum above zero stay as they are
+            messages /= sums[:, None]
+        return weights.incoming @ messages
+
+    values, log = _iterate(step, teleport.values, config)
+    return Beliefs(values, "propagated"), log
 
 
 def lp_operator(graph: Graph) -> sparse.csr_matrix:
@@ -422,30 +418,32 @@ def spectral_radius(m: sparse.spmatrix | np.ndarray, threshold: float) -> tuple[
 
     For M >= 0 and x > 0, ``min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i``
     (Horn & Johnson, *Matrix Analysis*, section 8.1), and ``rho(m) <=
-    rho(|m|)``.  Starting from x = 1, each step takes ``x <- |m|x / max +
-    1e-12`` (the shift keeps x positive on reducible matrices) until the
-    bracket excludes ``threshold`` or after ``SPECTRAL_STEPS`` steps.  Each
-    bound is widened by the relative margin ``(max row nnz + 2) * 2**-52``,
-    which covers the rounding of ``|m|x`` and of the ratios.  ``lower`` is 0
-    when ``m`` has a negative entry, which ``_WEIGHT_SLACK`` admits down to
-    -1e-12.
+    rho(|m|)``.  The zero rows of ``|m|``, whose ratio would hold the lower
+    bound at 0, are dropped with their columns until none is left (an empty
+    rest is rho 0).  From x = 1, each step takes ``x <- |m|x / max + 1e-12``
+    (the shift keeps x positive on reducible matrices) until the bracket
+    excludes ``threshold`` or after ``SPECTRAL_STEPS`` steps.  Each bound is
+    widened by the relative margin ``(max row nnz + 2) * 2**-52``, which
+    covers the rounding of ``|m|x`` and of the ratios.  ``lower`` is 0 when
+    ``m`` has a negative entry, which ``_WEIGHT_SLACK`` admits down to -1e-12.
     """
     m = sparse.csr_matrix(m, dtype=np.float64)
-    n, ncol = m.shape
-    if n != ncol:
+    if m.shape[0] != m.shape[1]:
         raise ValueError("spectral radius requires a square matrix")
-    if m.nnz == 0:
-        return 0.0, 0.0
-    nonneg = m.data.min() >= 0
+    nonneg = m.nnz == 0 or m.data.min() >= 0
     m = m if nonneg else abs(m)
+    while not (live := m @ np.ones(m.shape[0]) > 0).all():
+        m = m[live][:, live]  # a zero row, and its column, only add the eigenvalue 0
+    if m.shape[0] == 0:
+        return 0.0, 0.0
     margin = (int(np.diff(m.indptr).max()) + 2) * 2.0**-52
-    x = np.ones(n)
+    x = np.ones(m.shape[0])
     for _ in range(SPECTRAL_STEPS):
         y = m @ x
         ratios = y / x
         lower = float(ratios.min()) * (1.0 - margin) if nonneg else 0.0
         upper = float(ratios.max()) * (1.0 + margin)
-        if not lower <= threshold <= upper or upper == 0.0:  # [0, 0] is exact, and y is 0
+        if not lower <= threshold <= upper:
             break
         x = y / y.max() + 1e-12
     return lower, upper
@@ -471,23 +469,25 @@ class ClassConvergence:
         return self.status in ("certified", "convergent")
 
 
-def convergence_check(awf: EdgeWeightTensor, alpha: float) -> list[ClassConvergence]:
+def convergence_check(slices, alpha: float) -> list[ClassConvergence]:
     """Verdict per class: does the fixed-point iteration converge at this alpha?
 
-    A class whose Frobenius norm is below 1/alpha is certified.  Any other
-    gets the bracket ``[lower, upper]`` of its slice's spectral radius from
-    :func:`spectral_radius` (at most ``SPECTRAL_STEPS`` power steps, each
-    bound widened by the rounding margin ``(max row nnz + 2) * 2**-52``): it
-    is convergent when ``upper < 1/alpha``, divergent when ``lower > 1/alpha``
-    and unproved otherwise.  Each verdict is a proof about the unnormalized
-    operator.  Every call recomputes the norms: the pipeline certifies only
-    the chosen candidate's alpha, once per seed.
+    ``slices`` are the receiver-row class slices, ``per_class`` of the
+    weights.  A class whose Frobenius norm is below 1/alpha is certified.  Any
+    other gets the bracket ``[lower, upper]`` of its slice's spectral radius
+    from :func:`spectral_radius` (zero rows dropped, at most
+    ``SPECTRAL_STEPS`` power steps, each bound widened by the rounding margin
+    ``(max row nnz + 2) * 2**-52``): it is convergent when ``upper <
+    1/alpha``, divergent when ``lower > 1/alpha`` and unproved otherwise.
+    Each verdict is a proof about the unnormalized operator.  Every call
+    recomputes the norms: the pipeline certifies only the chosen candidate's
+    alpha, once per seed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     threshold = math.inf if alpha == 0.0 else 1.0 / alpha
     verdicts = []
-    for k, slice_k in enumerate(awf.per_class):
+    for k, slice_k in enumerate(slices):
         data = slice_k.data
         frobenius = float(np.sqrt(np.sum(data * data)))
         if frobenius < threshold:

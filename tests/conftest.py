@@ -3,6 +3,7 @@ import pytest
 
 from clprop.compatibility import Beliefs, CompatibilityMatrix
 from clprop.graph import build_graph
+from clprop.propagation import EdgeWeightTensor
 
 
 def line_writer_bytes(rows: np.ndarray) -> bytes:
@@ -26,6 +27,14 @@ def graph_from_edges(n, edges, labels, directed=False, features=None, num_classe
     if features is None:
         features = np.zeros((n, 1))
     return build_graph(n, edges, features, labels, num_classes, directed)
+
+
+def tensor_from_dense(matrices):
+    """The edge weight tensor whose receiver-row class slices are the dense
+    ``matrices``: one arc (i, j) for each nonzero entry [j, i] of the first."""
+    receivers, senders = np.nonzero(matrices[0])
+    weights = np.column_stack([m[receivers, senders] for m in matrices])
+    return EdgeWeightTensor(np.column_stack([senders, receivers]), weights, len(matrices[0]))
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from clprop.cli import main as cli_main
 from clprop.compatibility import Beliefs, sinkhorn_knopp
@@ -20,10 +19,9 @@ from clprop.mlp import TrainConfig, init_mlp, loss_and_gradients
 from clprop.pipeline import ExperimentConfig, report_compat_quality, run_pipeline
 from clprop.propagation import (
     DivergenceError,
-    EdgeWeightTensor,
     PropagationConfig,
+    SenderWeights,
     closed_form_clp,
-    clp_star_aggregate,
     compute_messages,
     convergence_check,
     edge_weights,
@@ -31,7 +29,7 @@ from clprop.propagation import (
 )
 from clprop.synth import P_IN_GRID, SyntheticSpec, gaussian_features, generate
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, tensor_from_dense
 
 
 @contextmanager
@@ -66,7 +64,8 @@ def test_criterion_1_worked_example_oracle():
         np.testing.assert_allclose(msgs[0], [0.175, 0.825], rtol=0, atol=1e-12)
         assert np.allclose(msgs[0], [0.18, 0.83], atol=0.01)
         assert np.allclose(msgs[1], [0.66, 0.34], atol=0.01)
-        agg = clp_star_aggregate(graph, beliefs.values, compat.values)
+        sender_weights = SenderWeights(graph, beliefs, compat)
+        agg = sender_weights.incoming @ sender_weights.outgoing
         np.testing.assert_allclose(agg[1], [0.56, 0.44], rtol=0, atol=1e-12)
         np.testing.assert_allclose(agg[2], [0.56, 0.44], rtol=0, atol=1e-12)
         assert time.perf_counter() - start < 1.0
@@ -98,7 +97,7 @@ def _convergent_instances(count=50, seed=2024):
 
         compat = CompatibilityMatrix(h, "doubly_stochastic", dev)
         awf = edge_weights(graph, Beliefs(b, "prior"), compat)
-        if not all(v.ok for v in convergence_check(awf, alpha)):
+        if not all(v.ok for v in convergence_check(awf.per_class, alpha)):
             continue
         teleport = rng.random((n, c)) + 0.05
         teleport /= teleport.sum(axis=1, keepdims=True)
@@ -134,7 +133,7 @@ def _known_radius_tensor(n, rho_target, seed):
     rho0 = float(np.max(np.abs(np.linalg.eigvals(base))))  # dense oracle
     scaled = base * (rho_target / rho0)
     assert scaled.max() <= 1.0
-    return EdgeWeightTensor.from_slices([sparse.csr_matrix(scaled)])
+    return tensor_from_dense([scaled])
 
 
 def test_criterion_3_convergence_boundary():

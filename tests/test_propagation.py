@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from clprop.propagation import (
     DivergenceError,
     EdgeWeightTensor,
     PropagationConfig,
+    SenderWeights,
     SingularSystemError,
     closed_form_clp,
-    clp_star_aggregate,
     compute_messages,
     convergence_check,
     edge_weights,
@@ -30,7 +29,7 @@ from clprop.propagation import (
     spectral_radius,
 )
 
-from conftest import graph_from_edges, random_propagation_instance
+from conftest import graph_from_edges, random_propagation_instance, tensor_from_dense
 
 
 def scaled_random_tensor(n, rho_target, seed, num_classes=1):
@@ -45,8 +44,7 @@ def scaled_random_tensor(n, rho_target, seed, num_classes=1):
     rho0 = np.max(np.abs(np.linalg.eigvals(base)))
     scaled = base * (rho_target / rho0)
     assert scaled.max() <= 1.0
-    slices = [sparse.csr_matrix(scaled) for _ in range(num_classes)]
-    return EdgeWeightTensor.from_slices(slices)
+    return tensor_from_dense([scaled] * num_classes)
 
 
 def _owner(array):
@@ -112,32 +110,6 @@ class TestEdgeWeights:
 
 
 class TestEdgeWeightTensor:
-    def test_from_slices_requires_shared_pattern(self):
-        a = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        b = sparse.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError, match="pattern"):
-            EdgeWeightTensor.from_slices([a, b])
-
-    def test_from_slices_round_trips(self):
-        rng = np.random.default_rng(0)
-        mask = rng.random((6, 6)) < 0.4
-        np.fill_diagonal(mask, False)
-        slices = [sparse.csr_matrix(np.where(mask, rng.random((6, 6)), 0.0)) for _ in range(3)]
-        awf = EdgeWeightTensor.from_slices(slices)
-        for rebuilt, original in zip(awf.per_class, slices):
-            np.testing.assert_allclose(rebuilt.toarray(), original.toarray())
-
-    def test_from_slices_leaves_its_input_unchanged(self):
-        unsorted = sparse.csr_matrix(
-            (np.array([0.2, 0.7]), np.array([1, 0]), np.array([0, 2, 2])), shape=(2, 2)
-        )
-        assert not unsorted.has_sorted_indices
-        awf = EdgeWeightTensor.from_slices([unsorted, unsorted.copy()])
-        assert unsorted.indices.tolist() == [1, 0]
-        assert unsorted.data.tolist() == [0.2, 0.7]
-        assert not unsorted.has_sorted_indices
-        np.testing.assert_array_equal(awf.per_class[0].toarray(), unsorted.toarray())
-
     @pytest.mark.parametrize("num_classes", [1, 3, 17])
     @pytest.mark.parametrize("arcs", ["undirected", "directed", "none"])
     def test_weights_are_stored_once_in_the_operator(self, arcs, num_classes):
@@ -232,7 +204,7 @@ class TestPropagateClp:
         assert log[-1].residual == 0.0
 
     def test_zero_weights_fixed_point(self):
-        awf = EdgeWeightTensor.from_slices([sparse.csr_matrix((4, 4)) for _ in range(2)])
+        awf = tensor_from_dense([np.zeros((4, 4))] * 2)
         teleport = Beliefs(np.full((4, 2), 0.5), "prior")
         out, log = propagate_clp(awf, teleport, PropagationConfig(alpha=0.4))
         np.testing.assert_allclose(out.values, 0.6 * teleport.values)
@@ -244,7 +216,7 @@ class TestPropagateClp:
             graph, b0, compat = random_propagation_instance(rng, max_nodes=25)
             awf = edge_weights(graph, b0, compat)
             alpha = 0.6
-            if not all(v.ok for v in convergence_check(awf, alpha)):
+            if not all(v.ok for v in convergence_check(awf.per_class, alpha)):
                 continue
             teleport = Beliefs(
                 np.full((graph.node_count, b0.num_classes), 1.0 / b0.num_classes),
@@ -490,73 +462,111 @@ class TestNoStateOutlivesACall:
         for awf in tensors:
             n = awf.node_count
             src, dst = awf.arcs[:, 0], awf.arcs[:, 1]
-            coo = types.SimpleNamespace(per_class=[
-                sparse.csr_matrix((awf.weights[:, k], (dst, src)), shape=(n, n))
-                for k in range(awf.num_classes)
-            ])
+            coo = [sparse.csr_matrix((awf.weights[:, k], (dst, src)), shape=(n, n))
+                   for k in range(awf.num_classes)]
             for slice_k in awf.per_class:  # views of the tensor, not copies
                 assert np.shares_memory(slice_k.data, awf.class_weights)
             for alpha in DEFAULT_ALPHA_GRID:
-                verdicts = convergence_check(awf, alpha)
+                verdicts = convergence_check(awf.per_class, alpha)
                 assert verdicts == convergence_check(coo, alpha)
                 statuses |= {v.status for v in verdicts}
         assert {"certified", "convergent", "divergent"} <= statuses
 
 
-def _receiver_sums(graph, awf):
-    sums = np.zeros((graph.node_count, awf.num_classes))
-    np.add.at(sums, awf.arcs[:, 1], awf.weights)
-    return sums
+def _sender_instance(rng, directed, num_classes):
+    """CLP* weights on a random graph with isolated nodes and a sender whose
+    ``outgoing`` row is 0, the edge tensor of the same weights, and a
+    teleport with zero rows."""
+    n = int(rng.integers(10, 40))
+    pairs = np.vstack([[0, 1], rng.integers(0, n - 3, (int(rng.integers(1, 4 * n)), 2))])
+    graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, num_classes, n),
+                        num_classes, directed)  # the last three nodes stay isolated
+    b0 = rng.random((n, num_classes))
+    h = rng.random((num_classes, num_classes)) * (rng.random((num_classes,) * 2) < 0.7)
+    h[:, 0] += 1e-3  # no zero row
+    weights = SenderWeights(graph, Beliefs(b0 / b0.sum(axis=1, keepdims=True), "prior"),
+                            CompatibilityMatrix(h / h.sum(axis=1, keepdims=True), "row_stochastic"))
+    weights.outgoing[graph.arcs[rng.integers(graph.arc_count), 0]] = 0.0
+    tensor = EdgeWeightTensor(graph.arcs, weights.outgoing[graph.arcs[:, 0]], n)
+    teleport = rng.random((n, num_classes))
+    teleport[rng.random(n) < 0.15] = 0.0  # senders whose messages sum to zero
+    return weights, tensor, Beliefs(teleport, "propagated")
+
+
+def _assert_same_clp_star_run(weights, tensor, teleport, config):
+    """propagate_clp_star matches propagate_clp on the tensor of the same
+    weights bit for bit, diverging or not; returns whether it diverged."""
+    try:
+        expected, expected_log = propagate_clp(tensor, teleport, config)
+    except DivergenceError as expected_err:
+        with pytest.raises(DivergenceError) as err:
+            propagate_clp_star(weights, teleport, config)
+        assert err.value.log == expected_err.log
+        return True
+    out, log = propagate_clp_star(weights, teleport, config)
+    np.testing.assert_array_equal(out.values, expected.values)
+    assert log == expected_log
+    return False
 
 
 class TestPropagateClpStar:
     def test_one_step_aggregates(self, worked_example):
         graph, compat, beliefs = worked_example
-        agg = clp_star_aggregate(graph, beliefs.values, compat.values)
+        weights = SenderWeights(graph, beliefs, compat)
+        agg = weights.incoming @ weights.outgoing
         np.testing.assert_allclose(agg[1], [0.56, 0.44], atol=1e-12)
         np.testing.assert_allclose(agg[2], [0.56, 0.44], atol=1e-12)
         np.testing.assert_allclose(agg[0], [0.0, 0.0], atol=1e-15)
-        awf = edge_weights(graph, beliefs, compat, receiver=False)
-        np.testing.assert_allclose(_receiver_sums(graph, awf), agg, atol=1e-15)
 
     @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sender_only_weights(self, seed, directed):
-        rng = np.random.default_rng(100 + seed)
-        graph, b0, compat = random_propagation_instance(rng)
-        if directed:
-            keep = rng.random(graph.arc_count) < 0.6
-            graph = build_graph(
-                graph.node_count, graph.arcs[keep], graph.features, graph.labels,
-                graph.num_classes, directed=True,
-            )
-        awf = edge_weights(graph, b0, compat, receiver=False)
-        order = np.argsort(graph.arcs[:, 1], kind="stable")
-        np.testing.assert_array_equal(awf.arcs, graph.arcs[order])
-        np.testing.assert_array_equal(
-            awf.weights, (b0.values @ compat.values)[awf.arcs[:, 0]]
-        )
-        np.testing.assert_allclose(
-            _receiver_sums(graph, awf),
-            clp_star_aggregate(graph, b0.values, compat.values),
-            rtol=1e-12,
-            atol=1e-15,
-        )
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("num_classes", [1, 3, 8, 9, 12, 17])
+    def test_bit_identical_to_the_sender_only_tensor(self, num_classes, normalize, directed):
+        # one class; sequential class sums; 8 accumulators with no leftover,
+        # with leftovers, and with a second group of 8
+        rng = np.random.default_rng(300 + num_classes + 50 * directed)
+        for _ in range(4):
+            weights, tensor, teleport = _sender_instance(rng, directed, num_classes)
+            for got, expected in zip(weights.per_class, tensor.per_class, strict=True):
+                for part in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(got, part), getattr(expected, part))
+            for alpha in (0.1, 0.5, 0.9):
+                config = PropagationConfig(alpha, message_normalization=normalize)
+                _assert_same_clp_star_run(weights, tensor, teleport, config)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_diverging_runs_log_alike(self, normalize):
+        rng = np.random.default_rng(12)
+        diverged = []
+        for num_classes in (1, 2, 8):
+            weights, tensor, teleport = _sender_instance(rng, False, num_classes)
+            config = PropagationConfig(0.9, max_iters=500, tol=1e-300,
+                                       message_normalization=normalize)
+            diverged.append(_assert_same_clp_star_run(weights, tensor, teleport, config))
+        assert diverged[0] != normalize  # one class: rho(A^T) > 1/0.9 unless normalized
+
+    def test_rejects_a_teleport_of_another_shape(self, worked_example):
+        graph, compat, beliefs = worked_example
+        teleport = Beliefs(np.full((3, 3), 1 / 3), "prior")
+        with pytest.raises(ValueError, match="teleport"):
+            propagate_clp_star(SenderWeights(graph, beliefs, compat), teleport,
+                               PropagationConfig(0.5))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fixed_point_matches_closed_form_per_class(self, seed):
         rng = np.random.default_rng(200 + seed)
         graph, b0, compat = random_propagation_instance(rng)
-        awf = edge_weights(graph, b0, compat, receiver=False)
+        weights = SenderWeights(graph, b0, compat)
         alpha = max(
-            a for a in DEFAULT_ALPHA_GRID if all(v.ok for v in convergence_check(awf, a))
+            a for a in DEFAULT_ALPHA_GRID
+            if all(v.ok for v in convergence_check(weights.per_class, a))
         )
         teleport = Beliefs(rng.random(b0.values.shape), "propagated")
         out, _ = propagate_clp_star(
-            awf, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
+            weights, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
         )
-        for k in range(awf.num_classes):
-            oracle = closed_form_clp(awf.per_class[k], teleport.values[:, k], alpha)
+        for k, slice_k in enumerate(weights.per_class):
+            oracle = closed_form_clp(slice_k, teleport.values[:, k], alpha)
             np.testing.assert_allclose(out.values[:, k], oracle, atol=1e-9)
 
 
@@ -677,6 +687,27 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="square"):
             spectral_radius(np.ones((2, 3)), 1.0)
 
+    def test_isolated_node_leaves_the_lower_bound(self):
+        """A zero row only adds the eigenvalue 0, so it is dropped with its
+        column: a positive block with rho 1.8 beside an isolated node is
+        divergent at alpha 0.8, where the zero row held the lower bound at 0."""
+        m = np.zeros((4, 4))
+        m[:3, :3] = 0.6  # rho 1.8, every row sum 1.8
+        lower, upper = spectral_radius(m, 1 / 0.8)
+        assert 1.8 * (1 - 1e-14) < lower < 1.8 < upper < 1.8 * (1 + 1e-14)
+        (verdict,) = convergence_check([sparse.csr_matrix(m)], 0.8)
+        assert verdict.status == "divergent"
+
+    def test_zero_rows_are_dropped_until_none_is_left(self):
+        # row 3 reads only node 4, whose row is zero; row 5 stores an explicit zero
+        rows, cols = [*np.repeat(range(3), 3), 3, 5], [*np.tile(range(3), 3), 4, 0]
+        m = sparse.csr_matrix(([0.6] * 9 + [0.5, 0.0], (rows, cols)), shape=(6, 6))
+        assert m.nnz == 11
+        lower, upper = spectral_radius(m, 1 / 0.8)
+        assert 1.25 < lower < 1.8 < upper
+        nilpotent = sparse.csr_matrix(np.triu(np.full((5, 5), 0.9), 1))
+        assert spectral_radius(nilpotent, 0.5) == (0.0, 0.0)
+
 
 # Kinds of matrix for the bracket's property test.  Their blocks are positive
 # or irreducible, so every root of largest modulus is simple and the dense
@@ -716,7 +747,7 @@ def test_bracket_proves_what_the_dense_radius_says(kind, n, seed, alpha):
     for target in (rho, threshold):  # all steps, and the certificate's early stop
         lower, upper = spectral_radius(m, target)
         assert lower <= rho + slack and rho - slack <= upper, (lower, rho, upper)
-    (verdict,) = convergence_check(EdgeWeightTensor.from_slices([sparse.csr_matrix(m)]), alpha)
+    (verdict,) = convergence_check([sparse.csr_matrix(m)], alpha)
     if verdict.ok:
         assert rho < threshold + slack
     if verdict.status == "divergent":
@@ -727,21 +758,19 @@ def test_bracket_proves_what_the_dense_radius_says(kind, n, seed, alpha):
 
 class TestConvergenceCheck:
     def test_zero_slice_certified(self):
-        awf = EdgeWeightTensor.from_slices([sparse.csr_matrix((3, 3))])
-        verdicts = convergence_check(awf, alpha=0.99)
+        verdicts = convergence_check([sparse.csr_matrix((3, 3))], alpha=0.99)
         assert verdicts[0].status == "certified"
 
     def test_small_norm_certified_without_eigensolve(self):
         m = sparse.csr_matrix(np.array([[0.0, 0.45], [0.45, 0.0]]))
-        awf = EdgeWeightTensor.from_slices([m])
-        verdict = convergence_check(awf, alpha=0.5)[0]
+        verdict = convergence_check([m], alpha=0.5)[0]
         assert verdict.status == "certified"
         assert verdict.frobenius == pytest.approx(0.45 * np.sqrt(2))
         assert verdict.lower is None and verdict.upper is None
 
     def test_divergent_verdict_and_growing_residuals(self):
         awf = scaled_random_tensor(12, rho_target=1.5, seed=3)
-        verdict = convergence_check(awf, alpha=0.8)[0]
+        verdict = convergence_check(awf.per_class, alpha=0.8)[0]
         assert verdict.status == "divergent"
         assert 1 / 0.8 < verdict.lower <= 1.5 <= verdict.upper
         teleport = Beliefs(np.ones((12, 1)), "prior")
@@ -757,9 +786,7 @@ class TestConvergenceCheck:
         base = rng.random((12, 12))
         np.fill_diagonal(base, 0.0)
         base /= np.max(np.abs(np.linalg.eigvals(base)))
-        awf = EdgeWeightTensor.from_slices(
-            [sparse.csr_matrix(base * rho) for rho in (0.3, 0.95, 1.5)]
-        )
+        slices = [sparse.csr_matrix(base * rho) for rho in (0.3, 0.95, 1.5)]
 
         calls = []
         real = propagation.spectral_radius
@@ -772,8 +799,8 @@ class TestConvergenceCheck:
         statuses = set()
         for alpha in DEFAULT_ALPHA_GRID:
             calls.clear()
-            verdicts = convergence_check(awf, alpha)
-            assert len(calls) == sum(v.upper is not None for v in verdicts) <= awf.num_classes
+            verdicts = convergence_check(slices, alpha)
+            assert len(calls) == sum(v.upper is not None for v in verdicts) <= len(slices)
             assert len({id(m) for m in calls}) == len(calls)  # no class twice
             statuses |= {v.status for v in verdicts}
         assert {"certified", "convergent", "divergent"} <= statuses
