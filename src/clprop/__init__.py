@@ -28,16 +28,16 @@ from .pipeline import (
     sweep_homophily,
 )
 from .propagation import (
-    EdgeWeightTensor,
+    NodeWeights,
     PropagationConfig,
-    SenderWeights,
+    aggregate,
     closed_form_clp,
-    compute_messages,
     convergence_check,
     edge_weights,
     propagate_clp,
     propagate_clp_star,
     propagate_lp,
+    sender_weights,
     spectral_radius,
 )
 from .synth import SyntheticSpec, gaussian_features, generate, generate_structure

@@ -33,13 +33,13 @@ from .mlp import TrainConfig, init_mlp, params_checksum, predict, save_params, t
 from .propagation import (
     DivergenceError,
     PropagationConfig,
-    SenderWeights,
     convergence_check,
     edge_weights,
     lp_operator,
     propagate_clp,
     propagate_clp_star,
     propagate_lp,
+    sender_weights,
 )
 from .synth import UNDIRECTED_ONLY, SyntheticSpec, generate, preset_spec, snap_h_fraction
 
@@ -334,7 +334,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         if config.method == "clp":
             weights, propagate = edge_weights(graph, b0, h_hat), propagate_clp
         else:
-            weights, propagate = SenderWeights(graph, b0, h_hat), propagate_clp_star
+            weights, propagate = sender_weights(graph, b0, h_hat), propagate_clp_star
 
         def run(alpha, teleport, norm):
             pcfg = PropagationConfig(alpha, message_normalization=norm == "on")

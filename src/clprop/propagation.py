@@ -1,35 +1,35 @@
-"""Class-conditioned label propagation: per-edge weight tensors, iterative and
-closed-form solvers, the sender-only variant in node space, classic label
-propagation, and analytic convergence verification.
+"""Class-conditioned label propagation in node space: CLP and its sender-only
+variant CLP* on one weight form, classic label propagation, the closed-form
+solver, and analytic convergence verification.
 
-CLP weighs an arc by ``F_ij = (b0[i] @ H) * b0[j]``.  An
-:class:`EdgeWeightTensor` lists its arcs in one order, stably by receiver, and
-stores its weights once, in the block-diagonal CSR matrix ``operator`` built by
-its constructor: the weights stored class by class, and row ``k*n + j``
-holding ``F_ij[k]`` at column ``k*n + i`` for each arc (i, j) into j.  Every
-computation on the weights reads that matrix or its views on the tensor, and
-every per-arc array it returns is in that arc order.  Beliefs are flat
-class-major vectors inside the solver.
+CLP weighs an arc (i, j) by ``F_ij = (b0[i] @ H) * b0[j]``, which has rank one
+in each class: ``F_ij[k] = G[i, k] * R[j, k]`` with ``G = b0 @ H`` and ``R =
+b0``.  CLP* drops the receiver factor, ``F_ij = G[i]``.  So neither needs the
+(arcs x classes) weights: :class:`NodeWeights` keeps ``incoming = A^T`` in CSR
+(row j lists j's senders in ascending order, each with the arc's scalar weight
+``a_ij``, 1 in the pipeline), ``outgoing = G`` and ``receiving = R`` (None for
+CLP*).  On (nodes x classes) beliefs B, one step in LinBP's matrix form
+(Gatterbauer et al., VLDB 2015) is:
 
-- The unnormalized step is one CSR mat-vec with ``operator``.
-- The normalized step gathers the sender beliefs, multiplies them by
-  ``class_weights``, divides each arc's messages by their sum where it is
-  positive, and sums each receiver's messages through the same row pointer.
-- Class k's block of ``operator`` is the receiver-row matrix ``slice_k[j, i]
-  = F_ij[k]``, a view in ``per_class`` that serves the closed-form solver and
-  the convergence certificate.
+- unnormalized, ``R * (A^T (G * B))``, or ``A^T (G * B)`` for CLP*;
+- normalized, with ``P = G * B``: the message of arc (i, j) is divided by its
+  sum ``s_ij = a_ij <P[i], R[j]>`` where that is positive, which is ``R * (A_s
+  P)`` with ``A_s`` the pattern of A^T holding ``a_ij / s_ij`` (``a_ij`` where
+  ``s_ij`` is not positive).  For CLP* the arc sum is ``a_ij`` times the row
+  sum of P[i]; with the 0/1 arc weights of :func:`sender_weights`, dividing
+  each row of P by its sum first and taking ``A^T P`` is that step exactly.
 
-Each receiver sums its arcs in arc order, and an arc's class sum repeats
-numpy's order for ``ndarray.sum(axis=1)``, so every result is bit-identical
-to the arc-major form ``incidence @ (weights * beliefs[senders])``.
+Class k's receiver-row slice ``slice_k[j, i] = G[i, k] * R[j, k] * a_ij``
+(``per_class``) serves the closed-form solver and the convergence certificate.
 
-The sender-only variant CLP* drops the receiver factor, ``F_ij = b0[i] @ H``,
-so it needs no edge tensor: :class:`SenderWeights` keeps ``incoming = A^T`` and
-``outgoing = b0 @ H``, and a step is ``A^T (outgoing * B)`` on (nodes x
-classes) beliefs (LinBP's matrix form, Gatterbauer et al., VLDB 2015).  It is
-bit-identical to CLP on the tensor of those weights: each receiver adds its
-senders in the CSR order of A^T, which is the tensor's arc order, and the
-class sums of the contiguous messages are the ones ``_class_sums`` repeats.
+Against the arc-major form ``incidence @ (weights * beliefs[senders])`` on the
+expanded weights, CLP* and the certificate are bit-identical: a receiver adds
+its senders in the order of A^T, a row sum of P is numpy's sum of that arc's
+contiguous messages, and a slice's data is the single product ``G * R`` that
+an arc weight is.  CLP's step is not: taking R out of the receiver sum and
+dividing ``a_ij`` instead of each message rounds differently, by a few units
+in the last place, which leaves the chosen candidates and the reports as
+they were.
 
 The certificate proves, class by class, whether the unnormalized iteration
 converges at alpha, that is whether ``rho(slice_k) < 1/alpha``.  A class is
@@ -57,8 +57,6 @@ from .graph import Graph
 
 DIVERGENCE_STREAK = 10  # consecutive residual increases that abort the iteration
 CLOSED_FORM_MAX_NODES = 5000
-
-_WEIGHT_SLACK = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -99,68 +97,59 @@ class IterationRecord:
     residual: float
 
 
-class EdgeWeightTensor:
-    """Per-arc, per-class propagation weights.
+class NodeWeights:
+    """Propagation weights as node-space factors (see the module docstring).
 
-    The caller's ``arcs[a] = (i, j)`` carries the weight vector ``weights[a] =
-    F_ij``; the arcs are distinct, and all entries are products of
-    probabilities and lie in [0, 1].  The tensor keeps one arc order, stable
-    by receiver: ``self.arcs``, the rows of ``weights`` (a new array on each
-    access) and the columns of ``class_weights`` follow it.  The weights are
-    stored once, as the block-diagonal ``operator`` of the module docstring;
-    ``class_weights`` is a view of ``operator.data`` and ``senders`` one of
-    class 0's column indices, and all three are read-only.
+    Arc (i, j) is entry [j, i] of ``incoming`` (A^T in CSR, senders ascending
+    in each row), whose value ``a_ij`` scales its weight ``outgoing[i] *
+    receiving[j]``, or ``outgoing[i]`` when ``receiving`` is None (CLP*, whose
+    normalized step is written for 0/1 arc weights).
     """
 
-    def __init__(self, arcs: np.ndarray, weights: np.ndarray, node_count: int):
-        weights = np.asarray(weights, dtype=np.float64)
-        if arcs.shape != (weights.shape[0], 2):
-            raise ValueError("arcs and weights disagree on the number of arcs")
-        if arcs.size and (arcs.min() < 0 or arcs.max() >= node_count):
-            raise ValueError(f"arc endpoints must lie in [0, {node_count})")
-        if weights.size and (weights.min() < -_WEIGHT_SLACK or weights.max() > 1 + _WEIGHT_SLACK):
-            raise ValueError("edge weights must lie in [0, 1]")
-        order = np.argsort(arcs[:, 1], kind="stable")
-        self.arcs = arcs[order]
-        self.node_count = node_count
-        n, (m, c) = node_count, weights.shape
-        # scipy keeps int32 index arrays as they are; int64 ones it copies down when they fit
-        index_type = np.int32 if c * max(n, m) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(c * n + 1, dtype=index_type)
-        np.cumsum(np.tile(np.bincount(arcs[:, 1], minlength=n), c), out=indptr[1:])
-        senders = self.arcs[:, 0].astype(index_type)
-        indices = (np.arange(c, dtype=index_type)[:, None] * n + senders).ravel()
-        data = np.empty((c, m))
-        for k in range(c):  # class by class: no (arcs x classes) copy in arc order
-            np.take(weights[:, k], order, out=data[k])
-        self.operator = sparse.csr_matrix((data.ravel(), indices, indptr), shape=(c * n, c * n))
-        for array in (self.operator.data, self.operator.indices, self.operator.indptr):
-            array.flags.writeable = False
-        self.class_weights = self.operator.data.reshape(c, m)
-        self.senders = self.operator.indices[:m]
+    def __init__(self, incoming: sparse.csr_matrix, outgoing: np.ndarray,
+                 receiving: np.ndarray | None = None):
+        n = incoming.shape[0]
+        if incoming.shape != (n, n) or outgoing.shape[0] != n:
+            raise ValueError(f"A^T {incoming.shape} and outgoing {outgoing.shape} disagree "
+                             "on the number of nodes")
+        if receiving is not None and receiving.shape != outgoing.shape:
+            raise ValueError("outgoing and receiving factors differ in shape")
+        self.incoming = incoming
+        self.outgoing = outgoing
+        self.receiving = receiving
 
     @property
     def num_classes(self) -> int:
-        return self.class_weights.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The (arcs x classes) weights in the order of ``arcs``, a new array."""
-        return self.class_weights.T.copy()
+        return self.outgoing.shape[1]
 
     @cached_property
+    def receivers(self) -> np.ndarray:
+        """The receiver of each arc, in the order of ``incoming``."""
+        a = self.incoming
+        return np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+
+    @property
+    def arcs(self) -> np.ndarray:
+        """The (sender, receiver) pairs, in the order of ``incoming``: stable by receiver."""
+        return np.column_stack([self.incoming.indices, self.receivers])
+
+    @cached_property
+    def _receiving_arcs(self) -> np.ndarray:
+        """``receiving[receivers]`` (arcs x classes), for the normalized CLP step."""
+        return self.receiving[self.receivers]
+
+    @property
     def per_class(self) -> tuple[sparse.csr_matrix, ...]:
-        """Receiver-row weight slices, views of the tensor: class k's block of
-        ``operator``.  Explicit zeros keep the shared pattern."""
-        n = self.node_count
+        """Receiver-row weight slices, built on each access: ``incoming`` with
+        class k's arc weights as data, explicit zeros included."""
+        a = self.incoming
         slices = []
-        for row in self.class_weights:
-            # assigned, not passed: the constructor copies a slice of a much larger array
-            slice_k = sparse.csr_matrix((n, n))
-            slice_k.data = row
-            slice_k.indices = self.senders
-            slice_k.indptr = self.operator.indptr[:n + 1]
-            slices.append(slice_k)
+        for k in range(self.num_classes):
+            data = self.outgoing[a.indices, k]
+            if self.receiving is not None:
+                data *= self.receiving[self.receivers, k]
+            data *= a.data
+            slices.append(sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape))
         return tuple(slices)
 
 
@@ -172,114 +161,59 @@ def _outgoing(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> np.ndarr
     return b0.values @ h_hat.values
 
 
-def edge_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> EdgeWeightTensor:
-    """The CLP weight vector of each arc (i, j), ``(b0[i] @ H) * b0[j]``."""
-    weights = _outgoing(graph, b0, h_hat)[graph.arcs[:, 0]]
-    weights *= b0.values[graph.arcs[:, 1]]
-    return EdgeWeightTensor(graph.arcs, weights, graph.node_count)
+def edge_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> NodeWeights:
+    """The CLP weights: arc (i, j) weighs ``(b0[i] @ H) * b0[j]``."""
+    return NodeWeights(graph.adjacency.T.tocsr(), _outgoing(graph, b0, h_hat), b0.values)
 
 
-class SenderWeights:
-    """The CLP* weights in node space, computed once from the prior beliefs:
-    arc (i, j) weighs ``outgoing[i] = (b0 @ H)[i]``, and row j of ``incoming``
-    (A^T in CSR) lists j's senders in the arc order of an edge tensor."""
-
-    def __init__(self, graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix):
-        self.outgoing = _outgoing(graph, b0, h_hat)
-        self.incoming = graph.adjacency.T.tocsr()
-
-    @property
-    def per_class(self) -> tuple[sparse.csr_matrix, ...]:
-        """Receiver-row weight slices, built on each access: ``incoming`` with
-        class k's sender weights as data, explicit zeros included."""
-        a = self.incoming
-        return tuple(sparse.csr_matrix((column[a.indices], a.indices, a.indptr), shape=a.shape)
-                     for column in self.outgoing.T)
+def sender_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> NodeWeights:
+    """The CLP* weights: arc (i, j) weighs ``b0[i] @ H``."""
+    return NodeWeights(graph.adjacency.T.tocsr(), _outgoing(graph, b0, h_hat))
 
 
-def _class_sums(rows: np.ndarray) -> np.ndarray:
-    """Column sums of class-major ``rows`` (classes x arcs): the values of
-    ``rows.T.sum(axis=1)``, added in numpy's order for a contiguous row.
+def _step(weights: NodeWeights, normalize: bool):
+    """One aggregation step on (nodes x classes) beliefs, for CLP or, without
+    ``receiving``, CLP*.  Buffers are made here, per call, and die with the step."""
+    a, g, r = weights.incoming, weights.outgoing, weights.receiving
+    if r is None:
+        def sender_only(b: np.ndarray) -> np.ndarray:
+            p = g * b
+            if normalize:
+                sums = p.sum(axis=1)
+                sums[~(sums > 0)] = 1.0  # rows that do not sum above zero stay as they are
+                p /= sums[:, None]
+            return a @ p
 
-    numpy sums a row of fewer than 8 entries sequentially, up to 128 entries
-    with 8 accumulators (entry i goes to accumulator i mod 8, the leftover
-    entries after the last full group of 8 are added in order at the end),
-    and longer rows as two halves whose split is a multiple of 8.
-    """
-    c, m = rows.shape
-    if c < 8:
-        total = np.zeros(m)
-        for row in rows:
-            total += row
-        return total
-    if c <= 128:
-        tail = c - c % 8
-        acc = rows[:8] if tail == 8 else rows[:8] + rows[8:16]
-        for i in range(16, tail, 8):
-            acc += rows[i:i + 8]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place where possible
-        total = acc[0] + acc[1]
-        pair = acc[2] + acc[3]
-        total += pair
-        right = acc[4] + acc[5]
-        np.add(acc[6], acc[7], out=pair)
-        right += pair
-        total += right
-        for row in rows[tail:]:
-            total += row
-        return total
-    half = c // 2 - (c // 2) % 8
-    return _class_sums(rows[:half]) + _class_sums(rows[half:])
+        return sender_only
+    if not normalize:
+        return lambda b: r * (a @ (g * b))
+    r_arcs = weights._receiving_arcs
+    at_senders = np.empty(r_arcs.shape)
+    scaled = sparse.csr_matrix((np.empty(a.nnz), a.indices, a.indptr), shape=a.shape)
 
+    def normalized(b: np.ndarray) -> np.ndarray:
+        p = g * b
+        # senders are valid node ids, so "clip" never clips; it only avoids
+        # the buffered copy that "raise" makes of ``out``
+        np.take(p, a.indices, axis=0, out=at_senders, mode="clip")
+        sums = np.einsum("ij,ij->i", at_senders, r_arcs)
+        sums *= a.data
+        sums[~(sums > 0)] = 1.0  # arcs whose messages do not sum above zero stay as they are
+        np.divide(a.data, sums, out=scaled.data)
+        out = scaled @ p
+        out *= r
+        return out
 
-def _messages(
-    awf: EdgeWeightTensor, beliefs: np.ndarray, out: np.ndarray, normalize: bool
-) -> np.ndarray:
-    """Write the messages ``F_ij[k] * beliefs[k, i]`` of every arc of ``awf``
-    into ``out`` (classes x arcs), optionally divided by their class sum where
-    that sum is positive; ``beliefs`` is class-major (classes x nodes)."""
-    # senders are validated node ids, so "clip" never clips; it only avoids
-    # the buffered copy that "raise" makes of ``out``
-    np.take(beliefs, awf.senders, axis=1, out=out, mode="clip")
-    out *= awf.class_weights
-    if normalize:
-        sums = _class_sums(out)
-        # arcs whose messages do not sum above zero are divided by 1.0, which leaves them as they are
-        sums[~(sums > 0)] = 1.0
-        out /= sums
-    return out
+    return normalized
 
 
-def compute_messages(awf: EdgeWeightTensor, b: Beliefs, normalize: bool = False) -> np.ndarray:
-    """Per-arc messages F_ij * B_i (arcs x classes) in the order of
-    ``awf.arcs``, optionally normalized to unit sum.
-
-    Messages that do not sum above zero are left as they are.
-    """
-    if b.values.shape != (awf.node_count, awf.num_classes):
-        raise ValueError("beliefs shape does not match the edge weight tensor")
-    return _messages(awf, b.values.T, np.empty(awf.class_weights.shape), normalize).T
-
-
-def _normalized_step(awf: EdgeWeightTensor):
-    """The normalized-message step on flat class-major beliefs, for one call.
-
-    The message buffer is the data of a CSR matrix over the pattern of
-    ``awf.operator``, so the receiver sums are that matrix times ones.
-    Buffer and matrix are made here, per call, and die with the step.
-    """
-    operator = awf.operator
-    segments = sparse.csr_matrix(
-        (np.empty(operator.nnz), operator.indices, operator.indptr), shape=operator.shape
-    )
-    msgs = segments.data.reshape(awf.class_weights.shape)
-    ones = np.ones(operator.shape[1])
-
-    def step(b: np.ndarray) -> np.ndarray:
-        _messages(awf, b.reshape(msgs.shape[0], awf.node_count), msgs, normalize=True)
-        return segments @ ones
-
-    return step
+def aggregate(weights: NodeWeights, beliefs: Beliefs, normalize: bool = False) -> np.ndarray:
+    """The aggregate of one step (nodes x classes), without the teleport: each
+    receiver's sum of its messages ``F_ij * beliefs[i]``, each message divided
+    by its sum where that is positive when ``normalize``."""
+    if beliefs.values.shape != weights.outgoing.shape:
+        raise ValueError("beliefs shape does not match the weights")
+    return _step(weights, normalize)(beliefs.values)
 
 
 def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
@@ -309,7 +243,7 @@ def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
 
 
 def propagate_clp(
-    awf: EdgeWeightTensor,
+    awf: NodeWeights,
     teleport: Beliefs,
     config: PropagationConfig,
 ) -> tuple[Beliefs, list[IterationRecord]]:
@@ -319,34 +253,21 @@ def propagate_clp(
     drops below ``config.tol`` or the iteration budget runs out.  Raises
     :class:`DivergenceError` when the residual grows persistently.
     """
-    if teleport.values.shape != (awf.node_count, awf.num_classes):
-        raise ValueError("teleport shape does not match the edge weight tensor")
-    step = _normalized_step(awf) if config.message_normalization else awf.operator.dot
-    flat, log = _iterate(step, teleport.values.T.ravel(), config)
-    values = np.ascontiguousarray(flat.reshape(teleport.values.T.shape).T)
+    if teleport.values.shape != awf.outgoing.shape:
+        raise ValueError("teleport shape does not match the weights")
+    values, log = _iterate(_step(awf, config.message_normalization), teleport.values, config)
     return Beliefs(values, "propagated"), log
 
 
 def propagate_clp_star(
-    weights: SenderWeights,
+    weights: NodeWeights,
     teleport: Beliefs,
     config: PropagationConfig,
 ) -> tuple[Beliefs, list[IterationRecord]]:
-    """Sender-only propagation in node space, bit-identical to
-    :func:`propagate_clp` on the tensor of the same weights."""
-    if teleport.values.shape != weights.outgoing.shape:
-        raise ValueError("teleport shape does not match the sender weights")
-
-    def step(b: np.ndarray) -> np.ndarray:
-        messages = weights.outgoing * b
-        if config.message_normalization:
-            sums = messages.sum(axis=1)
-            sums[~(sums > 0)] = 1.0  # rows that do not sum above zero stay as they are
-            messages /= sums[:, None]
-        return weights.incoming @ messages
-
-    values, log = _iterate(step, teleport.values, config)
-    return Beliefs(values, "propagated"), log
+    """:func:`propagate_clp` on the sender-only weights of
+    :func:`sender_weights`, under a name of its own, so that a run's CLP* calls
+    can be told from its CLP calls."""
+    return propagate_clp(weights, teleport, config)
 
 
 def lp_operator(graph: Graph) -> sparse.csr_matrix:
@@ -425,7 +346,7 @@ def spectral_radius(m: sparse.spmatrix | np.ndarray, threshold: float) -> tuple[
     excludes ``threshold`` or after ``SPECTRAL_STEPS`` steps.  Each bound is
     widened by the relative margin ``(max row nnz + 2) * 2**-52``, which
     covers the rounding of ``|m|x`` and of the ratios.  ``lower`` is 0 when
-    ``m`` has a negative entry, which ``_WEIGHT_SLACK`` admits down to -1e-12.
+    ``m`` has a negative entry.
     """
     m = sparse.csr_matrix(m, dtype=np.float64)
     if m.shape[0] != m.shape[1]:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from clprop.compatibility import Beliefs, CompatibilityMatrix
 from clprop.graph import build_graph
-from clprop.propagation import EdgeWeightTensor
+from clprop.propagation import NodeWeights
 
 
 def line_writer_bytes(rows: np.ndarray) -> bytes:
@@ -29,12 +30,11 @@ def graph_from_edges(n, edges, labels, directed=False, features=None, num_classe
     return build_graph(n, edges, features, labels, num_classes, directed)
 
 
-def tensor_from_dense(matrices):
-    """The edge weight tensor whose receiver-row class slices are the dense
-    ``matrices``: one arc (i, j) for each nonzero entry [j, i] of the first."""
-    receivers, senders = np.nonzero(matrices[0])
-    weights = np.column_stack([m[receivers, senders] for m in matrices])
-    return EdgeWeightTensor(np.column_stack([senders, receivers]), weights, len(matrices[0]))
+def weights_from_dense(matrix, num_classes=1):
+    """Weights whose ``num_classes`` receiver-row class slices all equal the
+    dense ``matrix``: a weighted A^T, with unit sender and receiver factors."""
+    ones = np.ones((len(matrix), num_classes))
+    return NodeWeights(sparse.csr_matrix(matrix), ones, ones)
 
 
 @pytest.fixture

@@ -20,16 +20,16 @@ from clprop.pipeline import ExperimentConfig, report_compat_quality, run_pipelin
 from clprop.propagation import (
     DivergenceError,
     PropagationConfig,
-    SenderWeights,
+    aggregate,
     closed_form_clp,
-    compute_messages,
     convergence_check,
     edge_weights,
     propagate_clp,
+    sender_weights,
 )
 from clprop.synth import P_IN_GRID, SyntheticSpec, gaussian_features, generate
 
-from conftest import graph_from_edges, tensor_from_dense
+from conftest import graph_from_edges, weights_from_dense
 
 
 @contextmanager
@@ -59,20 +59,22 @@ def test_criterion_1_worked_example_oracle():
         graph, compat, beliefs = _worked_instance()
         awf = edge_weights(graph, beliefs, compat)
         # exact up to one IEEE double rounding of the stated products
-        np.testing.assert_allclose(awf.weights[0], [0.112, 0.352], rtol=0, atol=1e-15)
-        msgs = compute_messages(awf, beliefs, normalize=True)
-        np.testing.assert_allclose(msgs[0], [0.175, 0.825], rtol=0, atol=1e-12)
-        assert np.allclose(msgs[0], [0.18, 0.83], atol=0.01)
-        assert np.allclose(msgs[1], [0.66, 0.34], atol=0.01)
-        sender_weights = SenderWeights(graph, beliefs, compat)
-        agg = sender_weights.incoming @ sender_weights.outgoing
+        arc_01 = [slice_k[1, 0] for slice_k in awf.per_class]
+        np.testing.assert_allclose(arc_01, [0.112, 0.352], rtol=0, atol=1e-15)
+        # receivers 1 and 2 each hear one arc, so their aggregate is its message
+        msgs = aggregate(awf, beliefs, normalize=True)
+        np.testing.assert_allclose(msgs[1], [0.175, 0.825], rtol=0, atol=1e-12)
+        assert np.allclose(msgs[1], [0.18, 0.83], atol=0.01)
+        assert np.allclose(msgs[2], [0.66, 0.34], atol=0.01)
+        star = sender_weights(graph, beliefs, compat)
+        agg = star.incoming @ star.outgoing
         np.testing.assert_allclose(agg[1], [0.56, 0.44], rtol=0, atol=1e-12)
         np.testing.assert_allclose(agg[2], [0.56, 0.44], rtol=0, atol=1e-12)
         assert time.perf_counter() - start < 1.0
 
 
 def _convergent_instances(count=50, seed=2024):
-    """Random (tensor, teleport, alpha) triples that pass the analytic check."""
+    """Random (weights, teleport, alpha) triples that pass the analytic check."""
     rng = np.random.default_rng(seed)
     alphas = [0.3, 0.6, 0.9]
     instances = []
@@ -119,35 +121,35 @@ def test_criterion_2_closed_form_equivalence(convergent_instances):
             out, _ = propagate_clp(
                 awf, teleport, PropagationConfig(alpha, max_iters=100000, tol=1e-13)
             )
-            for k in range(awf.num_classes):
-                exact = closed_form_clp(awf.per_class[k], teleport.values[:, k], alpha, k)
+            for k, slice_k in enumerate(awf.per_class):
+                exact = closed_form_clp(slice_k, teleport.values[:, k], alpha, k)
                 worst = max(worst, float(np.abs(exact - out.values[:, k]).max()))
         assert worst < 1e-8, f"max deviation {worst:.3g}"
         assert time.perf_counter() - start < 30.0
 
 
-def _known_radius_tensor(n, rho_target, seed):
+def _known_radius_weights(n, rho_target, seed):
     rng = np.random.default_rng(seed)
     base = rng.random((n, n))
     np.fill_diagonal(base, 0.0)
     rho0 = float(np.max(np.abs(np.linalg.eigvals(base))))  # dense oracle
     scaled = base * (rho_target / rho0)
     assert scaled.max() <= 1.0
-    return tensor_from_dense([scaled])
+    return weights_from_dense(scaled)
 
 
 def test_criterion_3_convergence_boundary():
     with criterion(3, "convergence boundary at rho = 1/alpha"):
         for alpha in (0.5, 0.8):
             teleport = Beliefs(np.ones((16, 1)), "prior")
-            awf = _known_radius_tensor(16, 0.8 / alpha, seed=int(alpha * 10))
+            awf = _known_radius_weights(16, 0.8 / alpha, seed=int(alpha * 10))
             _, log = propagate_clp(
                 awf, teleport, PropagationConfig(alpha, max_iters=500, tol=1e-10)
             )
             assert log[-1].residual < 1e-10
             assert len(log) <= 500
 
-            awf = _known_radius_tensor(16, 1.2 / alpha, seed=100 + int(alpha * 10))
+            awf = _known_radius_weights(16, 1.2 / alpha, seed=100 + int(alpha * 10))
             with pytest.raises(DivergenceError) as err:
                 propagate_clp(
                     awf, teleport, PropagationConfig(alpha, max_iters=200, tol=1e-300)

@@ -9,7 +9,9 @@ import numpy as np
 
 import clprop.pipeline as pipeline
 from clprop.compatibility import Beliefs
-from clprop.propagation import EdgeWeightTensor, PropagationConfig
+from clprop.propagation import PropagationConfig
+
+from conftest import weights_from_dense
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -24,14 +26,15 @@ def test_every_probe_resolves_to_a_callable(monkeypatch):
 
 
 def test_clp_probe_reads_a_real_call(monkeypatch):
-    """The propagate_clp probe reads the call's tensor (``arcs``,
+    """The propagate_clp probe reads the call's weights (``arcs``,
     ``num_classes``), its config and the returned log; each span of a traced
     run carries what it read."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     workloads = importlib.import_module("workloads")
     spans = importlib.import_module("spans")
     probe = next(p for p in workloads.PROBES if p.attr == "propagate_clp")
-    awf = EdgeWeightTensor(np.array([[0, 1], [1, 0], [1, 2]]), np.full((3, 2), 0.25), 3)
+    # arcs (0, 1), (1, 0) and (1, 2) of weight 0.25 in both classes
+    awf = weights_from_dense(np.array([[0, 0.25, 0], [0.25, 0, 0], [0, 0.25, 0]]), 2)
     teleport = Beliefs(np.full((3, 2), 0.5), "prior")
     config = PropagationConfig(0.5, max_iters=4, tol=0.0)
     with spans.instrument(spans.SpanRecorder(), [probe]) as recorder:

@@ -30,7 +30,7 @@ from clprop.pipeline import (
 )
 from clprop.synth import SyntheticSpec, generate
 
-from conftest import graph_from_edges, line_writer_files, tensor_from_dense
+from conftest import graph_from_edges, line_writer_files, weights_from_dense
 
 FAST_MLP = TrainConfig(epochs=80, early_stop_patience=80)
 
@@ -264,7 +264,7 @@ class TestRunPipeline:
         """A candidate that runs every step with its residual at or above the
         tolerance is logged "budget", not "converged", and still competes."""
         weights = np.array([[0.0, 0.5], [0.5, 0.0]])
-        awf = tensor_from_dense([weights, weights])
+        awf = weights_from_dense(weights, 2)
         teleport = Beliefs(np.array([[0.9, 0.1], [0.2, 0.8]]), "base_prediction")
 
         def run(alpha, _teleport, _norm):
@@ -317,21 +317,21 @@ class TestRunPipeline:
         # 9 alphas x 2 message normalizations x 2 teleport sources
         assert len(result.candidate_log) == 9 * 2 * 2
 
-    @pytest.mark.parametrize("method, tensors", [("clp", 1), ("clp_star", 0)])
-    def test_only_clp_builds_an_edge_tensor(self, method, tensors, small_graph, monkeypatch):
-        """CLP* propagates and certifies on node-space factors: its run builds
-        no EdgeWeightTensor, while CLP builds one per seed."""
+    @pytest.mark.parametrize("method, calls", [("clp", 1), ("clp_star", 0)])
+    def test_only_clp_calls_edge_weights(self, method, calls, small_graph, monkeypatch):
+        """A CLP run builds its weights with ``edge_weights`` once per seed, so
+        that span times them; CLP* builds its own and never calls it."""
         built = []
-        real_init = propagation.EdgeWeightTensor.__init__
+        real = pipeline.edge_weights
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            real_init(self, *args, **kwargs)
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(propagation.EdgeWeightTensor, "__init__", counting_init)
+        monkeypatch.setattr(pipeline, "edge_weights", counting)
         report = run_pipeline(small_config(method=method, seeds=(0,)), graph=small_graph)
         assert not report.per_seed[0].fallback
-        assert len(built) == tensors
+        assert len(built) == calls
 
     @pytest.mark.parametrize("method, certifies", [("mlp_only", False), ("lp", False),
                                                    ("clp", True), ("clp_star", True)])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 import clprop.propagation as propagation
@@ -14,26 +13,26 @@ from clprop.graph import build_graph, one_hot
 from clprop.pipeline import DEFAULT_ALPHA_GRID
 from clprop.propagation import (
     DivergenceError,
-    EdgeWeightTensor,
+    NodeWeights,
     PropagationConfig,
-    SenderWeights,
     SingularSystemError,
+    aggregate,
     closed_form_clp,
-    compute_messages,
     convergence_check,
     edge_weights,
     lp_operator,
     propagate_clp,
     propagate_clp_star,
     propagate_lp,
+    sender_weights,
     spectral_radius,
 )
 
-from conftest import graph_from_edges, random_propagation_instance, tensor_from_dense
+from conftest import graph_from_edges, random_propagation_instance, weights_from_dense
 
 
-def scaled_random_tensor(n, rho_target, seed, num_classes=1):
-    """Single-pattern tensor whose first slice has a known spectral radius.
+def scaled_random_weights(n, rho_target, seed, num_classes=1):
+    """Weights whose class slices are one dense matrix of known spectral radius.
 
     The dense eigensolver provides the ground-truth radius of the base
     matrix; scaling is exact because rho is homogeneous.
@@ -44,26 +43,18 @@ def scaled_random_tensor(n, rho_target, seed, num_classes=1):
     rho0 = np.max(np.abs(np.linalg.eigvals(base)))
     scaled = base * (rho_target / rho0)
     assert scaled.max() <= 1.0
-    return tensor_from_dense([scaled] * num_classes)
+    return weights_from_dense(scaled, num_classes)
 
 
-def _owner(array):
-    """The array that owns the memory ``array`` views."""
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
-
-
-def _held_arrays(obj):
-    """Every ndarray ``obj`` holds, through attributes, sparse matrices and tuples."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _held_arrays(item)
-    elif isinstance(obj, EdgeWeightTensor) or sparse.issparse(obj):
-        for value in vars(obj).values():
-            yield from _held_arrays(value)
+def _arc_weights(weights):
+    """The (arcs x classes) weights ``G[i] * R[j] * a_ij`` of ``weights.arcs``,
+    expanded from the factors in the order of the products of ``per_class``."""
+    senders, receivers = weights.arcs.T
+    expanded = weights.outgoing[senders]
+    if weights.receiving is not None:
+        expanded *= weights.receiving[receivers]
+    expanded *= weights.incoming.data[:, None]
+    return expanded
 
 
 class TestEdgeWeights:
@@ -71,15 +62,16 @@ class TestEdgeWeights:
         graph, compat, beliefs = worked_example
         awf = edge_weights(graph, beliefs, compat)
         assert awf.arcs.tolist() == [[0, 1], [0, 2]]
-        np.testing.assert_allclose(awf.weights[0], [0.112, 0.352], atol=1e-15)
-        np.testing.assert_allclose(awf.weights[1], [0.392, 0.132], atol=1e-15)
+        slices = awf.per_class
+        np.testing.assert_allclose([s[1, 0] for s in slices], [0.112, 0.352], atol=1e-15)
+        np.testing.assert_allclose([s[2, 0] for s in slices], [0.392, 0.132], atol=1e-15)
 
     def test_identity_compat_one_hot_is_basis_vector(self):
         g = graph_from_edges(2, [(0, 1)], [1, 1], num_classes=3, directed=True)
         b = Beliefs(one_hot([1, 1], 3), "prior")
         h = CompatibilityMatrix(np.eye(3), "row_stochastic")
         awf = edge_weights(g, b, h)
-        np.testing.assert_array_equal(awf.weights[0], [0, 1, 0])
+        np.testing.assert_array_equal([s[1, 0] for s in awf.per_class], [0, 1, 0])
 
     def test_homophily_degeneration_support(self):
         # identity compatibility + one-hot priors on a homophilous graph:
@@ -88,10 +80,11 @@ class TestEdgeWeights:
         b = Beliefs(one_hot(g.labels, 2), "prior")
         h = CompatibilityMatrix(np.eye(2), "row_stochastic")
         awf = edge_weights(g, b, h)
-        for (src, _), w in zip(awf.arcs, awf.weights):
+        slices = awf.per_class
+        for src, dst in awf.arcs:
             expected = np.zeros(2)
             expected[g.labels[src]] = 1.0
-            np.testing.assert_array_equal(w, expected)
+            np.testing.assert_array_equal([s[dst, src] for s in slices], expected)
 
     def test_slice_pattern_equals_arc_set_when_undirected(self, path4):
         b = Beliefs(np.full((4, 2), 0.5), "prior")
@@ -108,91 +101,74 @@ class TestEdgeWeights:
         with pytest.raises(ValueError):
             edge_weights(path4, b, h)
 
-
-class TestEdgeWeightTensor:
-    @pytest.mark.parametrize("num_classes", [1, 3, 17])
-    @pytest.mark.parametrize("arcs", ["undirected", "directed", "none"])
-    def test_weights_are_stored_once_in_the_operator(self, arcs, num_classes):
-        rng = np.random.default_rng(num_classes)
-        n = 12
-        pairs = rng.integers(0, n, (0 if arcs == "none" else 30, 2))
-        graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, num_classes, n),
-                            num_classes, arcs == "directed")
-        weights = rng.random((graph.arc_count, num_classes))
-        awf = EdgeWeightTensor(graph.arcs, weights, n)
-        slices = awf.per_class  # cached on first access, so the tensor holds them below
-        op = awf.operator
-        assert awf.class_weights.shape == (num_classes, graph.arc_count)
-        assert _owner(awf.class_weights) is _owner(op.data)
-        assert _owner(awf.senders) is _owner(op.indices)
-        for array in (awf.class_weights, awf.senders, op.data, op.indices, op.indptr):
-            assert not array.flags.writeable
-        for k, slice_k in enumerate(slices):
-            assert _owner(slice_k.data) is _owner(awf.class_weights)
-            np.testing.assert_array_equal(slice_k.data, awf.class_weights[k])
-        if graph.arc_count:
-            assert np.shares_memory(awf.class_weights, op.data)
-            assert np.shares_memory(awf.senders, op.indices)
-            assert all(np.shares_memory(s.data, awf.class_weights) for s in slices)
-        # the float buffer of C*m entries is op.data alone, and no index array is held twice
-        stores = {id(_owner(a)) for a in (awf.arcs, op.data, op.indices, op.indptr)}
-        assert {id(_owner(a)) for a in _held_arrays(awf)} == stores
-        # arcs, weights, class_weights and messages share one order: stable by receiver
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_slices_are_the_products_of_the_arc_weights(self, directed):
+        """Class k's slice holds ``(b0[i] @ H)[k] * b0[j, k]`` at [j, i] for each
+        arc, one product as an arc weight is, in the arcs' receiver-stable order."""
+        rng = np.random.default_rng(3 + directed)
+        graph, b0, compat = random_propagation_instance(rng)
+        graph = build_graph(graph.node_count, graph.arcs, graph.features, graph.labels,
+                            graph.num_classes, directed)
+        awf = edge_weights(graph, b0, compat)
         order = np.argsort(graph.arcs[:, 1], kind="stable")
         np.testing.assert_array_equal(awf.arcs, graph.arcs[order])
-        np.testing.assert_array_equal(awf.weights, weights[order])
-        np.testing.assert_array_equal(awf.class_weights.T, awf.weights)
-        np.testing.assert_array_equal(awf.senders, awf.arcs[:, 0])
-        beliefs = Beliefs(rng.random((n, num_classes)), "propagated")
-        np.testing.assert_array_equal(compute_messages(awf, beliefs),
-                                      awf.weights * beliefs.values[awf.arcs[:, 0]])
+        src, dst = awf.arcs.T
+        expected = (b0.values @ compat.values)[src] * b0.values[dst]
+        for k, slice_k in enumerate(awf.per_class):
+            np.testing.assert_array_equal(slice_k.data, expected[:, k])
+            np.testing.assert_array_equal(slice_k.indices, src)
 
     def test_construction_peak_memory(self):
-        """The weights are gathered class by class into the operator's data.
-        One construction peaks at 3.36 MB (numpy 2.4); a gather of the whole
-        (arcs x classes) array in arc order would add 1.3 MB and fail."""
+        """The weights are node-space factors: building them for 20k arcs and
+        10 classes peaks at 0.41 MB (numpy 2.4, scipy 1.17), A^T and G.  The
+        (arcs x classes) tensor they replace peaked at 4.9 MB here, and any
+        (arcs x classes) array would add 1.6 MB and fail."""
         rng = np.random.default_rng(0)
         n, m, c = 2000, 20000, 10
-        arcs = rng.integers(0, n, (m, 2))
-        weights = rng.random((m, c))
+        pairs = rng.integers(0, n, (m, 2))
+        graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, c, n), c, directed=True)
+        assert graph.arc_count > 0.99 * m
+        b0 = rng.random((n, c))
+        b0 = Beliefs(b0 / b0.sum(axis=1, keepdims=True), "prior")
+        compat = CompatibilityMatrix(np.full((c, c), 1.0 / c), "doubly_stochastic", 0.0)
         tracemalloc.start()
         try:
-            awf = EdgeWeightTensor(arcs, weights, n)
+            awf = edge_weights(graph, b0, compat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert awf.operator.nnz == m * c
-        assert peak < 3.6e6, f"peak {peak / 1e6:.2f} MB"
-
-    def test_rejects_out_of_range_weights(self):
-        with pytest.raises(ValueError, match="0, 1"):
-            EdgeWeightTensor(
-                np.array([[0, 1]]), np.array([[1.5]]), node_count=2
-            )
+        assert awf.incoming.nnz == graph.arc_count
+        assert peak < 0.6e6, f"peak {peak / 1e6:.2f} MB"
 
 
-class TestComputeMessages:
+class TestAggregate:
+    """In the worked example, receivers 1 and 2 each have one incoming arc,
+    so their aggregate is that arc's message."""
+
     def test_worked_instance_normalized(self, worked_example):
         graph, compat, beliefs = worked_example
-        awf = edge_weights(graph, beliefs, compat)
-        msgs = compute_messages(awf, beliefs, normalize=True)
-        np.testing.assert_allclose(msgs[0], [0.175, 0.825], atol=1e-12)
-        np.testing.assert_allclose(msgs[1], [0.66440678, 0.33559322], atol=1e-8)
+        agg = aggregate(edge_weights(graph, beliefs, compat), beliefs, normalize=True)
+        np.testing.assert_allclose(agg[1], [0.175, 0.825], atol=1e-12)
+        np.testing.assert_allclose(agg[2], [0.66440678, 0.33559322], atol=1e-8)
+        np.testing.assert_array_equal(agg[0], [0.0, 0.0])
 
     def test_worked_instance_raw(self, worked_example):
         graph, compat, beliefs = worked_example
-        awf = edge_weights(graph, beliefs, compat)
-        msgs = compute_messages(awf, beliefs, normalize=False)
-        np.testing.assert_allclose(msgs[0], [0.0448, 0.2112], atol=1e-15)
-        normalized = msgs[0] / msgs[0].sum()
+        agg = aggregate(edge_weights(graph, beliefs, compat), beliefs, normalize=False)
+        np.testing.assert_allclose(agg[1], [0.0448, 0.2112], atol=1e-15)
+        normalized = agg[1] / agg[1].sum()
         np.testing.assert_allclose(normalized, [0.175, 0.825], atol=1e-12)
 
     def test_zero_belief_row_gives_zero_message(self, worked_example):
         graph, compat, beliefs = worked_example
         awf = edge_weights(graph, beliefs, compat)
         silent = Beliefs(np.zeros((3, 2)), "propagated")
-        msgs = compute_messages(awf, silent, normalize=True)
-        np.testing.assert_array_equal(msgs, np.zeros((2, 2)))
+        np.testing.assert_array_equal(aggregate(awf, silent, normalize=True), np.zeros((3, 2)))
+
+    def test_rejects_beliefs_of_another_shape(self, worked_example):
+        graph, compat, beliefs = worked_example
+        with pytest.raises(ValueError, match="beliefs"):
+            aggregate(edge_weights(graph, beliefs, compat), Beliefs(np.ones((3, 3)), "propagated"))
 
 
 class TestPropagateClp:
@@ -204,7 +180,7 @@ class TestPropagateClp:
         assert log[-1].residual == 0.0
 
     def test_zero_weights_fixed_point(self):
-        awf = tensor_from_dense([np.zeros((4, 4))] * 2)
+        awf = weights_from_dense(np.zeros((4, 4)), 2)
         teleport = Beliefs(np.full((4, 2), 0.5), "prior")
         out, log = propagate_clp(awf, teleport, PropagationConfig(alpha=0.4))
         np.testing.assert_allclose(out.values, 0.6 * teleport.values)
@@ -215,8 +191,9 @@ class TestPropagateClp:
         for trial in range(5):
             graph, b0, compat = random_propagation_instance(rng, max_nodes=25)
             awf = edge_weights(graph, b0, compat)
+            slices = awf.per_class
             alpha = 0.6
-            if not all(v.ok for v in convergence_check(awf.per_class, alpha)):
+            if not all(v.ok for v in convergence_check(slices, alpha)):
                 continue
             teleport = Beliefs(
                 np.full((graph.node_count, b0.num_classes), 1.0 / b0.num_classes),
@@ -226,11 +203,11 @@ class TestPropagateClp:
                 awf, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
             )
             for k in range(b0.num_classes):
-                exact = closed_form_clp(awf.per_class[k], teleport.values[:, k], alpha, k)
+                exact = closed_form_clp(slices[k], teleport.values[:, k], alpha, k)
                 assert np.abs(exact - out.values[:, k]).max() < 1e-8
 
     def test_divergence_detected(self):
-        awf = scaled_random_tensor(16, rho_target=1.5, seed=0)
+        awf = scaled_random_weights(16, rho_target=1.5, seed=0)
         teleport = Beliefs(np.ones((16, 1)), "prior")
         with pytest.raises(DivergenceError):
             propagate_clp(awf, teleport, PropagationConfig(alpha=0.8, max_iters=500, tol=1e-300))
@@ -239,12 +216,13 @@ class TestPropagateClp:
         rng = np.random.default_rng(21)
         graph, b0, compat = random_propagation_instance(rng, max_nodes=20)
         awf = edge_weights(graph, b0, compat)
+        slices = awf.per_class
         alpha, tol = 0.5, 1e-12
         teleport = b0
         out, _ = propagate_clp(awf, teleport, PropagationConfig(alpha, max_iters=30000, tol=tol))
         reproduced = np.column_stack(
             [
-                (1 - alpha) * teleport.values[:, k] + alpha * (awf.per_class[k] @ out.values[:, k])
+                (1 - alpha) * teleport.values[:, k] + alpha * (slices[k] @ out.values[:, k])
                 for k in range(b0.num_classes)
             ]
         )
@@ -271,18 +249,18 @@ class TestPropagateClp:
         assert (raw.values != normed.values).any()
 
 
-def _reference_step(awf, normalize):
-    """The aggregation step in its original, arc-major form, built from the
-    arcs and weights alone: normalized messages divided through a boolean mask
-    and summed by the receiver incidence, unnormalized beliefs aggregated
-    class by class through receiver-row slices built from COO."""
-    n, m = awf.node_count, awf.arcs.shape[0]
-    src, dst = awf.arcs[:, 0], awf.arcs[:, 1]
-    weights = awf.weights
+def _reference_step(weights, normalize):
+    """The aggregation step in its arc-major form, built from the arcs and
+    their expanded weights alone: normalized messages divided through a
+    boolean mask and summed by the receiver incidence, unnormalized beliefs
+    aggregated class by class through receiver-row slices built from COO."""
+    n, m = weights.incoming.shape[0], weights.incoming.nnz
+    src, dst = weights.arcs.T
+    arc_weights = _arc_weights(weights)
     if not normalize:
         slices = [
-            sparse.csr_matrix((weights[:, k], (dst, src)), shape=(n, n))
-            for k in range(awf.num_classes)
+            sparse.csr_matrix((arc_weights[:, k], (dst, src)), shape=(n, n))
+            for k in range(weights.num_classes)
         ]
         return lambda values: np.column_stack(
             [slice_k @ values[:, k] for k, slice_k in enumerate(slices)]
@@ -290,7 +268,7 @@ def _reference_step(awf, normalize):
     incidence = sparse.csr_matrix((np.ones(m), (dst, np.arange(m))), shape=(n, m))
 
     def step(values):
-        msgs = weights * values[src]
+        msgs = arc_weights * values[src]
         sums = msgs.sum(axis=1)
         pos = sums > 0
         msgs[pos] /= sums[pos, None]
@@ -299,142 +277,134 @@ def _reference_step(awf, normalize):
     return step
 
 
-def _degenerate_instance(rng, directed, num_classes=None):
-    """Random arcs plus isolated nodes, zero-weight arcs and silent senders;
+def _degenerate_instance(rng, directed, num_classes=None, receiving=True):
+    """Random factors on random arcs, with isolated nodes, zero rows of G, of
+    R and of the teleport, and (with ``receiving``) a weighted A^T with
+    zero-weight arcs; without ``receiving``, CLP* weights on the 0/1 A^T.
     2 to 5 classes unless ``num_classes`` is given."""
     n = int(rng.integers(10, 40))
     c = int(rng.integers(2, 6)) if num_classes is None else num_classes
     active = n - 3  # the last three nodes stay isolated
     pairs = rng.integers(0, active, (int(rng.integers(1, 4 * active)), 2))
     graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, c, n), c, directed)
-    weights = rng.random((graph.arc_count, c)) * rng.uniform(0.05, 0.5)
-    weights[rng.random(weights.shape) < 0.2] = 0.0
-    weights[rng.random(graph.arc_count) < 0.1] = 0.0  # arcs that carry nothing
+    incoming = graph.adjacency.T.tocsr()
+    outgoing = rng.random((n, c)) * rng.uniform(0.05, 0.5)
+    outgoing[rng.random(outgoing.shape) < 0.2] = 0.0
+    outgoing[rng.random(n) < 0.1] = 0.0  # senders whose weights are all zero
+    factor = None
+    if receiving:
+        incoming.data = rng.uniform(0.2, 1.0, incoming.nnz)
+        incoming.data[rng.random(incoming.nnz) < 0.1] = 0.0  # arcs that carry nothing
+        factor = rng.random((n, c))
+        factor[rng.random(factor.shape) < 0.2] = 0.0
+        factor[rng.random(n) < 0.1] = 0.0  # receivers that take nothing
     teleport = rng.random((n, c))
     teleport[rng.random(teleport.shape) < 0.2] = 0.0
     teleport[rng.random(n) < 0.15] = 0.0  # senders whose messages sum to zero
-    awf = EdgeWeightTensor(graph.arcs.copy(), weights, n)
-    return awf, Beliefs(teleport, "propagated")
+    return NodeWeights(incoming, outgoing, factor), Beliefs(teleport, "propagated")
 
 
-def _reference_run(awf, teleport, config):
+def _reference_run(weights, teleport, config):
     return propagation._iterate(
-        _reference_step(awf, config.message_normalization), teleport.values, config
+        _reference_step(weights, config.message_normalization), teleport.values, config
     )
 
 
-def _assert_same_run(awf, teleport, config):
-    """propagate_clp matches the reference step bit for bit, diverging or not."""
+def _assert_same_run(weights, teleport, config, exact=None):
+    """``propagate_clp``, or ``propagate_clp_star`` on weights without a
+    receiving factor, matches the reference: bit for bit when ``exact`` (by
+    default for CLP*), else to rtol 1e-12 with the same log length; diverging
+    or not alike.  Returns whether the run diverged."""
+    propagate = propagate_clp if weights.receiving is not None else propagate_clp_star
+    exact = weights.receiving is None if exact is None else exact
     try:
-        values, log = _reference_run(awf, teleport, config)
+        values, log = _reference_run(weights, teleport, config)
     except DivergenceError as expected:
         with pytest.raises(DivergenceError) as err:
-            propagate_clp(awf, teleport, config)
-        assert err.value.log == expected.log
-        return
-    out, got_log = propagate_clp(awf, teleport, config)
-    np.testing.assert_array_equal(out.values, values)
-    assert got_log == log
+            propagate(weights, teleport, config)
+        if exact:
+            assert err.value.log == expected.log
+        else:
+            assert len(err.value.log) == len(expected.log)
+        return True
+    out, got_log = propagate(weights, teleport, config)
+    if exact:
+        np.testing.assert_array_equal(out.values, values)
+        assert got_log == log
+    else:
+        np.testing.assert_allclose(out.values, values, rtol=1e-12, atol=0)
+        assert len(got_log) == len(log)
+    return False
 
 
-class TestBitIdentityWithReferenceStep:
+@pytest.mark.parametrize("receiving", [True, False], ids=["clp", "clp_star"])
+class TestMatchesArcMajorReference:
+    """CLP matches the arc-major step to rtol 1e-12, CLP* bit for bit."""
+
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_random_degenerate_graphs(self, directed, normalize):
+    def test_random_degenerate_graphs(self, directed, normalize, receiving):
         rng = np.random.default_rng(41 + directed)
         for _ in range(6):
-            awf, teleport = _degenerate_instance(rng, directed)
+            weights, teleport = _degenerate_instance(rng, directed, receiving=receiving)
             for alpha in (0.1, 0.5, 0.9):
-                _assert_same_run(
-                    awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
-                )
+                config = PropagationConfig(alpha, message_normalization=normalize)
+                _assert_same_run(weights, teleport, config)
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("num_classes", [1, 8, 9, 10, 16, 17])
-    def test_class_counts_of_every_summation_branch(self, num_classes, normalize, directed):
-        # one class; 8 accumulators with no leftover, with leftovers, and
-        # with a second group of 8
+    def test_class_counts_of_every_summation_branch(self, num_classes, normalize, directed,
+                                                    receiving):
+        # one class; numpy's row sums with 8 accumulators and no leftover,
+        # with leftovers, and with a second group of 8
         rng = np.random.default_rng(num_classes + 50 * directed)
         for _ in range(3):
-            awf, teleport = _degenerate_instance(rng, directed, num_classes)
+            weights, teleport = _degenerate_instance(rng, directed, num_classes, receiving)
             for alpha in (0.1, 0.5, 0.9):
-                _assert_same_run(
-                    awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
-                )
+                config = PropagationConfig(alpha, message_normalization=normalize)
+                _assert_same_run(weights, teleport, config)
 
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_slack_weights_give_nonpositive_message_sums(self, normalize):
-        # weights may dip to -1e-12: arcs whose weights are all within that
-        # slack send rows that sum below zero with nonzero entries, for any
-        # positive beliefs, and must be left undivided like zero-sum rows
+    def test_negative_arc_sums_leave_messages_undivided(self, normalize, receiving):
+        # senders whose G rows hold only tiny negative entries send messages
+        # that sum below zero; like zero-sum messages they are not divided
         rng = np.random.default_rng(7)
-        n, c = 30, 3
-        graph = build_graph(n, rng.integers(0, n, (80, 2)), np.zeros((n, 1)),
-                            rng.integers(0, c, n), c)
-        weights = rng.random((graph.arc_count, c)) * 0.3
-        slack = rng.random(graph.arc_count) < 0.3
-        weights[slack] = [-1e-12, 0.0, 0.0]
-        weights[slack & (rng.random(graph.arc_count) < 0.5)] = [-1e-12, -5e-13, 0.0]
-        awf = EdgeWeightTensor(graph.arcs.copy(), weights, n)
-        teleport = Beliefs(rng.uniform(0.5, 1.0, (n, c)), "propagated")
-        msgs = compute_messages(awf, teleport)
-        assert ((msgs.sum(axis=1) < 0) & (msgs != 0).any(axis=1)).sum() >= 4
+        weights, _ = _degenerate_instance(rng, False, 3, receiving)
+        n = weights.incoming.shape[0]
+        slack = rng.random(n) < 0.3
+        weights.outgoing[slack] = [-1e-12, 0.0, 0.0]
+        weights.outgoing[slack & (rng.random(n) < 0.5)] = [-1e-12, -5e-13, 0.0]
+        teleport = Beliefs(rng.uniform(0.5, 1.0, (n, 3)), "propagated")
+        sums = (_arc_weights(weights) * teleport.values[weights.arcs[:, 0]]).sum(axis=1)
+        assert (sums < 0).sum() >= 4
         for alpha in (0.1, 0.5, 0.9):
-            _assert_same_run(
-                awf, teleport, PropagationConfig(alpha, message_normalization=normalize)
-            )
+            config = PropagationConfig(alpha, message_normalization=normalize)
+            _assert_same_run(weights, teleport, config)
 
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_empty_arc_set(self, normalize):
-        awf = EdgeWeightTensor(np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3)), 5)
-        teleport = Beliefs(np.random.default_rng(2).random((5, 3)), "propagated")
-        _assert_same_run(awf, teleport, PropagationConfig(0.5, message_normalization=normalize))
+    def test_empty_arc_set(self, normalize, receiving):
+        rng = np.random.default_rng(2)
+        weights = NodeWeights(sparse.csr_matrix((5, 5)), rng.random((5, 3)),
+                              rng.random((5, 3)) if receiving else None)
+        assert weights.arcs.shape == (0, 2)
+        teleport = Beliefs(rng.random((5, 3)), "propagated")
+        config = PropagationConfig(0.5, message_normalization=normalize)
+        _assert_same_run(weights, teleport, config, exact=True)
 
-    def test_diverging_run_logs_match(self):
-        awf = scaled_random_tensor(16, rho_target=1.5, seed=0, num_classes=2)
+    def test_diverging_run_logs_match(self, receiving):
+        weights = scaled_random_weights(16, rho_target=1.5, seed=0, num_classes=2)
+        if not receiving:
+            weights = NodeWeights(weights.incoming, weights.outgoing)
         teleport = Beliefs(np.ones((16, 2)), "propagated")
         config = PropagationConfig(alpha=0.8, max_iters=500, tol=1e-300)
         with pytest.raises(DivergenceError) as expected:
-            _reference_run(awf, teleport, config)
+            _reference_run(weights, teleport, config)
         with pytest.raises(DivergenceError) as err:
-            propagate_clp(awf, teleport, config)
+            (propagate_clp if receiving else propagate_clp_star)(weights, teleport, config)
         assert len(err.value.log) == len(expected.value.log)
-        assert err.value.log[-1].residual == expected.value.log[-1].residual
-
-
-CLASS_COUNTS = [*range(1, 41), 127, 128, 129, 300]
-
-
-class TestClassSums:
-    """``_class_sums`` must repeat numpy's order of additions for
-    ``ndarray.sum(axis=1)`` exactly: the normalized step divides by it."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_equals_numpy_row_sums(self, data):
-        c = data.draw(st.sampled_from(CLASS_COUNTS), label="classes")
-        m = data.draw(st.integers(0, 6), label="arcs")
-        # message entries: products of weights in [-1e-12, 1] and beliefs
-        entry = st.floats(0.0, 1.0) | st.sampled_from([0.0, -1e-12, -5e-13])
-        msgs = data.draw(hnp.arrays(np.float64, (m, c), elements=entry), label="messages")
-        msgs[data.draw(hnp.arrays(bool, m), label="zero rows")] = 0.0
-        np.testing.assert_array_equal(
-            propagation._class_sums(np.ascontiguousarray(msgs.T)), msgs.sum(axis=1)
-        )
-
-    @pytest.mark.parametrize("c", CLASS_COUNTS)
-    def test_equals_numpy_on_spread_magnitudes(self, c):
-        # entries over 16 decades make every order of addition visible in the
-        # last bits: from 8 classes on, a plain sequential sum differs
-        rng = np.random.default_rng(c)
-        msgs = rng.random((400, c)) * 10.0 ** rng.integers(-8, 8, (400, c))
-        rows = np.ascontiguousarray(msgs.T)
-        np.testing.assert_array_equal(propagation._class_sums(rows), msgs.sum(axis=1))
-        sequential = np.zeros(400)
-        for row in rows:
-            sequential += row
-        assert (sequential != msgs.sum(axis=1)).any() == (c >= 8)
+        assert err.value.log[-1].residual == pytest.approx(expected.value.log[-1].residual,
+                                                           rel=1e-12)
 
 
 class TestNoStateOutlivesACall:
@@ -452,22 +422,22 @@ class TestNoStateOutlivesACall:
         assert first.values.tobytes() == second.values.tobytes()
         assert first_log == second_log
 
-    def test_certificate_on_views_matches_coo_slices(self):
+    def test_certificate_on_per_class_matches_coo_slices(self):
         rng = np.random.default_rng(9)
-        tensors = [scaled_random_tensor(14, rho, seed, 3) for seed, rho in enumerate((0.9, 1.3))]
+        weights = [scaled_random_weights(14, rho, seed, 3) for seed, rho in enumerate((0.9, 1.3))]
         for directed in (False, True):
             awf, _ = _degenerate_instance(rng, directed, 9)
-            tensors.append(EdgeWeightTensor(awf.arcs, awf.weights * 2.0, awf.node_count))
+            weights.append(NodeWeights(awf.incoming * 4.0, awf.outgoing, awf.receiving))
         statuses = set()
-        for awf in tensors:
-            n = awf.node_count
-            src, dst = awf.arcs[:, 0], awf.arcs[:, 1]
-            coo = [sparse.csr_matrix((awf.weights[:, k], (dst, src)), shape=(n, n))
+        for awf in weights:
+            n = awf.incoming.shape[0]
+            src, dst = awf.arcs.T
+            arc_weights = _arc_weights(awf)
+            coo = [sparse.csr_matrix((arc_weights[:, k], (dst, src)), shape=(n, n))
                    for k in range(awf.num_classes)]
-            for slice_k in awf.per_class:  # views of the tensor, not copies
-                assert np.shares_memory(slice_k.data, awf.class_weights)
+            slices = awf.per_class
             for alpha in DEFAULT_ALPHA_GRID:
-                verdicts = convergence_check(awf.per_class, alpha)
+                verdicts = convergence_check(slices, alpha)
                 assert verdicts == convergence_check(coo, alpha)
                 statuses |= {v.status for v in verdicts}
         assert {"certified", "convergent", "divergent"} <= statuses
@@ -475,8 +445,7 @@ class TestNoStateOutlivesACall:
 
 def _sender_instance(rng, directed, num_classes):
     """CLP* weights on a random graph with isolated nodes and a sender whose
-    ``outgoing`` row is 0, the edge tensor of the same weights, and a
-    teleport with zero rows."""
+    ``outgoing`` row is 0, and a teleport with zero rows."""
     n = int(rng.integers(10, 40))
     pairs = np.vstack([[0, 1], rng.integers(0, n - 3, (int(rng.integers(1, 4 * n)), 2))])
     graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, num_classes, n),
@@ -484,35 +453,20 @@ def _sender_instance(rng, directed, num_classes):
     b0 = rng.random((n, num_classes))
     h = rng.random((num_classes, num_classes)) * (rng.random((num_classes,) * 2) < 0.7)
     h[:, 0] += 1e-3  # no zero row
-    weights = SenderWeights(graph, Beliefs(b0 / b0.sum(axis=1, keepdims=True), "prior"),
-                            CompatibilityMatrix(h / h.sum(axis=1, keepdims=True), "row_stochastic"))
+    weights = sender_weights(graph, Beliefs(b0 / b0.sum(axis=1, keepdims=True), "prior"),
+                             CompatibilityMatrix(h / h.sum(axis=1, keepdims=True),
+                                                 "row_stochastic"))
     weights.outgoing[graph.arcs[rng.integers(graph.arc_count), 0]] = 0.0
-    tensor = EdgeWeightTensor(graph.arcs, weights.outgoing[graph.arcs[:, 0]], n)
     teleport = rng.random((n, num_classes))
     teleport[rng.random(n) < 0.15] = 0.0  # senders whose messages sum to zero
-    return weights, tensor, Beliefs(teleport, "propagated")
-
-
-def _assert_same_clp_star_run(weights, tensor, teleport, config):
-    """propagate_clp_star matches propagate_clp on the tensor of the same
-    weights bit for bit, diverging or not; returns whether it diverged."""
-    try:
-        expected, expected_log = propagate_clp(tensor, teleport, config)
-    except DivergenceError as expected_err:
-        with pytest.raises(DivergenceError) as err:
-            propagate_clp_star(weights, teleport, config)
-        assert err.value.log == expected_err.log
-        return True
-    out, log = propagate_clp_star(weights, teleport, config)
-    np.testing.assert_array_equal(out.values, expected.values)
-    assert log == expected_log
-    return False
+    return weights, Beliefs(teleport, "propagated")
 
 
 class TestPropagateClpStar:
     def test_one_step_aggregates(self, worked_example):
         graph, compat, beliefs = worked_example
-        weights = SenderWeights(graph, beliefs, compat)
+        weights = sender_weights(graph, beliefs, compat)
+        assert weights.receiving is None
         agg = weights.incoming @ weights.outgoing
         np.testing.assert_allclose(agg[1], [0.56, 0.44], atol=1e-12)
         np.testing.assert_allclose(agg[2], [0.56, 0.44], atol=1e-12)
@@ -521,51 +475,56 @@ class TestPropagateClpStar:
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("num_classes", [1, 3, 8, 9, 12, 17])
-    def test_bit_identical_to_the_sender_only_tensor(self, num_classes, normalize, directed):
-        # one class; sequential class sums; 8 accumulators with no leftover,
+    def test_bit_identical_to_the_arc_major_reference(self, num_classes, normalize, directed):
+        # one class; sequential row sums; 8 accumulators with no leftover,
         # with leftovers, and with a second group of 8
         rng = np.random.default_rng(300 + num_classes + 50 * directed)
         for _ in range(4):
-            weights, tensor, teleport = _sender_instance(rng, directed, num_classes)
-            for got, expected in zip(weights.per_class, tensor.per_class, strict=True):
+            weights, teleport = _sender_instance(rng, directed, num_classes)
+            src, dst = weights.arcs.T
+            n = weights.incoming.shape[0]
+            for k, got in enumerate(weights.per_class):
+                expected = sparse.csr_matrix((weights.outgoing[src, k], (dst, src)), shape=(n, n))
                 for part in ("data", "indices", "indptr"):
                     np.testing.assert_array_equal(getattr(got, part), getattr(expected, part))
             for alpha in (0.1, 0.5, 0.9):
                 config = PropagationConfig(alpha, message_normalization=normalize)
-                _assert_same_clp_star_run(weights, tensor, teleport, config)
+                _assert_same_run(weights, teleport, config, exact=True)
+                _assert_same_run(weights, teleport, config)
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_diverging_runs_log_alike(self, normalize):
         rng = np.random.default_rng(12)
         diverged = []
         for num_classes in (1, 2, 8):
-            weights, tensor, teleport = _sender_instance(rng, False, num_classes)
+            weights, teleport = _sender_instance(rng, False, num_classes)
             config = PropagationConfig(0.9, max_iters=500, tol=1e-300,
                                        message_normalization=normalize)
-            diverged.append(_assert_same_clp_star_run(weights, tensor, teleport, config))
+            diverged.append(_assert_same_run(weights, teleport, config))
         assert diverged[0] != normalize  # one class: rho(A^T) > 1/0.9 unless normalized
 
     def test_rejects_a_teleport_of_another_shape(self, worked_example):
         graph, compat, beliefs = worked_example
         teleport = Beliefs(np.full((3, 3), 1 / 3), "prior")
         with pytest.raises(ValueError, match="teleport"):
-            propagate_clp_star(SenderWeights(graph, beliefs, compat), teleport,
+            propagate_clp_star(sender_weights(graph, beliefs, compat), teleport,
                                PropagationConfig(0.5))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fixed_point_matches_closed_form_per_class(self, seed):
         rng = np.random.default_rng(200 + seed)
         graph, b0, compat = random_propagation_instance(rng)
-        weights = SenderWeights(graph, b0, compat)
+        weights = sender_weights(graph, b0, compat)
+        slices = weights.per_class
         alpha = max(
             a for a in DEFAULT_ALPHA_GRID
-            if all(v.ok for v in convergence_check(weights.per_class, a))
+            if all(v.ok for v in convergence_check(slices, a))
         )
         teleport = Beliefs(rng.random(b0.values.shape), "propagated")
         out, _ = propagate_clp_star(
             weights, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
         )
-        for k, slice_k in enumerate(weights.per_class):
+        for k, slice_k in enumerate(slices):
             oracle = closed_form_clp(slice_k, teleport.values[:, k], alpha)
             np.testing.assert_allclose(out.values[:, k], oracle, atol=1e-9)
 
@@ -769,7 +728,7 @@ class TestConvergenceCheck:
         assert verdict.lower is None and verdict.upper is None
 
     def test_divergent_verdict_and_growing_residuals(self):
-        awf = scaled_random_tensor(12, rho_target=1.5, seed=3)
+        awf = scaled_random_weights(12, rho_target=1.5, seed=3)
         verdict = convergence_check(awf.per_class, alpha=0.8)[0]
         assert verdict.status == "divergent"
         assert 1 / 0.8 < verdict.lower <= 1.5 <= verdict.upper
