@@ -141,6 +141,73 @@ class TestEdgeWeights:
         assert peak < 0.6e6, f"peak {peak / 1e6:.2f} MB"
 
 
+def _held_arrays(weights):
+    """Every array a NodeWeights holds: the CSR arrays of A^T, its factors and
+    whatever its cached properties have made so far."""
+    a = weights.incoming
+    held = [a.data, a.indices, a.indptr, weights.outgoing]
+    if weights.receiving is not None:
+        held.append(weights.receiving)
+    held.extend(v for v in vars(weights).values()
+                if isinstance(v, np.ndarray) and not any(v is h for h in held))
+    return held
+
+
+class TestNodeWeights:
+    @pytest.mark.parametrize("build", [edge_weights, sender_weights], ids=["clp", "clp_star"])
+    @pytest.mark.parametrize("num_classes", [1, 3, 17])
+    @pytest.mark.parametrize("arcs", ["undirected", "directed", "none"])
+    def test_weights_are_stored_once_in_the_factors(self, arcs, num_classes, build):
+        """A^T holds each arc once; the class weights live in (nodes x classes)
+        factors.  No (arcs x classes) array exists until a normalized CLP step
+        caches ``receiving`` at the arcs' receivers."""
+        rng = np.random.default_rng(num_classes)
+        n = 12
+        pairs = rng.integers(0, n, (0 if arcs == "none" else 30, 2))
+        graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, num_classes, n),
+                            num_classes, arcs == "directed")
+        b0 = Beliefs(rng.dirichlet(np.ones(num_classes), n), "prior")
+        compat = CompatibilityMatrix(rng.dirichlet(np.ones(num_classes), num_classes),
+                                     "row_stochastic")
+        weights = build(graph, b0, compat)
+        clp = build is edge_weights
+        assert weights.incoming.shape == (n, n)
+        assert weights.incoming.nnz == graph.arc_count
+        assert weights.outgoing.shape == (n, num_classes)
+        assert (weights.receiving is not None) == clp
+        # arcs in the order of A^T: stable by receiver, senders ascending
+        order = np.lexsort((graph.arcs[:, 0], graph.arcs[:, 1]))
+        np.testing.assert_array_equal(weights.arcs, graph.arcs[order])
+
+        beliefs = Beliefs(rng.random((n, num_classes)), "propagated")
+        senders, receivers = weights.arcs.T
+        expected = np.zeros((n, num_classes))
+        np.add.at(expected, receivers, _arc_weights(weights) * beliefs.values[senders])
+        np.testing.assert_allclose(aggregate(weights, beliefs), expected, rtol=1e-13, atol=0)
+        aggregate(weights, beliefs, normalize=not clp)
+
+        node_factors = [weights.outgoing, weights.receiving]
+
+        def arc_major_shapes():
+            return [h.shape for h in _held_arrays(weights)
+                    if h.ndim == 2 and not any(h is f for f in node_factors)]
+
+        assert arc_major_shapes() == []
+        if clp:
+            aggregate(weights, beliefs, normalize=True)
+            assert arc_major_shapes() == [(graph.arc_count, num_classes)]
+
+    @pytest.mark.parametrize("shapes", [((4, 5), (4, 2), (4, 2)),
+                                        ((4, 4), (5, 2), None),
+                                        ((4, 4), (4, 2), (4, 3))],
+                             ids=["incoming", "outgoing", "receiving"])
+    def test_rejects_factors_that_disagree(self, shapes):
+        incoming, outgoing, receiving = shapes
+        with pytest.raises(ValueError, match="disagree|differ"):
+            NodeWeights(sparse.csr_matrix(incoming), np.ones(outgoing),
+                        None if receiving is None else np.ones(receiving))
+
+
 class TestAggregate:
     """In the worked example, receivers 1 and 2 each have one incoming arc,
     so their aggregate is that arc's message."""
