@@ -15,9 +15,13 @@ CLP*).  On (nodes x classes) beliefs B, one step in LinBP's matrix form
 - normalized, with ``P = G * B``: the message of arc (i, j) is divided by its
   sum ``s_ij = a_ij <P[i], R[j]>`` where that is positive, which is ``R * (A_s
   P)`` with ``A_s`` the pattern of A^T holding ``a_ij / s_ij`` (``a_ij`` where
-  ``s_ij`` is not positive).  For CLP* the arc sum is ``a_ij`` times the row
-  sum of P[i]; with the 0/1 arc weights of :func:`sender_weights`, dividing
-  each row of P by its sum first and taking ``A^T P`` is that step exactly.
+  ``s_ij`` is not positive).  The inner products ``<P[i], R[j]>`` of all arcs
+  are one sparse product ``S @ P.ravel()``, with S made once per weights
+  object: row (i, j) holds ``R[j, k]`` at column ``i*C + k``.  Each sum
+  adds ``P[i, k] * R[j, k]`` over k ascending, from 0, and is then
+  multiplied by ``a_ij``.  For CLP* the arc sum is ``a_ij`` times the row sum
+  of P[i]; with the 0/1 arc weights of :func:`sender_weights`, dividing each
+  row of P by its sum first and taking ``A^T P`` is that step exactly.
 
 Class k's receiver-row slice ``slice_k[j, i] = G[i, k] * R[j, k] * a_ij``
 (``per_class``) serves the closed-form solver and the convergence certificate.
@@ -26,10 +30,11 @@ Against the arc-major form ``incidence @ (weights * beliefs[senders])`` on the
 expanded weights, CLP* and the certificate are bit-identical: a receiver adds
 its senders in the order of A^T, a row sum of P is numpy's sum of that arc's
 contiguous messages, and a slice's data is the single product ``G * R`` that
-an arc weight is.  CLP's step is not: taking R out of the receiver sum and
-dividing ``a_ij`` instead of each message rounds differently, by a few units
-in the last place, which leaves the chosen candidates and the reports as
-they were.
+an arc weight is.  CLP's step is not: taking R out of the receiver sum,
+adding an arc's class terms one by one where numpy's row sum may group
+them, and dividing ``a_ij`` instead of each message round differently, by a
+few units in the last place, which leaves the chosen candidates and the
+reports as they were.
 
 The certificate proves, class by class, whether the unnormalized iteration
 converges at alpha, that is whether ``rho(slice_k) < 1/alpha``.  A class is
@@ -134,9 +139,20 @@ class NodeWeights:
         return np.column_stack([self.incoming.indices, self.receivers])
 
     @cached_property
-    def _receiving_arcs(self) -> np.ndarray:
-        """``receiving[receivers]`` (arcs x classes), for the normalized CLP step."""
-        return self.receiving[self.receivers]
+    def _arc_sums(self) -> sparse.csr_matrix:
+        """The (arcs x nodes*classes) operator S of the normalized CLP step:
+        ``(S @ P.ravel())[arc]`` is ``<P[i], R[j]>`` for arc (i, j), in the
+        order of ``incoming``.  An arc's row holds ``receiving[j, k]`` at
+        column ``i*C + k``, k ascending.  Its indices are built in the type
+        scipy would choose, int32 while every index and the entry count fit,
+        so scipy makes no narrowing copy of them."""
+        a, c = self.incoming, self.num_classes
+        index = np.int32 if max(a.nnz, a.shape[1]) * c <= np.iinfo(np.int32).max else np.int64
+        columns = np.add.outer(a.indices.astype(index) * c, np.arange(c, dtype=index))
+        return sparse.csr_matrix(
+            (self.receiving[self.receivers].ravel(), columns.ravel(),
+             np.arange(0, a.nnz * c + 1, c, dtype=index)),
+            shape=(a.nnz, a.shape[1] * c))
 
     @property
     def per_class(self) -> tuple[sparse.csr_matrix, ...]:
@@ -173,7 +189,10 @@ def sender_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> Nod
 
 def _step(weights: NodeWeights, normalize: bool):
     """One aggregation step on (nodes x classes) beliefs, for CLP or, without
-    ``receiving``, CLP*.  Buffers are made here, per call, and die with the step."""
+    ``receiving``, CLP*.  The normalized CLP step takes every arc's ``<P[i],
+    R[j]>`` from the cached operator of the weights in one sparse product,
+    which adds the class terms in ascending order as a loop over k would; the
+    buffer of ``A_s`` is made here, per call, and dies with the step."""
     a, g, r = weights.incoming, weights.outgoing, weights.receiving
     if r is None:
         def sender_only(b: np.ndarray) -> np.ndarray:
@@ -187,16 +206,12 @@ def _step(weights: NodeWeights, normalize: bool):
         return sender_only
     if not normalize:
         return lambda b: r * (a @ (g * b))
-    r_arcs = weights._receiving_arcs
-    at_senders = np.empty(r_arcs.shape)
+    arc_sums = weights._arc_sums
     scaled = sparse.csr_matrix((np.empty(a.nnz), a.indices, a.indptr), shape=a.shape)
 
     def normalized(b: np.ndarray) -> np.ndarray:
         p = g * b
-        # senders are valid node ids, so "clip" never clips; it only avoids
-        # the buffered copy that "raise" makes of ``out``
-        np.take(p, a.indices, axis=0, out=at_senders, mode="clip")
-        sums = np.einsum("ij,ij->i", at_senders, r_arcs)
+        sums = arc_sums @ p.ravel()
         sums *= a.data
         sums[~(sums > 0)] = 1.0  # arcs whose messages do not sum above zero stay as they are
         np.divide(a.data, sums, out=scaled.data)
@@ -217,16 +232,24 @@ def aggregate(weights: NodeWeights, beliefs: Beliefs, normalize: bool = False) -
 
 
 def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
-    """Shared fixed-point loop with residual logging and divergence detection."""
+    """Shared fixed-point loop with residual logging and divergence detection.
+
+    ``step`` must return a fresh array, which becomes the next iterate in
+    place: ``step(b) * alpha + anchor`` has the bits of ``anchor + alpha *
+    step(b)``, since IEEE products and sums commute."""
     alpha = config.alpha
     anchor = (1.0 - alpha) * teleport
     b = teleport.copy()
+    diff = np.empty(teleport.shape)
     log: list[IterationRecord] = []
     prev_res = math.inf
     streak = 0
     for it in range(1, config.max_iters + 1):
-        new_b = anchor + alpha * step(b)
-        res = float(np.abs(new_b - b).max()) if b.size else 0.0
+        new_b = step(b)
+        new_b *= alpha
+        new_b += anchor
+        np.subtract(new_b, b, out=diff)
+        res = float(np.abs(diff, out=diff).max()) if b.size else 0.0
         log.append(IterationRecord(it, res))
         b = new_b
         if res < config.tol:

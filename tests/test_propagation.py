@@ -118,11 +118,9 @@ class TestEdgeWeights:
             np.testing.assert_array_equal(slice_k.data, expected[:, k])
             np.testing.assert_array_equal(slice_k.indices, src)
 
-    def test_construction_peak_memory(self):
-        """The weights are node-space factors: building them for 20k arcs and
-        10 classes peaks at 0.41 MB (numpy 2.4, scipy 1.17), A^T and G.  The
-        (arcs x classes) tensor they replace peaked at 4.9 MB here, and any
-        (arcs x classes) array would add 1.6 MB and fail."""
+    @staticmethod
+    def _large_instance():
+        """2000 nodes, about 20k directed arcs and 10 classes."""
         rng = np.random.default_rng(0)
         n, m, c = 2000, 20000, 10
         pairs = rng.integers(0, n, (m, 2))
@@ -131,6 +129,14 @@ class TestEdgeWeights:
         b0 = rng.random((n, c))
         b0 = Beliefs(b0 / b0.sum(axis=1, keepdims=True), "prior")
         compat = CompatibilityMatrix(np.full((c, c), 1.0 / c), "doubly_stochastic", 0.0)
+        return graph, b0, compat
+
+    def test_construction_peak_memory(self):
+        """The weights are node-space factors: building them for 20k arcs and
+        10 classes peaks at 0.41 MB (numpy 2.4, scipy 1.17), A^T and G.  The
+        (arcs x classes) tensor they replace peaked at 4.9 MB here, and any
+        (arcs x classes) array would add 1.6 MB and fail."""
+        graph, b0, compat = self._large_instance()
         tracemalloc.start()
         try:
             awf = edge_weights(graph, b0, compat)
@@ -140,16 +146,45 @@ class TestEdgeWeights:
         assert awf.incoming.nnz == graph.arc_count
         assert peak < 0.6e6, f"peak {peak / 1e6:.2f} MB"
 
+    def test_normalized_step_peak_memory(self):
+        """For 20k arcs and 10 classes, the first normalized CLP step peaks at
+        3.2 MB, which builds the arc-sum operator, and each later one at 0.64
+        MB (numpy 2.4, scipy 1.17): a step makes only (nodes x classes) and
+        per-arc buffers.  Gathering ``P[senders]`` into an (arcs x classes)
+        buffer per call peaked at 3.9 and 2.2 MB, and building the operator's
+        indices as int64 for scipy to narrow would peak at 4.3 MB."""
+        graph, b0, compat = self._large_instance()
+        awf = edge_weights(graph, b0, compat)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                aggregate(awf, b0, normalize=True)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 3.6e6, f"first step peak {peaks[0] / 1e6:.2f} MB"
+        assert max(peaks[1:]) < 1.0e6, f"later step peaks {[f'{p / 1e6:.2f}' for p in peaks]} MB"
+
 
 def _held_arrays(weights):
     """Every array a NodeWeights holds: the CSR arrays of A^T, its factors and
-    whatever its cached properties have made so far."""
+    whatever its cached properties have made so far, the arrays of a cached
+    sparse matrix included.  An array that is, or shares memory with, one
+    listed before it is not listed again."""
     a = weights.incoming
     held = [a.data, a.indices, a.indptr, weights.outgoing]
     if weights.receiving is not None:
         held.append(weights.receiving)
-    held.extend(v for v in vars(weights).values()
-                if isinstance(v, np.ndarray) and not any(v is h for h in held))
+    for v in vars(weights).values():
+        if sparse.issparse(v):
+            arrays = [v.data, v.indices, v.indptr]
+        else:
+            arrays = [v] if isinstance(v, np.ndarray) else []
+        held.extend(x for x in arrays
+                    if not any(x is h or np.shares_memory(x, h) for h in held))
     return held
 
 
@@ -159,8 +194,9 @@ class TestNodeWeights:
     @pytest.mark.parametrize("arcs", ["undirected", "directed", "none"])
     def test_weights_are_stored_once_in_the_factors(self, arcs, num_classes, build):
         """A^T holds each arc once; the class weights live in (nodes x classes)
-        factors.  No (arcs x classes) array exists until a normalized CLP step
-        caches ``receiving`` at the arcs' receivers."""
+        factors.  Raw steps and CLP* cache nothing.  The first normalized CLP
+        step caches one arc-sum operator, which holds ``receiving`` at the
+        arcs' receivers, and nothing else."""
         rng = np.random.default_rng(num_classes)
         n = 12
         pairs = rng.integers(0, n, (0 if arcs == "none" else 30, 2))
@@ -186,16 +222,33 @@ class TestNodeWeights:
         np.testing.assert_allclose(aggregate(weights, beliefs), expected, rtol=1e-13, atol=0)
         aggregate(weights, beliefs, normalize=not clp)
 
-        node_factors = [weights.outgoing, weights.receiving]
+        m = graph.arc_count
 
-        def arc_major_shapes():
-            return [h.shape for h in _held_arrays(weights)
-                    if h.ndim == 2 and not any(h is f for f in node_factors)]
+        def cached():
+            """What the weights hold beyond A^T and the factors."""
+            return _held_arrays(weights)[4 + clp:]
 
-        assert arc_major_shapes() == []
-        if clp:
-            aggregate(weights, beliefs, normalize=True)
-            assert arc_major_shapes() == [(graph.arc_count, num_classes)]
+        def operators():
+            return [v for v in vars(weights).values()
+                    if sparse.issparse(v) and v is not weights.incoming]
+
+        # only the receivers that ``arcs`` read, one entry per arc
+        assert [h.shape for h in cached()] == [(m,)]
+        assert operators() == []
+        if not clp:
+            return
+        aggregate(weights, beliefs, normalize=True)
+        (operator,) = operators()
+        assert operator.shape == (m, n * num_classes)
+        assert operator.data.size == m * num_classes
+        np.testing.assert_array_equal(operator.data.reshape(m, num_classes),
+                                      weights.receiving[receivers])
+        dense = np.zeros((m, n, num_classes))
+        dense[np.arange(m), senders] = weights.receiving[receivers]
+        np.testing.assert_array_equal(operator.toarray(), dense.reshape(m, n * num_classes))
+        parts = [operator.data, operator.indices, operator.indptr]
+        added = cached()[1:]
+        assert all(any(h is x for x in parts) for h in added)
 
     @pytest.mark.parametrize("shapes", [((4, 5), (4, 2), (4, 2)),
                                         ((4, 4), (5, 2), None),
@@ -472,6 +525,134 @@ class TestMatchesArcMajorReference:
         assert len(err.value.log) == len(expected.value.log)
         assert err.value.log[-1].residual == pytest.approx(expected.value.log[-1].residual,
                                                            rel=1e-12)
+
+
+class TestArcSums:
+    """The cached operator of the normalized CLP step gives every arc's
+    ``<P[i], R[j]>`` as a loop over the classes does: from 0, adding
+    ``P[i, k] * R[j, k]`` for k ascending, bit for bit."""
+
+    @staticmethod
+    def _assert_class_by_class(weights, beliefs):
+        p = weights.outgoing * beliefs
+        senders, receivers = weights.arcs.T
+        expected = np.zeros(len(senders))
+        for k in range(weights.num_classes):
+            expected += p[senders, k] * weights.receiving[receivers, k]
+        got = weights._arc_sums @ p.ravel()
+        assert got.tobytes() == expected.tobytes()
+        return got
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("num_classes", [None, 1, 8, 9, 10, 16, 17])
+    def test_equal_the_class_by_class_sum(self, num_classes, directed):
+        rng = np.random.default_rng(60 + 2 * (num_classes or 0) + directed)
+        for _ in range(4):
+            weights, teleport = _degenerate_instance(rng, directed, num_classes)
+            sums = self._assert_class_by_class(weights, teleport.values)
+            assert (sums > 0).any() and (sums == 0).any()
+
+    def test_empty_arc_set(self):
+        rng = np.random.default_rng(3)
+        weights = NodeWeights(sparse.csr_matrix((5, 5)), rng.random((5, 3)), rng.random((5, 3)))
+        assert self._assert_class_by_class(weights, rng.random((5, 3))).shape == (0,)
+
+
+def _formula_run(step, teleport, config):
+    """The fixed-point loop as ``b <- anchor + alpha * step(b)``, with the
+    residual, stop and divergence rules of ``propagation._iterate``."""
+    alpha = config.alpha
+    anchor = (1.0 - alpha) * teleport
+    b = teleport.copy()
+    log = []
+    prev_res = math.inf
+    streak = 0
+    for it in range(1, config.max_iters + 1):
+        new_b = anchor + alpha * step(b)
+        res = float(np.abs(new_b - b).max()) if b.size else 0.0
+        log.append(propagation.IterationRecord(it, res))
+        b = new_b
+        if res < config.tol:
+            break
+        streak = streak + 1 if res > prev_res else 0
+        prev_res = res
+        if streak >= propagation.DIVERGENCE_STREAK:
+            raise DivergenceError("diverged", log)
+    return b, log
+
+
+class TestFixedPointLoop:
+    """``_iterate`` scales and shifts each fresh step in place; its iterates
+    and residuals are those of ``anchor + alpha * step(b)`` bit for bit, and
+    it never writes the caller's teleport."""
+
+    @staticmethod
+    def _assert_formula(run, step, teleport, config):
+        kept = teleport.copy()
+        try:
+            values, log = _formula_run(step, teleport, config)
+        except DivergenceError as expected:
+            with pytest.raises(DivergenceError) as err:
+                run(teleport, config)
+            assert err.value.log == expected.log
+        else:
+            out, got_log = run(teleport, config)
+            assert out.tobytes() == values.tobytes()
+            assert got_log == log
+            assert not np.shares_memory(out, teleport)
+        assert teleport.tobytes() == kept.tobytes()
+
+    @staticmethod
+    def _node_weights_run(weights, normalize):
+        propagate = propagate_clp if weights.receiving is not None else propagate_clp_star
+
+        def run(teleport, config):
+            out, log = propagate(weights, Beliefs(teleport, "propagated"), config)
+            return out.values, log
+
+        return run, propagation._step(weights, normalize)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("method", ["clp", "clp_star"])
+    def test_clp_iterates_match_the_formula(self, method, normalize, directed):
+        rng = np.random.default_rng(70 + 4 * normalize + 2 * directed + (method == "clp"))
+        for _ in range(3):
+            if method == "clp":
+                weights, teleport = _degenerate_instance(rng, directed, 9)
+            else:
+                weights, teleport = _sender_instance(rng, directed, 9)
+            run, step = self._node_weights_run(weights, normalize)
+            for alpha in (0.0, 0.5, 0.9):
+                config = PropagationConfig(alpha, message_normalization=normalize)
+                self._assert_formula(run, step, teleport.values, config)
+
+    @pytest.mark.parametrize("receiving", [True, False], ids=["clp", "clp_star"])
+    def test_diverging_iterates_match_the_formula(self, receiving):
+        weights = scaled_random_weights(16, rho_target=1.5, seed=0, num_classes=2)
+        if not receiving:
+            weights = NodeWeights(weights.incoming, weights.outgoing)
+        run, step = self._node_weights_run(weights, False)
+        config = PropagationConfig(alpha=0.8, max_iters=500, tol=1e-300)
+        with pytest.raises(DivergenceError):
+            run(np.ones((16, 2)), config)
+        self._assert_formula(run, step, np.ones((16, 2)), config)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_lp_iterates_match_the_formula(self, directed):
+        rng = np.random.default_rng(80 + directed)
+        graph, _, _ = random_propagation_instance(rng)
+        graph = build_graph(graph.node_count, graph.arcs, graph.features, graph.labels,
+                            graph.num_classes, directed)
+        operator = lp_operator(graph)
+        teleport = rng.uniform(0.1, 1.0, (graph.node_count, graph.num_classes))
+
+        def run(values, config):
+            out, log = propagate_lp(operator, values, config)
+            return out.values, log
+
+        for alpha in (0.0, 0.5, 0.9):
+            self._assert_formula(run, lambda b: operator @ b, teleport, PropagationConfig(alpha))
 
 
 class TestNoStateOutlivesACall:
