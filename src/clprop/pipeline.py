@@ -353,7 +353,7 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
 
     val, (alpha, teleport, norm), beliefs = best
     if config.method != "lp":
-        base.convergence = _convergence_summary(convergence_check(weights.per_class, alpha))
+        base.convergence = _convergence_summary(convergence_check(weights, alpha))
     return dataclasses.replace(
         base,
         test_accuracy=metrics.accuracy(beliefs, labels, split.test),

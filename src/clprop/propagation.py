@@ -23,27 +23,32 @@ CLP*).  On (nodes x classes) beliefs B, one step in LinBP's matrix form
   of P[i]; with the 0/1 arc weights of :func:`sender_weights`, dividing each
   row of P by its sum first and taking ``A^T P`` is that step exactly.
 
-Class k's receiver-row slice ``slice_k[j, i] = G[i, k] * R[j, k] * a_ij``
-(``per_class``) serves the closed-form solver and the convergence certificate.
+Class k's operator is ``W_k = diag(R[:, k]) A^T diag(G[:, k])``, with
+``W_k[j, i] = G[i, k] * R[j, k] * a_ij``: the closed-form solver builds it
+densely, and the certificate steps every class at once on the factors.
 
 Against the arc-major form ``incidence @ (weights * beliefs[senders])`` on the
-expanded weights, CLP* and the certificate are bit-identical: a receiver adds
-its senders in the order of A^T, a row sum of P is numpy's sum of that arc's
-contiguous messages, and a slice's data is the single product ``G * R`` that
-an arc weight is.  CLP's step is not: taking R out of the receiver sum,
-adding an arc's class terms one by one where numpy's row sum may group
-them, and dividing ``a_ij`` instead of each message round differently, by a
-few units in the last place, which leaves the chosen candidates and the
-reports as they were.
+expanded weights, CLP* is bit-identical: a receiver adds its senders in the
+order of A^T, and a row sum of P is numpy's sum of that arc's contiguous
+messages.  CLP's step is not: taking R out of the receiver sum, adding an
+arc's class terms one by one where numpy's row sum may group them, and
+dividing ``a_ij`` instead of each message round differently, by a few units
+in the last place, which leaves the chosen candidates and the reports as they
+were.
 
 The certificate proves, class by class, whether the unnormalized iteration
-converges at alpha, that is whether ``rho(slice_k) < 1/alpha``.  A class is
-``certified`` when the Frobenius norm of its slice is below 1/alpha.
-Otherwise the Collatz–Wielandt bound ``min_i (Mx)_i/x_i <= rho(M) <= max_i
-(Mx)_i/x_i`` for M >= 0 and x > 0 brackets rho on the slice without its zero
-rows, with x from at most ``SPECTRAL_STEPS`` (300) power steps from x = 1 and
-each bound widened by the relative rounding margin ``(max row nnz + 2) *
-2**-52``.  The class is ``convergent`` when the upper bound is below 1/alpha,
+converges at alpha, that is whether ``rho(W_k) < 1/alpha``.  A class is
+``certified`` when its Frobenius norm ``sqrt(sum_j R[j, k]**2 sum_i a_ij**2
+G[i, k]**2)`` is below 1/alpha.  Otherwise the Collatz–Wielandt bound
+``min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i`` for M >= 0 and x > 0
+brackets rho(|W_k|) >= rho(W_k) on its live nodes (zero rows and their
+columns dropped), with x from at most ``SPECTRAL_STEPS`` (300) unnormalized
+steps on the absolute factors from x = 1.  Each bound is widened by the
+relative margin ``(d + 2) * 2**-52``, with d the most arcs a live node
+receives from live nodes: a computed ``(|W_k| x)_j / x_j`` takes one rounding
+for each of ``|G| x``, ``* |a|``, the at most d - 1 additions, ``* |R|`` and
+the ratio, d + 3 in all, against the 2(d + 2) units of 2**-53 in the margin.
+The class is ``convergent`` when the upper bound is below 1/alpha,
 ``divergent`` when the lower bound is above it, and ``unproved`` otherwise.
 """
 
@@ -153,20 +158,6 @@ class NodeWeights:
             (self.receiving[self.receivers].ravel(), columns.ravel(),
              np.arange(0, a.nnz * c + 1, c, dtype=index)),
             shape=(a.nnz, a.shape[1] * c))
-
-    @property
-    def per_class(self) -> tuple[sparse.csr_matrix, ...]:
-        """Receiver-row weight slices, built on each access: ``incoming`` with
-        class k's arc weights as data, explicit zeros included."""
-        a = self.incoming
-        slices = []
-        for k in range(self.num_classes):
-            data = self.outgoing[a.indices, k]
-            if self.receiving is not None:
-                data *= self.receiving[self.receivers, k]
-            data *= a.data
-            slices.append(sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape))
-        return tuple(slices)
 
 
 def _outgoing(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> np.ndarray:
@@ -294,13 +285,15 @@ def propagate_clp_star(
 
 
 def lp_operator(graph: Graph) -> sparse.csr_matrix:
-    """The symmetric degree-normalized adjacency ``D^-1/2 (A | A^T) D^-1/2``."""
+    """The symmetric degree-normalized adjacency ``D^-1/2 (A | A^T) D^-1/2``,
+    built on the 0/1 pattern: entry (i, j) is ``d_i^-1/2 * d_j^-1/2``."""
     pattern = graph.neighborhood
-    deg = np.asarray(pattern.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(deg)
+    deg = graph.degrees()
+    inv_sqrt = np.zeros(deg.shape)
     np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
-    d_half = sparse.diags(inv_sqrt)
-    return (d_half @ pattern @ d_half).tocsr()
+    row_factor = np.repeat(inv_sqrt, deg)
+    return sparse.csr_matrix((row_factor * inv_sqrt[pattern.indices], pattern.indices,
+                              pattern.indptr), shape=pattern.shape)
 
 
 def propagate_lp(
@@ -327,69 +320,75 @@ def propagate_lp(
     return Beliefs(values, "propagated"), log
 
 
-def closed_form_clp(
-    awf_k: sparse.spmatrix | np.ndarray,
-    teleport_k: np.ndarray,
-    alpha: float,
-    class_index: int | None = None,
-) -> np.ndarray:
-    """Exact per-class solution of (I - alpha W_k) x = (1 - alpha) d_k.
-
-    Dense LU factorization; guarded to desk scale (n <= 5000).
+def closed_form_clp(weights: NodeWeights, teleport: Beliefs, alpha: float) -> np.ndarray:
+    """Exact solution of ``(I - alpha W_k) x_k = (1 - alpha) teleport[:, k]`` for
+    every class k, as (nodes x classes), with W_k the dense operator of the
+    module docstring: the bits of ``(G[i, k] * R[j, k]) * a_ij``, or ``G[i, k] *
+    a_ij`` for CLP*.  Dense LU factorization; guarded to desk scale (n <= 5000).
     """
-    dense = awf_k.toarray() if sparse.issparse(awf_k) else np.asarray(awf_k, dtype=np.float64)
-    n = dense.shape[0]
-    if dense.shape != (n, n):
-        raise ValueError("per-class weight matrix must be square")
+    if teleport.values.shape != weights.outgoing.shape:
+        raise ValueError("teleport shape does not match the weights")
+    n = weights.incoming.shape[0]
     if n > CLOSED_FORM_MAX_NODES:
         raise ValueError(
             f"closed-form solve is limited to {CLOSED_FORM_MAX_NODES} nodes (got {n}); "
             "use the iterative solver"
         )
-    system = np.eye(n) - alpha * dense
-    try:
-        return np.linalg.solve(system, (1.0 - alpha) * np.asarray(teleport_k, dtype=np.float64))
-    except np.linalg.LinAlgError as exc:
-        which = f" for class {class_index}" if class_index is not None else ""
-        raise SingularSystemError(f"singular propagation system{which}: {exc}") from exc
+    a, g, r = weights.incoming.toarray(), weights.outgoing, weights.receiving
+    solution = np.empty(teleport.values.shape)
+    for k in range(weights.num_classes):
+        w_k = a * g[:, k] if r is None else np.multiply.outer(r[:, k], g[:, k]) * a
+        try:
+            solution[:, k] = np.linalg.solve(np.eye(n) - alpha * w_k,
+                                             (1.0 - alpha) * teleport.values[:, k])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"singular propagation system for class {k}: {exc}") from exc
+    return solution
 
 
 SPECTRAL_STEPS = 300  # power steps of the Collatz–Wielandt bracket before it gives up
 
 
-def spectral_radius(m: sparse.spmatrix | np.ndarray, threshold: float) -> tuple[float, float]:
-    """Collatz–Wielandt bracket ``(lower, upper)`` of the spectral radius of ``m``.
+def spectral_radius(weights: NodeWeights, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Collatz–Wielandt brackets ``(lower, upper)`` of ``rho(W_k)``, one entry
+    per class (Horn & Johnson, *Matrix Analysis*, section 8.1).
 
-    For M >= 0 and x > 0, ``min_i (Mx)_i/x_i <= rho(M) <= max_i (Mx)_i/x_i``
-    (Horn & Johnson, *Matrix Analysis*, section 8.1), and ``rho(m) <=
-    rho(|m|)``.  The zero rows of ``|m|``, whose ratio would hold the lower
-    bound at 0, are dropped with their columns until none is left (an empty
-    rest is rho 0).  From x = 1, each step takes ``x <- |m|x / max + 1e-12``
-    (the shift keeps x positive on reducible matrices) until the bracket
-    excludes ``threshold`` or after ``SPECTRAL_STEPS`` steps.  Each bound is
-    widened by the relative margin ``(max row nnz + 2) * 2**-52``, which
-    covers the rounding of ``|m|x`` and of the ratios.  ``lower`` is 0 when
-    ``m`` has a negative entry.
+    Per class, nodes whose row of |W_k| has no positive entry in a live column
+    are dropped with their columns until none is left: such a row only adds
+    the eigenvalue 0.  No live node gives ``(0, 0)``.  Each step takes ``x <-
+    |W_k|x / max + 1e-12`` on the live nodes (the shift keeps x positive on
+    reducible matrices); a class's bounds freeze at the step where they exclude
+    ``threshold``, or after ``SPECTRAL_STEPS`` steps.  ``lower`` is 0 for a
+    class with a negative entry in its column of G or R, or with a negative arc
+    weight, which covers every W_k with a negative entry; the pipeline's
+    factors are nonnegative.
     """
-    m = sparse.csr_matrix(m, dtype=np.float64)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("spectral radius requires a square matrix")
-    nonneg = m.nnz == 0 or m.data.min() >= 0
-    m = m if nonneg else abs(m)
-    while not (live := m @ np.ones(m.shape[0]) > 0).all():
-        m = m[live][:, live]  # a zero row, and its column, only add the eigenvalue 0
-    if m.shape[0] == 0:
-        return 0.0, 0.0
-    margin = (int(np.diff(m.indptr).max()) + 2) * 2.0**-52
-    x = np.ones(m.shape[0])
+    a, g, r = weights.incoming, weights.outgoing, weights.receiving
+    step = _step(NodeWeights(abs(a), np.abs(g), None if r is None else np.abs(r)), False)
+    live = np.ones(g.shape, dtype=bool)
+    while not (keep := step(live) > 0)[live].all():
+        live &= keep
+    pattern = sparse.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    degree = np.max(pattern @ live, axis=0, where=live, initial=0.0)
+    margin = (degree + 2) * 2.0**-52
+    nonneg = (g >= 0).all(axis=0) & (a.data >= 0).all()
+    if r is not None:
+        nonneg &= (r >= 0).all(axis=0)
+    lower, upper = np.zeros(g.shape[1]), np.zeros(g.shape[1])
+    open_ = live.any(axis=0)
+    x = live.astype(np.float64)
     for _ in range(SPECTRAL_STEPS):
-        y = m @ x
-        ratios = y / x
-        lower = float(ratios.min()) * (1.0 - margin) if nonneg else 0.0
-        upper = float(ratios.max()) * (1.0 + margin)
-        if not lower <= threshold <= upper:
+        if not open_.any():
             break
-        x = y / y.max() + 1e-12
+        y = step(x)
+        ratios = np.divide(y, x, out=np.zeros_like(y), where=live)
+        least = np.min(ratios, axis=0, where=live, initial=np.inf) * (1.0 - margin)
+        lower[open_] = np.where(nonneg, least, 0.0)[open_]
+        upper[open_] = (np.max(ratios, axis=0, where=live, initial=0.0) * (1.0 + margin))[open_]
+        open_ &= (lower <= threshold) & (threshold <= upper)
+        x = np.divide(y, np.max(y, axis=0, where=live, initial=0.0),
+                      out=np.zeros_like(y), where=live)
+        x[live] += 1e-12
     return lower, upper
 
 
@@ -413,36 +412,32 @@ class ClassConvergence:
         return self.status in ("certified", "convergent")
 
 
-def convergence_check(slices, alpha: float) -> list[ClassConvergence]:
+def convergence_check(weights: NodeWeights, alpha: float) -> list[ClassConvergence]:
     """Verdict per class: does the fixed-point iteration converge at this alpha?
 
-    ``slices`` are the receiver-row class slices, ``per_class`` of the
-    weights.  A class whose Frobenius norm is below 1/alpha is certified.  Any
-    other gets the bracket ``[lower, upper]`` of its slice's spectral radius
-    from :func:`spectral_radius` (zero rows dropped, at most
-    ``SPECTRAL_STEPS`` power steps, each bound widened by the rounding margin
-    ``(max row nnz + 2) * 2**-52``): it is convergent when ``upper <
-    1/alpha``, divergent when ``lower > 1/alpha`` and unproved otherwise.
-    Each verdict is a proof about the unnormalized operator.  Every call
-    recomputes the norms: the pipeline certifies only the chosen candidate's
-    alpha, once per seed.
+    A class whose Frobenius norm is below 1/alpha is certified.  The others
+    get their bracket ``[lower, upper]`` from one :func:`spectral_radius` call
+    on their columns of the factors: convergent when ``upper < 1/alpha``,
+    divergent when ``lower > 1/alpha`` and unproved otherwise.  Each verdict
+    is a proof about the unnormalized operator.  Every call recomputes the
+    norms: the pipeline certifies only the chosen candidate's alpha, once per
+    seed.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     threshold = math.inf if alpha == 0.0 else 1.0 / alpha
-    verdicts = []
-    for k, slice_k in enumerate(slices):
-        data = slice_k.data
-        frobenius = float(np.sqrt(np.sum(data * data)))
-        if frobenius < threshold:
-            verdicts.append(ClassConvergence(k, "certified", frobenius))
-            continue
-        lower, upper = spectral_radius(slice_k, threshold)
-        if upper < threshold:
-            status = "convergent"
-        elif lower > threshold:
-            status = "divergent"
-        else:
-            status = "unproved"
-        verdicts.append(ClassConvergence(k, status, frobenius, lower, upper))
+    a, g, r = weights.incoming, weights.outgoing, weights.receiving
+    squares = a.power(2) @ (g * g)
+    if r is not None:
+        squares *= r * r
+    frobenius = np.sqrt(squares.sum(axis=0)).tolist()
+    verdicts = [ClassConvergence(k, "certified", norm) for k, norm in enumerate(frobenius)]
+    todo = [k for k, norm in enumerate(frobenius) if not norm < threshold]
+    if todo:
+        columns = NodeWeights(a, g[:, todo], None if r is None else r[:, todo])
+        bounds = (b.tolist() for b in spectral_radius(columns, threshold))
+        for k, lower, upper in zip(todo, *bounds):
+            status = ("convergent" if upper < threshold
+                      else "divergent" if lower > threshold else "unproved")
+            verdicts[k] = ClassConvergence(k, status, frobenius[k], lower, upper)
     return verdicts

@@ -92,6 +92,13 @@ def _decode_triangular(idx: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarr
     return i, j
 
 
+def _decode_pairs(idx: np.ndarray, n_rows: int, n_cols: int, within: bool) -> np.ndarray:
+    """The (i, j) pairs of pair indices of one block: row-major over i < j
+    within a class, over the full n_rows x n_cols grid across classes."""
+    i, j = _decode_triangular(idx, n_rows) if within else np.divmod(idx, n_cols)
+    return np.stack([i, j], axis=1).astype(np.int64)
+
+
 def _sample_block_pairs(rng, n_rows: int, n_cols: int, p: float, within: bool) -> np.ndarray:
     """Uniformly sample the pair set of one class-block pair.
 
@@ -101,22 +108,13 @@ def _sample_block_pairs(rng, n_rows: int, n_cols: int, p: float, within: bool) -
     """
     total = n_rows * (n_rows - 1) // 2 if within else n_rows * n_cols
     count = int(rng.binomial(total, p))
-    idx = rng.choice(total, size=count, replace=False)
-    if within:
-        i, j = _decode_triangular(idx, n_rows)
-    else:
-        i, j = idx // n_cols, idx % n_cols
-    return np.stack([i, j], axis=1).astype(np.int64)
+    return _decode_pairs(rng.choice(total, size=count, replace=False), n_rows, n_cols, within)
 
 
 def _bernoulli_block(rng, n_rows: int, n_cols: int, p: float, within: bool) -> np.ndarray:
-    if within:
-        i, j = np.triu_indices(n_rows, k=1)
-    else:
-        grid = np.indices((n_rows, n_cols))
-        i, j = grid[0].ravel(), grid[1].ravel()
-    hit = rng.random(i.shape[0]) < p
-    return np.stack([i[hit], j[hit]], axis=1).astype(np.int64)
+    """One Bernoulli(p) draw per pair of the block, in pair-index order."""
+    total = n_rows * (n_rows - 1) // 2 if within else n_rows * n_cols
+    return _decode_pairs(np.flatnonzero(rng.random(total) < p), n_rows, n_cols, within)
 
 
 def generate_structure(spec: SyntheticSpec) -> Graph:

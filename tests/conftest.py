@@ -4,7 +4,7 @@ from scipy import sparse
 
 from clprop.compatibility import Beliefs, CompatibilityMatrix
 from clprop.graph import build_graph
-from clprop.propagation import NodeWeights
+from clprop.propagation import SPECTRAL_STEPS, NodeWeights
 
 
 def line_writer_bytes(rows: np.ndarray) -> bytes:
@@ -31,10 +31,77 @@ def graph_from_edges(n, edges, labels, directed=False, features=None, num_classe
 
 
 def weights_from_dense(matrix, num_classes=1):
-    """Weights whose ``num_classes`` receiver-row class slices all equal the
-    dense ``matrix``: a weighted A^T, with unit sender and receiver factors."""
-    ones = np.ones((len(matrix), num_classes))
+    """Weights whose ``num_classes`` class operators all equal ``matrix``
+    (dense or sparse): a weighted A^T, with unit sender and receiver factors."""
+    ones = np.ones((matrix.shape[0], num_classes))
     return NodeWeights(sparse.csr_matrix(matrix), ones, ones)
+
+
+def class_slices(weights):
+    """The dense receiver-row class slices of ``weights``, built from its arcs:
+    ``slice_k[j, i] = (G[i, k] * R[j, k]) * a_ij``, or ``G[i, k] * a_ij`` for CLP*."""
+    a = weights.incoming.tocoo()
+    slices = []
+    for k in range(weights.num_classes):
+        data = weights.outgoing[a.col, k]
+        if weights.receiving is not None:
+            data = data * weights.receiving[a.row, k]
+        dense = np.zeros(a.shape)
+        dense[a.row, a.col] = data * a.data
+        slices.append(dense)
+    return slices
+
+
+def slice_bracket(m, stored, nonneg, threshold):
+    """The Collatz–Wielandt bracket of rho(|m|) on one dense class slice, as
+    the certificate computed it slice by slice: zero rows of |m| and their
+    columns dropped until none is left, at most ``SPECTRAL_STEPS`` steps
+    ``x <- |m|x / max + 1e-12`` from x = 1, stopping once the bracket excludes
+    ``threshold``, and each bound widened by ``(d + 2) * 2**-52``, with d the
+    largest number of ``stored`` entries of a remaining row in the remaining
+    columns.  ``lower`` is 0 unless ``nonneg``."""
+    m = np.abs(m)
+    keep = np.arange(len(m))
+    while not (live := m[np.ix_(keep, keep)].sum(axis=1) > 0).all():
+        keep = keep[live]
+    if keep.size == 0:
+        return 0.0, 0.0
+    m = m[np.ix_(keep, keep)]
+    margin = (int(stored[np.ix_(keep, keep)].sum(axis=1).max()) + 2) * 2.0**-52
+    x = np.ones(len(keep))
+    for _ in range(SPECTRAL_STEPS):
+        y = m @ x
+        lower = float((y / x).min()) * (1.0 - margin) if nonneg else 0.0
+        upper = float((y / x).max()) * (1.0 + margin)
+        if not lower <= threshold <= upper:
+            break
+        x = y / y.max() + 1e-12
+    return lower, upper
+
+
+def slice_verdicts(weights, alpha):
+    """``(status, frobenius, lower, upper)`` per class from the dense slices:
+    certified below 1/alpha in the Frobenius norm, else by
+    :func:`slice_bracket`.  A class has no lower bound when its column of G
+    or R, or any arc weight, is negative."""
+    threshold = np.inf if alpha == 0.0 else 1.0 / alpha
+    a = weights.incoming.tocoo()
+    stored = np.zeros(a.shape, dtype=bool)
+    stored[a.row, a.col] = True  # explicit zeros included
+    signs = [weights.outgoing] + ([] if weights.receiving is None else [weights.receiving])
+    nonneg = np.logical_and.reduce([(f >= 0).all(axis=0) for f in signs])
+    nonneg &= bool((a.data >= 0).all())
+    verdicts = []
+    for k, m in enumerate(class_slices(weights)):
+        frobenius = float(np.sqrt(np.sum(m * m)))
+        if frobenius < threshold:
+            verdicts.append(("certified", frobenius, None, None))
+            continue
+        lower, upper = slice_bracket(m, stored, nonneg[k], threshold)
+        status = ("convergent" if upper < threshold
+                  else "divergent" if lower > threshold else "unproved")
+        verdicts.append((status, frobenius, lower, upper))
+    return verdicts
 
 
 @pytest.fixture

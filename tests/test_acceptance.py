@@ -29,7 +29,7 @@ from clprop.propagation import (
 )
 from clprop.synth import P_IN_GRID, SyntheticSpec, gaussian_features, generate
 
-from conftest import graph_from_edges, weights_from_dense
+from conftest import class_slices, graph_from_edges, weights_from_dense
 
 
 @contextmanager
@@ -59,7 +59,7 @@ def test_criterion_1_worked_example_oracle():
         graph, compat, beliefs = _worked_instance()
         awf = edge_weights(graph, beliefs, compat)
         # exact up to one IEEE double rounding of the stated products
-        arc_01 = [slice_k[1, 0] for slice_k in awf.per_class]
+        arc_01 = awf.outgoing[0] * awf.receiving[1]
         np.testing.assert_allclose(arc_01, [0.112, 0.352], rtol=0, atol=1e-15)
         # receivers 1 and 2 each hear one arc, so their aggregate is its message
         msgs = aggregate(awf, beliefs, normalize=True)
@@ -99,7 +99,7 @@ def _convergent_instances(count=50, seed=2024):
 
         compat = CompatibilityMatrix(h, "doubly_stochastic", dev)
         awf = edge_weights(graph, Beliefs(b, "prior"), compat)
-        if not all(v.ok for v in convergence_check(awf.per_class, alpha)):
+        if not all(v.ok for v in convergence_check(awf, alpha)):
             continue
         teleport = rng.random((n, c)) + 0.05
         teleport /= teleport.sum(axis=1, keepdims=True)
@@ -121,9 +121,8 @@ def test_criterion_2_closed_form_equivalence(convergent_instances):
             out, _ = propagate_clp(
                 awf, teleport, PropagationConfig(alpha, max_iters=100000, tol=1e-13)
             )
-            for k, slice_k in enumerate(awf.per_class):
-                exact = closed_form_clp(slice_k, teleport.values[:, k], alpha, k)
-                worst = max(worst, float(np.abs(exact - out.values[:, k]).max()))
+            exact = closed_form_clp(awf, teleport, alpha)
+            worst = max(worst, float(np.abs(exact - out.values).max()))
         assert worst < 1e-8, f"max deviation {worst:.3g}"
         assert time.perf_counter() - start < 30.0
 
@@ -160,12 +159,11 @@ def test_criterion_3_convergence_boundary():
 def test_criterion_4_norm_chain(convergent_instances):
     with criterion(4, "rho <= Frobenius <= entrywise 1-norm"):
         for awf, _, _ in convergent_instances:
-            for slice_k in awf.per_class:
+            for m in class_slices(awf):
                 # dense oracle: the slices have at most 50 nodes
-                rho = float(np.max(np.abs(np.linalg.eigvals(slice_k.toarray()))))
-                data = slice_k.data
-                frob = float(np.sqrt(np.sum(data * data)))
-                norm1 = float(np.abs(data).sum())
+                rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+                frob = float(np.sqrt(np.sum(m * m)))
+                norm1 = float(np.abs(m).sum())
                 assert rho <= frob + 1e-6
                 assert frob <= norm1 + 1e-6
 

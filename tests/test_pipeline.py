@@ -337,18 +337,22 @@ class TestRunPipeline:
                                                    ("clp", True), ("clp_star", True)])
     def test_certificate_runs_once_per_seed(self, method, certifies, small_graph, monkeypatch):
         """One convergence check per seed, at the chosen alpha, with at most
-        one bracket per class; LP and the MLP never certify."""
+        one bracket call, which covers the classes that the Frobenius norm
+        leaves; none when it certifies every class.  LP and the MLP never
+        certify."""
         brackets, checks = [], []
         real_check, real_radius = pipeline.convergence_check, propagation.spectral_radius
 
-        def radius(m, *args, **kwargs):
-            brackets.append(m)
-            return real_radius(m, *args, **kwargs)
+        def radius(weights, *args, **kwargs):
+            brackets.append(weights.num_classes)
+            return real_radius(weights, *args, **kwargs)
 
-        def check(slices, alpha):
+        def check(weights, alpha):
             before = len(brackets)
-            verdicts = real_check(slices, alpha)
-            checks.append((alpha, len(brackets) - before))
+            verdicts = real_check(weights, alpha)
+            bracketed = sum(v.upper is not None for v in verdicts)
+            assert brackets[before:] == ([bracketed] if bracketed else [])
+            checks.append(alpha)
             return verdicts
 
         monkeypatch.setattr(propagation, "spectral_radius", radius)
@@ -356,11 +360,10 @@ class TestRunPipeline:
         report = run_pipeline(small_config(method=method), graph=small_graph)
         if certifies:
             assert not any(r.fallback for r in report.per_seed)
-            assert [alpha for alpha, _ in checks] == [r.chosen_alpha for r in report.per_seed]
-            assert all(count <= small_graph.num_classes for _, count in checks)
+            assert checks == [r.chosen_alpha for r in report.per_seed]
         else:
-            assert checks == []
-        assert len(brackets) == sum(count for _, count in checks)
+            assert checks == [] and brackets == []
+        assert len(brackets) <= len(checks)
 
     def test_lp_operator_is_built_once_per_seed(self, small_graph, monkeypatch):
         graphs = []

@@ -28,11 +28,17 @@ from clprop.propagation import (
     spectral_radius,
 )
 
-from conftest import graph_from_edges, random_propagation_instance, weights_from_dense
+from conftest import (
+    class_slices,
+    graph_from_edges,
+    random_propagation_instance,
+    slice_verdicts,
+    weights_from_dense,
+)
 
 
 def scaled_random_weights(n, rho_target, seed, num_classes=1):
-    """Weights whose class slices are one dense matrix of known spectral radius.
+    """Weights whose class operators are one dense matrix of known spectral radius.
 
     The dense eigensolver provides the ground-truth radius of the base
     matrix; scaling is exact because rho is homogeneous.
@@ -47,8 +53,8 @@ def scaled_random_weights(n, rho_target, seed, num_classes=1):
 
 
 def _arc_weights(weights):
-    """The (arcs x classes) weights ``G[i] * R[j] * a_ij`` of ``weights.arcs``,
-    expanded from the factors in the order of the products of ``per_class``."""
+    """The (arcs x classes) weights ``(G[i] * R[j]) * a_ij`` of ``weights.arcs``,
+    expanded from the factors."""
     senders, receivers = weights.arcs.T
     expanded = weights.outgoing[senders]
     if weights.receiving is not None:
@@ -62,16 +68,16 @@ class TestEdgeWeights:
         graph, compat, beliefs = worked_example
         awf = edge_weights(graph, beliefs, compat)
         assert awf.arcs.tolist() == [[0, 1], [0, 2]]
-        slices = awf.per_class
-        np.testing.assert_allclose([s[1, 0] for s in slices], [0.112, 0.352], atol=1e-15)
-        np.testing.assert_allclose([s[2, 0] for s in slices], [0.392, 0.132], atol=1e-15)
+        arc_01, arc_02 = _arc_weights(awf)
+        np.testing.assert_allclose(arc_01, [0.112, 0.352], atol=1e-15)
+        np.testing.assert_allclose(arc_02, [0.392, 0.132], atol=1e-15)
 
     def test_identity_compat_one_hot_is_basis_vector(self):
         g = graph_from_edges(2, [(0, 1)], [1, 1], num_classes=3, directed=True)
         b = Beliefs(one_hot([1, 1], 3), "prior")
         h = CompatibilityMatrix(np.eye(3), "row_stochastic")
         awf = edge_weights(g, b, h)
-        np.testing.assert_array_equal([s[1, 0] for s in awf.per_class], [0, 1, 0])
+        np.testing.assert_array_equal(_arc_weights(awf), [[0, 1, 0]])
 
     def test_homophily_degeneration_support(self):
         # identity compatibility + one-hot priors on a homophilous graph:
@@ -80,20 +86,19 @@ class TestEdgeWeights:
         b = Beliefs(one_hot(g.labels, 2), "prior")
         h = CompatibilityMatrix(np.eye(2), "row_stochastic")
         awf = edge_weights(g, b, h)
-        slices = awf.per_class
-        for src, dst in awf.arcs:
+        for (src, _), weight in zip(awf.arcs, _arc_weights(awf)):
             expected = np.zeros(2)
             expected[g.labels[src]] = 1.0
-            np.testing.assert_array_equal([s[dst, src] for s in slices], expected)
+            np.testing.assert_array_equal(weight, expected)
 
-    def test_slice_pattern_equals_arc_set_when_undirected(self, path4):
+    def test_incoming_pattern_equals_arc_set_when_undirected(self, path4):
         b = Beliefs(np.full((4, 2), 0.5), "prior")
         h = CompatibilityMatrix(np.full((2, 2), 0.5), "doubly_stochastic", 0.0)
         awf = edge_weights(path4, b, h)
-        for slice_k in awf.per_class:
-            coo = slice_k.tocoo()
-            pattern = set(zip(coo.row.tolist(), coo.col.tolist()))
-            assert pattern == set(map(tuple, path4.arcs.tolist()))
+        coo = awf.incoming.tocoo()
+        pattern = set(zip(coo.row.tolist(), coo.col.tolist()))
+        assert pattern == set(map(tuple, path4.arcs.tolist()))
+        assert set(map(tuple, awf.arcs.tolist())) == pattern
 
     def test_dimension_mismatch(self, path4):
         b = Beliefs(np.full((3, 2), 0.5), "prior")
@@ -102,9 +107,9 @@ class TestEdgeWeights:
             edge_weights(path4, b, h)
 
     @pytest.mark.parametrize("directed", [False, True])
-    def test_slices_are_the_products_of_the_arc_weights(self, directed):
-        """Class k's slice holds ``(b0[i] @ H)[k] * b0[j, k]`` at [j, i] for each
-        arc, one product as an arc weight is, in the arcs' receiver-stable order."""
+    def test_arc_weights_are_the_products_of_the_factors(self, directed):
+        """Arc (i, j) weighs ``(b0[i] @ H) * b0[j]``, one product, and A^T holds
+        its sender at [j, i], in the arcs' receiver-stable order."""
         rng = np.random.default_rng(3 + directed)
         graph, b0, compat = random_propagation_instance(rng)
         graph = build_graph(graph.node_count, graph.arcs, graph.features, graph.labels,
@@ -114,9 +119,9 @@ class TestEdgeWeights:
         np.testing.assert_array_equal(awf.arcs, graph.arcs[order])
         src, dst = awf.arcs.T
         expected = (b0.values @ compat.values)[src] * b0.values[dst]
-        for k, slice_k in enumerate(awf.per_class):
-            np.testing.assert_array_equal(slice_k.data, expected[:, k])
-            np.testing.assert_array_equal(slice_k.indices, src)
+        np.testing.assert_array_equal(awf.incoming.data, 1.0)
+        np.testing.assert_array_equal(_arc_weights(awf), expected)
+        np.testing.assert_array_equal(awf.incoming.indices, src)
 
     @staticmethod
     def _large_instance():
@@ -311,9 +316,8 @@ class TestPropagateClp:
         for trial in range(5):
             graph, b0, compat = random_propagation_instance(rng, max_nodes=25)
             awf = edge_weights(graph, b0, compat)
-            slices = awf.per_class
             alpha = 0.6
-            if not all(v.ok for v in convergence_check(slices, alpha)):
+            if not all(v.ok for v in convergence_check(awf, alpha)):
                 continue
             teleport = Beliefs(
                 np.full((graph.node_count, b0.num_classes), 1.0 / b0.num_classes),
@@ -322,9 +326,8 @@ class TestPropagateClp:
             out, _ = propagate_clp(
                 awf, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
             )
-            for k in range(b0.num_classes):
-                exact = closed_form_clp(slices[k], teleport.values[:, k], alpha, k)
-                assert np.abs(exact - out.values[:, k]).max() < 1e-8
+            exact = closed_form_clp(awf, teleport, alpha)
+            assert np.abs(exact - out.values).max() < 1e-8
 
     def test_divergence_detected(self):
         awf = scaled_random_weights(16, rho_target=1.5, seed=0)
@@ -336,7 +339,7 @@ class TestPropagateClp:
         rng = np.random.default_rng(21)
         graph, b0, compat = random_propagation_instance(rng, max_nodes=20)
         awf = edge_weights(graph, b0, compat)
-        slices = awf.per_class
+        slices = class_slices(awf)
         alpha, tol = 0.5, 1e-12
         teleport = b0
         out, _ = propagate_clp(awf, teleport, PropagationConfig(alpha, max_iters=30000, tol=tol))
@@ -670,26 +673,6 @@ class TestNoStateOutlivesACall:
         assert first.values.tobytes() == second.values.tobytes()
         assert first_log == second_log
 
-    def test_certificate_on_per_class_matches_coo_slices(self):
-        rng = np.random.default_rng(9)
-        weights = [scaled_random_weights(14, rho, seed, 3) for seed, rho in enumerate((0.9, 1.3))]
-        for directed in (False, True):
-            awf, _ = _degenerate_instance(rng, directed, 9)
-            weights.append(NodeWeights(awf.incoming * 4.0, awf.outgoing, awf.receiving))
-        statuses = set()
-        for awf in weights:
-            n = awf.incoming.shape[0]
-            src, dst = awf.arcs.T
-            arc_weights = _arc_weights(awf)
-            coo = [sparse.csr_matrix((arc_weights[:, k], (dst, src)), shape=(n, n))
-                   for k in range(awf.num_classes)]
-            slices = awf.per_class
-            for alpha in DEFAULT_ALPHA_GRID:
-                verdicts = convergence_check(slices, alpha)
-                assert verdicts == convergence_check(coo, alpha)
-                statuses |= {v.status for v in verdicts}
-        assert {"certified", "convergent", "divergent"} <= statuses
-
 
 def _sender_instance(rng, directed, num_classes):
     """CLP* weights on a random graph with isolated nodes and a sender whose
@@ -731,10 +714,11 @@ class TestPropagateClpStar:
             weights, teleport = _sender_instance(rng, directed, num_classes)
             src, dst = weights.arcs.T
             n = weights.incoming.shape[0]
-            for k, got in enumerate(weights.per_class):
-                expected = sparse.csr_matrix((weights.outgoing[src, k], (dst, src)), shape=(n, n))
-                for part in ("data", "indices", "indptr"):
-                    np.testing.assert_array_equal(getattr(got, part), getattr(expected, part))
+            expected = sparse.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(weights.incoming, part),
+                                              getattr(expected, part))
+            np.testing.assert_array_equal(_arc_weights(weights), weights.outgoing[src])
             for alpha in (0.1, 0.5, 0.9):
                 config = PropagationConfig(alpha, message_normalization=normalize)
                 _assert_same_run(weights, teleport, config, exact=True)
@@ -763,18 +747,16 @@ class TestPropagateClpStar:
         rng = np.random.default_rng(200 + seed)
         graph, b0, compat = random_propagation_instance(rng)
         weights = sender_weights(graph, b0, compat)
-        slices = weights.per_class
         alpha = max(
             a for a in DEFAULT_ALPHA_GRID
-            if all(v.ok for v in convergence_check(slices, a))
+            if all(v.ok for v in convergence_check(weights, a))
         )
         teleport = Beliefs(rng.random(b0.values.shape), "propagated")
         out, _ = propagate_clp_star(
             weights, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
         )
-        for k, slice_k in enumerate(slices):
-            oracle = closed_form_clp(slice_k, teleport.values[:, k], alpha)
-            np.testing.assert_allclose(out.values[:, k], oracle, atol=1e-9)
+        oracle = closed_form_clp(weights, teleport, alpha)
+        np.testing.assert_allclose(out.values, oracle, atol=1e-9)
 
 
 def lp_teleport(y, train):
@@ -818,59 +800,132 @@ class TestPropagateLp:
         np.testing.assert_allclose(out.values, exact, atol=1e-8)
 
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_operator_is_the_diagonal_product_bit_for_bit(self, directed):
+        """Built on the pattern, the operator has the data, indices and indptr
+        of ``D^-1/2 (A | A^T) D^-1/2`` as two sparse products, isolated nodes
+        (empty rows, degree 0) included."""
+        rng = np.random.default_rng(90 + directed)
+        for n in (12, 200):
+            pairs = rng.integers(0, n - 4, (3 * n, 2))  # the last four nodes stay isolated
+            graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, 3, n), 3, directed)
+            pattern = graph.adjacency.maximum(graph.adjacency.T).tocsr()
+            deg = np.asarray(pattern.sum(axis=1)).ravel()
+            inv_sqrt = np.zeros_like(deg)
+            np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
+            d_half = sparse.diags(inv_sqrt)
+            expected = (d_half @ pattern @ d_half).tocsr()
+            got = lp_operator(graph)
+            assert got.shape == expected.shape
+            for part in ("data", "indices", "indptr"):
+                got_part, expected_part = getattr(got, part), getattr(expected, part)
+                assert got_part.dtype == expected_part.dtype
+                assert got_part.tobytes() == expected_part.tobytes()
+
+
 class TestClosedForm:
+    @staticmethod
+    def _column(values):
+        return Beliefs(np.asarray(values, dtype=np.float64)[:, None], "propagated")
+
     def test_zero_matrix(self):
-        x = closed_form_clp(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]), alpha=0.25)
-        np.testing.assert_allclose(x, 0.75 * np.array([1.0, 2.0, 3.0]))
+        x = closed_form_clp(weights_from_dense(np.zeros((3, 3))), self._column([1.0, 2.0, 3.0]),
+                            alpha=0.25)
+        np.testing.assert_allclose(x[:, 0], 0.75 * np.array([1.0, 2.0, 3.0]))
 
     def test_alpha_zero(self):
         rng = np.random.default_rng(1)
         d = rng.random(4)
-        x = closed_form_clp(rng.random((4, 4)), d, alpha=0.0)
-        np.testing.assert_allclose(x, d)
+        x = closed_form_clp(weights_from_dense(rng.random((4, 4))), self._column(d), alpha=0.0)
+        np.testing.assert_allclose(x[:, 0], d)
+
+    def test_solves_the_dense_class_operators(self):
+        """Each class solves against its slice, for CLP and CLP*."""
+        rng = np.random.default_rng(4)
+        for receiving in (True, False):
+            weights, teleport = _degenerate_instance(rng, True, 3, receiving)
+            x = closed_form_clp(weights, teleport, 0.5)
+            n = weights.incoming.shape[0]
+            for k, m in enumerate(class_slices(weights)):
+                exact = np.linalg.solve(np.eye(n) - 0.5 * m, 0.5 * teleport.values[:, k])
+                np.testing.assert_array_equal(x[:, k], exact)
 
     def test_singular_system_names_class(self):
-        w = np.eye(2) * 2.0  # I - 0.5 * 2I = 0
+        # class 1 weighs the identity by 2: I - 0.5 * 2I = 0
+        weights = NodeWeights(sparse.eye(2, format="csr"), np.ones((2, 2)),
+                              np.array([[1.0, 2.0], [1.0, 2.0]]))
         with pytest.raises(SingularSystemError, match="class 1"):
-            closed_form_clp(w, np.ones(2), alpha=0.5, class_index=1)
+            closed_form_clp(weights, Beliefs(np.ones((2, 2)), "propagated"), alpha=0.5)
 
     def test_size_guard(self):
-        big = sparse.csr_matrix((6000, 6000))
+        big = NodeWeights(sparse.csr_matrix((6000, 6000)), np.ones((6000, 1)))
         with pytest.raises(ValueError, match="5000"):
-            closed_form_clp(big, np.zeros(6000), alpha=0.5)
+            closed_form_clp(big, self._column(np.zeros(6000)), alpha=0.5)
+
+    def test_rejects_a_teleport_of_another_shape(self):
+        with pytest.raises(ValueError, match="teleport"):
+            closed_form_clp(weights_from_dense(np.zeros((3, 3))), self._column(np.ones(2)), 0.5)
+
+
+def _bracket(m, threshold):
+    """The bracket of :func:`spectral_radius` on one class whose operator is ``m``."""
+    lower, upper = spectral_radius(weights_from_dense(m), threshold)
+    assert lower.shape == upper.shape == (1,)
+    return float(lower[0]), float(upper[0])
 
 
 class TestSpectralRadius:
     def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((4, 4)), 1.0) == (0.0, 0.0)
+        assert _bracket(np.zeros((4, 4)), 1.0) == (0.0, 0.0)
 
     def test_first_step_is_the_row_sum_bracket(self):
         """From x = 1, the bracket is the min and max row sum of |m|."""
         m = np.array([[0.2, 0.5, 0.0], [0.1, 0.0, 0.3], [0.6, 0.3, 0.1]])
-        lower, upper = spectral_radius(m, math.inf)
+        lower, upper = _bracket(m, math.inf)
         margin = 5 * 2.0**-52  # max row nnz 3, plus 2
         assert lower == pytest.approx(0.4 * (1 - margin), rel=1e-15)
         assert upper == pytest.approx(1.0 * (1 + margin), rel=1e-15)
         assert lower < 0.4 and upper > 1.0
 
+    def test_margin_counts_the_stored_arcs_between_live_nodes(self):
+        """The margin is ``(d + 2) * 2**-52``, with d the most stored arcs that
+        a live node receives from live nodes, explicit zeros included.  On the
+        3-cycle 0 -> 1 -> 2 -> 0 every ratio is exactly 1, so the bounds are 1
+        -/+ the margin exactly.  Node 0 also stores zero-weight arcs from 0 and
+        1 and an arc from node 3, whose row is zero, so d = 3."""
+        rows, cols = [1, 2, 0, 0, 0, 0], [0, 1, 2, 0, 1, 3]
+        m = sparse.csr_matrix(([1.0, 1.0, 1.0, 0.0, 0.0, 0.5], (rows, cols)), shape=(4, 4))
+        assert m.nnz == 6
+        assert _bracket(m, math.inf) == (1 - 5 * 2.0**-52, 1 + 5 * 2.0**-52)
+
     def test_diagonal(self):
         # reducible: the row of the 1.0 block keeps the lower bound at 1
-        lower, upper = spectral_radius(np.diag([2.0, 1.0]), 1.5)
+        lower, upper = _bracket(np.diag([2.0, 1.0]), 1.5)
         assert lower == pytest.approx(1.0, rel=1e-15) and lower < 1.0
         assert upper == pytest.approx(2.0, rel=1e-15) and upper > 2.0
-        assert spectral_radius(np.diag([2.0, 1.0]), 2.5)[1] < 2.5
+        assert _bracket(np.diag([2.0, 1.0]), 2.5)[1] < 2.5
 
     def test_permutation_pair(self):
         # every ratio is exactly 1; only the rounding margin opens the bracket
-        lower, upper = spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+        lower, upper = _bracket(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
         assert lower < 1.0 < upper
         assert upper - lower < 1e-14
 
     def test_negative_entry_gives_no_lower_bound(self):
         m = np.array([[0.5, 0.4], [-1e-12, 0.5]])
-        lower, upper = spectral_radius(m, 0.5)
+        lower, upper = _bracket(m, 0.5)
         assert lower == 0.0
         assert upper >= np.max(np.abs(np.linalg.eigvals(m)))
+
+    def test_negative_factor_gives_its_class_no_lower_bound(self):
+        """A negative entry of G or R takes the lower bound of its class only."""
+        a = sparse.csr_matrix(np.full((3, 3), 0.5))  # rho 1.5 in every class
+        for sender in (True, False):
+            g, r = np.ones((3, 3)), np.ones((3, 3))
+            (g if sender else r)[2, 1] = -1.0  # |W_1| = W_0
+            lower, upper = spectral_radius(NodeWeights(a, g, r), 1.2)
+            assert lower[1] == 0.0 and upper[1] > 1.2
+            assert lower[0] == lower[2] > 1.2
 
     def test_random_nonnegative_brackets_dense_eigensolver(self):
         """Positive matrices are primitive, so the bracket closes on rho, to
@@ -881,18 +936,31 @@ class TestSpectralRadius:
             n = int(rng.integers(3, 30))
             m = rng.random((n, n)) * rng.random()
             expected = np.max(np.abs(np.linalg.eigvals(m)))
-            lower, upper = spectral_radius(m, expected)
+            lower, upper = _bracket(m, expected)
             assert lower <= expected * (1 + 1e-12) and upper >= expected * (1 - 1e-12)
             assert upper - lower <= 1e-10 * expected
 
     def test_bracket_excludes_a_threshold_on_either_side(self):
         m = np.full((3, 3), 0.25)  # rho 0.75, every row sum 0.75
-        assert spectral_radius(m, 0.9)[1] < 0.9
-        assert spectral_radius(m, 0.6)[0] > 0.6
+        assert _bracket(m, 0.9)[1] < 0.9
+        assert _bracket(m, 0.6)[0] > 0.6
+
+    def test_classes_freeze_at_their_own_step(self):
+        """Every class is bracketed in one call; each keeps the bounds of the
+        step at which they excluded the threshold, as if bracketed alone."""
+        rng = np.random.default_rng(6)
+        m = rng.random((8, 8)) * (rng.random((8, 8)) < 0.5)
+        scales = np.array([0.2, 1.0, 3.0, 0.0])
+        weights = NodeWeights(sparse.csr_matrix(m), np.ones((8, 4)), np.ones((8, 1)) * scales)
+        rho = float(np.max(np.abs(np.linalg.eigvals(m))))
+        lower, upper = spectral_radius(weights, 1.1 * rho)
+        for k, scale in enumerate(scales):
+            assert (lower[k], upper[k]) == pytest.approx(_bracket(scale * m, 1.1 * rho),
+                                                        rel=1e-13)
 
     def test_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            spectral_radius(np.ones((2, 3)), 1.0)
+        with pytest.raises(ValueError, match="disagree"):
+            weights_from_dense(np.ones((2, 3)))
 
     def test_isolated_node_leaves_the_lower_bound(self):
         """A zero row only adds the eigenvalue 0, so it is dropped with its
@@ -900,9 +968,9 @@ class TestSpectralRadius:
         divergent at alpha 0.8, where the zero row held the lower bound at 0."""
         m = np.zeros((4, 4))
         m[:3, :3] = 0.6  # rho 1.8, every row sum 1.8
-        lower, upper = spectral_radius(m, 1 / 0.8)
+        lower, upper = _bracket(m, 1 / 0.8)
         assert 1.8 * (1 - 1e-14) < lower < 1.8 < upper < 1.8 * (1 + 1e-14)
-        (verdict,) = convergence_check([sparse.csr_matrix(m)], 0.8)
+        (verdict,) = convergence_check(weights_from_dense(m), 0.8)
         assert verdict.status == "divergent"
 
     def test_zero_rows_are_dropped_until_none_is_left(self):
@@ -910,10 +978,10 @@ class TestSpectralRadius:
         rows, cols = [*np.repeat(range(3), 3), 3, 5], [*np.tile(range(3), 3), 4, 0]
         m = sparse.csr_matrix(([0.6] * 9 + [0.5, 0.0], (rows, cols)), shape=(6, 6))
         assert m.nnz == 11
-        lower, upper = spectral_radius(m, 1 / 0.8)
+        lower, upper = _bracket(m, 1 / 0.8)
         assert 1.25 < lower < 1.8 < upper
         nilpotent = sparse.csr_matrix(np.triu(np.full((5, 5), 0.9), 1))
-        assert spectral_radius(nilpotent, 0.5) == (0.0, 0.0)
+        assert _bracket(nilpotent, 0.5) == (0.0, 0.0)
 
 
 # Kinds of matrix for the bracket's property test.  Their blocks are positive
@@ -952,9 +1020,9 @@ def test_bracket_proves_what_the_dense_radius_says(kind, n, seed, alpha):
     slack = 1e-10 * rho + 1e-15  # the dense eigensolver's own rounding
     threshold = 1.0 / alpha
     for target in (rho, threshold):  # all steps, and the certificate's early stop
-        lower, upper = spectral_radius(m, target)
+        lower, upper = _bracket(m, target)
         assert lower <= rho + slack and rho - slack <= upper, (lower, rho, upper)
-    (verdict,) = convergence_check([sparse.csr_matrix(m)], alpha)
+    (verdict,) = convergence_check(weights_from_dense(m), alpha)
     if verdict.ok:
         assert rho < threshold + slack
     if verdict.status == "divergent":
@@ -965,19 +1033,19 @@ def test_bracket_proves_what_the_dense_radius_says(kind, n, seed, alpha):
 
 class TestConvergenceCheck:
     def test_zero_slice_certified(self):
-        verdicts = convergence_check([sparse.csr_matrix((3, 3))], alpha=0.99)
+        verdicts = convergence_check(weights_from_dense(sparse.csr_matrix((3, 3))), alpha=0.99)
         assert verdicts[0].status == "certified"
 
     def test_small_norm_certified_without_eigensolve(self):
-        m = sparse.csr_matrix(np.array([[0.0, 0.45], [0.45, 0.0]]))
-        verdict = convergence_check([m], alpha=0.5)[0]
+        m = np.array([[0.0, 0.45], [0.45, 0.0]])
+        verdict = convergence_check(weights_from_dense(m), alpha=0.5)[0]
         assert verdict.status == "certified"
         assert verdict.frobenius == pytest.approx(0.45 * np.sqrt(2))
         assert verdict.lower is None and verdict.upper is None
 
     def test_divergent_verdict_and_growing_residuals(self):
         awf = scaled_random_weights(12, rho_target=1.5, seed=3)
-        verdict = convergence_check(awf.per_class, alpha=0.8)[0]
+        verdict = convergence_check(awf, alpha=0.8)[0]
         assert verdict.status == "divergent"
         assert 1 / 0.8 < verdict.lower <= 1.5 <= verdict.upper
         teleport = Beliefs(np.ones((12, 1)), "prior")
@@ -986,40 +1054,103 @@ class TestConvergenceCheck:
         residuals = [rec.residual for rec in err.value.log]
         assert residuals[-1] > residuals[max(0, len(residuals) - 8)]
 
-    def test_spectral_radius_runs_once_per_class(self, monkeypatch):
-        """Within one call, the bracket runs once for each class that the
-        Frobenius norm does not certify, and for no other class."""
+    def test_spectral_radius_runs_at_most_once_per_check(self, monkeypatch):
+        """Within one call, one bracket covers exactly the classes that the
+        Frobenius norm does not certify, and none runs when it certifies all."""
         rng = np.random.default_rng(5)
         base = rng.random((12, 12))
         np.fill_diagonal(base, 0.0)
         base /= np.max(np.abs(np.linalg.eigvals(base)))
-        slices = [sparse.csr_matrix(base * rho) for rho in (0.3, 0.95, 1.5)]
+        radii = np.array([0.3, 0.95, 1.5])  # class k is base * radii[k]
+        weights = NodeWeights(sparse.csr_matrix(base), np.ones((12, 3)), np.ones((12, 1)) * radii)
 
         calls = []
         real = propagation.spectral_radius
 
-        def counting(m, *args, **kwargs):
-            calls.append(m)
-            return real(m, *args, **kwargs)
+        def counting(w, *args, **kwargs):
+            calls.append(w.num_classes)
+            return real(w, *args, **kwargs)
 
         monkeypatch.setattr(propagation, "spectral_radius", counting)
-        statuses = set()
+        statuses, counts = set(), set()
         for alpha in DEFAULT_ALPHA_GRID:
             calls.clear()
-            verdicts = convergence_check(slices, alpha)
-            assert len(calls) == sum(v.upper is not None for v in verdicts) <= len(slices)
-            assert len({id(m) for m in calls}) == len(calls)  # no class twice
+            verdicts = convergence_check(weights, alpha)
+            bracketed = sum(v.upper is not None for v in verdicts)
+            assert calls == ([bracketed] if bracketed else [])
             statuses |= {v.status for v in verdicts}
+            counts.add(bracketed)
         assert {"certified", "convergent", "divergent"} <= statuses
+        assert 0 in counts and len(counts) > 2
 
     def test_norm_chain(self):
         rng = np.random.default_rng(15)
         graph, b0, compat = random_propagation_instance(rng, max_nodes=30)
         awf = edge_weights(graph, b0, compat)
-        for slice_k in awf.per_class:
-            rho = np.max(np.abs(np.linalg.eigvals(slice_k.toarray())))  # at most 30 nodes
-            data = slice_k.data
-            frob = np.sqrt(np.sum(data ** 2))
-            norm1 = np.abs(data).sum()
+        verdicts = convergence_check(awf, 0.5)
+        for m, verdict in zip(class_slices(awf), verdicts, strict=True):
+            rho = np.max(np.abs(np.linalg.eigvals(m)))  # at most 30 nodes
+            frob = np.sqrt(np.sum(m ** 2))
+            norm1 = np.abs(m).sum()
+            assert verdict.frobenius == pytest.approx(frob, rel=1e-14)
             assert rho <= frob + 1e-12
             assert frob <= norm1 + 1e-12
+
+
+def _bipartite_instance(rng, num_classes):
+    """CLP factors on a random undirected bipartite graph: every class
+    operator has a periodic pattern."""
+    n = int(rng.integers(10, 30))
+    split = n // 2
+    pairs = np.column_stack([rng.integers(0, split, 3 * n), rng.integers(split, n, 3 * n)])
+    graph = build_graph(n, pairs, np.zeros((n, 1)), rng.integers(0, num_classes, n),
+                        num_classes, directed=False)
+    incoming = graph.adjacency.T.tocsr()
+    incoming.data = rng.uniform(0.2, 1.0, incoming.nnz)
+    return NodeWeights(incoming, rng.random((n, num_classes)), rng.random((n, num_classes)))
+
+
+def _certificate_instances():
+    """The degenerate family (isolated nodes, zero rows of G and R, zero-weight
+    arcs, directed graphs), CLP and CLP*, at 1 to 17 classes and with A^T
+    scaled by 4 for divergent classes; bipartite patterns; no arcs; a negative
+    arc weight; and one dense operator of known radius in every class."""
+    rng = np.random.default_rng(9)
+    for directed in (False, True):
+        for num_classes in (None, 1, 8, 17):
+            for receiving in (True, False):
+                weights, _ = _degenerate_instance(rng, directed, num_classes, receiving)
+                for scale in (1.0, 4.0):
+                    yield NodeWeights(weights.incoming * scale, weights.outgoing,
+                                      weights.receiving)
+    for num_classes in (1, 3):
+        for scale in (1.0, 3.0):
+            weights = _bipartite_instance(rng, num_classes)
+            yield NodeWeights(weights.incoming * scale, weights.outgoing, weights.receiving)
+    yield NodeWeights(sparse.csr_matrix((6, 6)), rng.random((6, 3)), rng.random((6, 3)))
+    weights, _ = _degenerate_instance(rng, False, 4)
+    negative = weights.incoming * 4.0
+    negative.data[np.flatnonzero(negative.data)[0]] = -0.5
+    yield NodeWeights(negative, weights.outgoing, weights.receiving)
+    for seed, rho in enumerate((0.9, 1.3)):
+        yield scaled_random_weights(14, rho, seed, 3)
+
+
+def test_certificate_matches_the_slice_reference():
+    """The certificate on the factors says what the class-by-class bracket on
+    dense slices (``conftest.slice_verdicts``) says: the same words, and the
+    norms and bounds within rtol 1e-12."""
+    statuses = set()
+    for weights in _certificate_instances():
+        for alpha in DEFAULT_ALPHA_GRID:
+            got = convergence_check(weights, alpha)
+            expected = slice_verdicts(weights, alpha)
+            assert [v.status for v in got] == [e[0] for e in expected], alpha
+            for verdict, (_, frobenius, lower, upper) in zip(got, expected):
+                assert verdict.frobenius == pytest.approx(frobenius, rel=1e-12)
+                assert (verdict.lower is None) == (lower is None)
+                if lower is not None:
+                    np.testing.assert_allclose([verdict.lower, verdict.upper], [lower, upper],
+                                               rtol=1e-12, atol=0)
+            statuses |= {v.status for v in got}
+    assert statuses == {"certified", "convergent", "divergent", "unproved"}

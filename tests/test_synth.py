@@ -8,6 +8,7 @@ from clprop.graph import save_graph
 from clprop.metrics import edge_homophily
 from clprop.synth import (
     SyntheticSpec,
+    _bernoulli_block,
     _decode_triangular,
     class_feature_params,
     gaussian_features,
@@ -58,6 +59,31 @@ class TestDecodeTriangular:
         i, j = _decode_triangular(idx, size)
         assert ((0 <= i) & (i < j) & (j < size)).all()
         assert np.array_equal(i * size - i * (i + 1) // 2 + j - i - 1, idx)
+
+
+def _index_grid_block(rng, n_rows, n_cols, p, within):
+    """Dense block sampling over an explicit grid of the block's pairs."""
+    if within:
+        i, j = np.triu_indices(n_rows, k=1)
+    else:
+        grid = np.indices((n_rows, n_cols))
+        i, j = grid[0].ravel(), grid[1].ravel()
+    hit = rng.random(i.shape[0]) < p
+    return np.stack([i[hit], j[hit]], axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("n_rows, n_cols, p, within", [
+    (1, 1, 0.5, True), (2, 2, 0.9, True), (7, 7, 0.3, True), (200, 200, 0.05, True),
+    (5, 3, 0.5, False), (50, 53, 0.1, False), (200, 200, 0.02, False),
+    (13, 16, 1.0, False), (9, 9, 0.0, True),
+])
+def test_bernoulli_block_matches_the_index_grid(n_rows, n_cols, p, within):
+    """Decoding the hit indices draws the same pairs, in the same order, as
+    masking a grid of all pairs with the same uniforms."""
+    got = _bernoulli_block(np.random.default_rng(n_rows), n_rows, n_cols, p, within)
+    expected = _index_grid_block(np.random.default_rng(n_rows), n_rows, n_cols, p, within)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 class TestStructure:
