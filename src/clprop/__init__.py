@@ -30,8 +30,6 @@ from .pipeline import (
 from .propagation import (
     NodeWeights,
     PropagationConfig,
-    aggregate,
-    closed_form_clp,
     convergence_check,
     edge_weights,
     propagate_clp,

@@ -36,10 +36,9 @@ from .pipeline import (
     train_base_predictors,
 )
 from .propagation import DivergenceError
-from .synth import generate, preset_spec, snap_h_fraction
+from .synth import H_LEVELS, generate, preset_spec, snap_h_fraction
 
 _METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
-_H_LEVELS = [round(0.1 * i, 1) for i in range(11)]
 
 
 class _UsageError(Exception):
@@ -73,7 +72,7 @@ _FLAGS = {
     "config": ("--config", dict(help="JSON experiment config; flags override its fields")),
     "dataset": ("--dataset", dict(help="dataset directory (edges/features/labels TSV trio)")),
     "preset": ("--preset", dict(choices=["syn1", "syn2", "syn3"], help="synthetic benchmark family")),
-    "scale": ("--scale", dict(type=float, default=1.0, help="node-count factor for presets")),
+    "scale": ("--scale", dict(type=float, help="node-count factor for --preset (default 1)")),
     "directed": ("--directed", dict(action="store_true", help="keep arcs as-is (no symmetrization)")),
     "seeds": ("--seeds", dict(type=_comma_list(int, "integers"), help="comma-separated integer seeds")),
     "out": ("--out", dict(help="output directory")),
@@ -93,14 +92,21 @@ _CONFIG_FIELDS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alp
 _PROPAGATION_FIELDS = {"normalize_messages": "message_normalization", "teleport": "teleport_source"}
 
 
+def _preset_scale(scale: float | None) -> float:
+    return 1.0 if scale is None else scale
+
+
 def _dataset_from_args(flags: dict):
     if flags.get("dataset") and flags.get("preset"):
         raise _UsageError("--dataset and --preset are mutually exclusive")
+    if flags.get("scale") is not None and not flags.get("preset"):
+        raise _UsageError("--scale applies only with --preset")
     if flags.get("dataset"):
         return flags["dataset"]
     if flags.get("preset"):
         seeds = flags["seeds"] or (0,)
-        return {"preset": flags["preset"], "scale": flags["scale"], "h": 0.5, "seed": seeds[0]}
+        return {"preset": flags["preset"], "scale": _preset_scale(flags["scale"]), "h": 0.5,
+                "seed": seeds[0]}
     return None
 
 
@@ -126,8 +132,8 @@ def _cmd_synth(args) -> int:
     if len(seeds) > 1:
         raise _UsageError(f"synth takes one seed, got {len(seeds)}")
     out = Path(args.out)
-    for idx, level in enumerate(_H_LEVELS):
-        spec = preset_spec(args.preset, snap_h_fraction(level), seeds[0], args.scale)
+    for idx, level in enumerate(H_LEVELS):
+        spec = preset_spec(args.preset, snap_h_fraction(level), seeds[0], _preset_scale(args.scale))
         graph, manifest = generate(spec)
         target = out / f"h{idx:02d}"
         save_graph(graph, target, extra_manifest=manifest)
@@ -140,6 +146,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    if args.out and not args.scheme:
+        raise _UsageError("inspect writes to --out only the bucket table that --scheme trains")
     config = _config_from_args(args)
     graph = resolve_dataset(config.dataset, config.directed)
     report = inspect_dataset(graph, config if args.scheme else None)
@@ -176,7 +184,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
-    rows = sweep_homophily(config, _H_LEVELS, args.methods)
+    rows = sweep_homophily(config, H_LEVELS, args.methods)
     for row in rows:
         print(
             f"h={row['h']:.1f} {row['method']}: {row['mean']:.4f} +/- {row['std']:.4f}"

@@ -164,10 +164,9 @@ def _forward_cached(params: MlpParams, x: np.ndarray, rng=None):
     return z, caches
 
 
-def forward(params: MlpParams, x: np.ndarray, train_mode: bool = False, seed: int = 0) -> np.ndarray:
-    """Logits for every row of ``x``; dropout is active only in train mode."""
-    rng = np.random.default_rng(seed) if train_mode else None
-    return _forward_cached(params, np.asarray(x, dtype=np.float64), rng)[0]
+def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Logits for every row of ``x``, without dropout."""
+    return _forward_cached(params, np.asarray(x, dtype=np.float64), None)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -487,8 +487,8 @@ def report_compat_quality(config: ExperimentConfig, schemes=("sparse", "medium",
 
 @dataclass
 class InspectReport:
-    edge_homophily: float
-    node_homophily: float
+    edge_homophily: float | None  # None on a graph with no arcs
+    node_homophily: float | None
     true_compatibility: np.ndarray
     degree_stats: dict
     hv_histogram: list[tuple[str, int]]
@@ -496,10 +496,10 @@ class InspectReport:
 
     def render(self) -> str:
         lines = [
-            f"edge homophily: {self.edge_homophily:.4f}",
-            f"node homophily: {self.node_homophily:.4f}",
-            "true compatibility matrix:",
+            f"{name} homophily: " + ("undefined" if value is None else f"{value:.4f}")
+            for name, value in (("edge", self.edge_homophily), ("node", self.node_homophily))
         ]
+        lines.append("true compatibility matrix:")
         for row in self.true_compatibility:
             lines.append("  " + " ".join(f"{x:.4f}" for x in row))
         stats = self.degree_stats
@@ -548,8 +548,8 @@ def inspect_dataset(graph: Graph, config: ExperimentConfig | None = None) -> Ins
                  for r in bucket_table],
             )
     return InspectReport(
-        edge_homophily=metrics.edge_homophily(graph),
-        node_homophily=metrics.node_homophily(graph),
+        edge_homophily=metrics.edge_homophily(graph) if graph.arc_count else None,
+        node_homophily=metrics.node_homophily(graph) if graph.arc_count else None,
         true_compatibility=metrics.true_compatibility(graph).values,
         degree_stats=stats,
         hv_histogram=histogram,

@@ -1,6 +1,6 @@
 """Class-conditioned label propagation in node space: CLP and its sender-only
-variant CLP* on one weight form, classic label propagation, the closed-form
-solver, and analytic convergence verification.
+variant CLP* on one weight form, classic label propagation, and analytic
+convergence verification.
 
 CLP weighs an arc (i, j) by ``F_ij = (b0[i] @ H) * b0[j]``, which has rank one
 in each class: ``F_ij[k] = G[i, k] * R[j, k]`` with ``G = b0 @ H`` and ``R =
@@ -24,8 +24,8 @@ CLP*).  On (nodes x classes) beliefs B, one step in LinBP's matrix form
   row of P by its sum first and taking ``A^T P`` is that step exactly.
 
 Class k's operator is ``W_k = diag(R[:, k]) A^T diag(G[:, k])``, with
-``W_k[j, i] = G[i, k] * R[j, k] * a_ij``: the closed-form solver builds it
-densely, and the certificate steps every class at once on the factors.
+``W_k[j, i] = G[i, k] * R[j, k] * a_ij``; the certificate steps every class
+at once on the factors.
 
 Against the arc-major form ``incidence @ (weights * beliefs[senders])`` on the
 expanded weights, CLP* is bit-identical: a receiver adds its senders in the
@@ -66,7 +66,6 @@ from .compatibility import Beliefs, CompatibilityMatrix
 from .graph import Graph
 
 DIVERGENCE_STREAK = 10  # consecutive residual increases that abort the iteration
-CLOSED_FORM_MAX_NODES = 5000
 
 
 class DivergenceError(RuntimeError):
@@ -75,10 +74,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, log=None):
         super().__init__(message)
         self.log = log or []
-
-
-class SingularSystemError(RuntimeError):
-    """The closed-form linear system is singular."""
 
 
 @dataclass(frozen=True)
@@ -213,15 +208,6 @@ def _step(weights: NodeWeights, normalize: bool):
     return normalized
 
 
-def aggregate(weights: NodeWeights, beliefs: Beliefs, normalize: bool = False) -> np.ndarray:
-    """The aggregate of one step (nodes x classes), without the teleport: each
-    receiver's sum of its messages ``F_ij * beliefs[i]``, each message divided
-    by its sum where that is positive when ``normalize``."""
-    if beliefs.values.shape != weights.outgoing.shape:
-        raise ValueError("beliefs shape does not match the weights")
-    return _step(weights, normalize)(beliefs.values)
-
-
 def _iterate(step, teleport: np.ndarray, config: PropagationConfig):
     """Shared fixed-point loop with residual logging and divergence detection.
 
@@ -318,32 +304,6 @@ def propagate_lp(
         values = values.copy()
         values[zero_rows] = 1.0 / teleport.shape[1]
     return Beliefs(values, "propagated"), log
-
-
-def closed_form_clp(weights: NodeWeights, teleport: Beliefs, alpha: float) -> np.ndarray:
-    """Exact solution of ``(I - alpha W_k) x_k = (1 - alpha) teleport[:, k]`` for
-    every class k, as (nodes x classes), with W_k the dense operator of the
-    module docstring: the bits of ``(G[i, k] * R[j, k]) * a_ij``, or ``G[i, k] *
-    a_ij`` for CLP*.  Dense LU factorization; guarded to desk scale (n <= 5000).
-    """
-    if teleport.values.shape != weights.outgoing.shape:
-        raise ValueError("teleport shape does not match the weights")
-    n = weights.incoming.shape[0]
-    if n > CLOSED_FORM_MAX_NODES:
-        raise ValueError(
-            f"closed-form solve is limited to {CLOSED_FORM_MAX_NODES} nodes (got {n}); "
-            "use the iterative solver"
-        )
-    a, g, r = weights.incoming.toarray(), weights.outgoing, weights.receiving
-    solution = np.empty(teleport.values.shape)
-    for k in range(weights.num_classes):
-        w_k = a * g[:, k] if r is None else np.multiply.outer(r[:, k], g[:, k]) * a
-        try:
-            solution[:, k] = np.linalg.solve(np.eye(n) - alpha * w_k,
-                                             (1.0 - alpha) * teleport.values[:, k])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"singular propagation system for class {k}: {exc}") from exc
-    return solution
 
 
 SPECTRAL_STEPS = 300  # power steps of the Collatz–Wielandt bracket before it gives up

@@ -18,9 +18,9 @@ import numpy as np
 from .graph import Graph, build_graph
 from .metrics import edge_homophily
 
-# fraction-of-delta grid used for the homophily sweep; the endpoints stand in
-# for h = 0 and h = 1, which require strictly positive probabilities
-P_IN_GRID = [0.0001] + [round(0.1 * i, 1) for i in range(1, 10)] + [0.9999]
+# homophily levels of the sweep; snap_h_fraction moves the endpoints h = 0 and
+# h = 1, which require a zero edge probability, into the open interval
+H_LEVELS = [round(0.1 * i, 1) for i in range(11)]
 
 FEATURE_RADIUS = 300.0
 FEATURE_COV_SCALE = 3500.0
@@ -222,4 +222,4 @@ def snap_h_fraction(h: float) -> float:
     """Clamp a requested homophily level into the admissible open interval."""
     if not 0.0 <= h <= 1.0:
         raise ValueError("homophily level must lie in [0, 1]")
-    return min(max(h, P_IN_GRID[0]), P_IN_GRID[-1])
+    return min(max(h, 0.0001), 0.9999)

@@ -52,6 +52,18 @@ def class_slices(weights):
     return slices
 
 
+def closed_form_clp(weights, teleport, alpha):
+    """The exact fixed point of CLP, or of CLP* without ``receiving``, as
+    (nodes x classes): column k solves ``(I - alpha W_k) x_k = (1 - alpha)
+    teleport[:, k]`` by dense LU on class k's slice ``W_k`` from
+    :func:`class_slices`."""
+    n = weights.incoming.shape[0]
+    return np.column_stack([
+        np.linalg.solve(np.eye(n) - alpha * w_k, (1.0 - alpha) * teleport.values[:, k])
+        for k, w_k in enumerate(class_slices(weights))
+    ])
+
+
 def slice_bracket(m, stored, nonneg, threshold):
     """The Collatz–Wielandt bracket of rho(|m|) on one dense class slice, as
     the certificate computed it slice by slice: zero rows of |m| and their

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from clprop import propagation
 from clprop.cli import main as cli_main
 from clprop.compatibility import Beliefs, sinkhorn_knopp
 from clprop.graph import build_graph, one_hot
@@ -20,16 +21,14 @@ from clprop.pipeline import ExperimentConfig, report_compat_quality, run_pipelin
 from clprop.propagation import (
     DivergenceError,
     PropagationConfig,
-    aggregate,
-    closed_form_clp,
     convergence_check,
     edge_weights,
     propagate_clp,
     sender_weights,
 )
-from clprop.synth import P_IN_GRID, SyntheticSpec, gaussian_features, generate
+from clprop.synth import H_LEVELS, SyntheticSpec, gaussian_features, generate, snap_h_fraction
 
-from conftest import class_slices, graph_from_edges, weights_from_dense
+from conftest import class_slices, closed_form_clp, graph_from_edges, weights_from_dense
 
 
 @contextmanager
@@ -62,7 +61,7 @@ def test_criterion_1_worked_example_oracle():
         arc_01 = awf.outgoing[0] * awf.receiving[1]
         np.testing.assert_allclose(arc_01, [0.112, 0.352], rtol=0, atol=1e-15)
         # receivers 1 and 2 each hear one arc, so their aggregate is its message
-        msgs = aggregate(awf, beliefs, normalize=True)
+        msgs = propagation._step(awf, True)(beliefs.values)
         np.testing.assert_allclose(msgs[1], [0.175, 0.825], rtol=0, atol=1e-12)
         assert np.allclose(msgs[1], [0.18, 0.83], atol=0.01)
         assert np.allclose(msgs[2], [0.66, 0.34], atol=0.01)
@@ -185,7 +184,7 @@ def test_criterion_6_synthetic_structure_control():
     with criterion(6, "synthetic graphs hit target homophily and degree"):
         start = time.perf_counter()
         n, c, degree = 2000, 10, 5.0
-        for fraction in P_IN_GRID:
+        for fraction in map(snap_h_fraction, H_LEVELS):
             hs, degs = [], []
             for seed in range(5):
                 spec = SyntheticSpec(n, c, degree, fraction, seed)

@@ -1,14 +1,17 @@
 """Every module-level import in the package is used by its module, the
 package imports its own modules at module level only, the command line
-imports no private name of the package, and only the named writers open
-files for writing."""
+imports no private name of the package, only the named writers open files
+for writing, and propagation.py defines only what the pipeline or a
+benchmark probe reaches."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clprop"
+BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")  # re-exports
 
 
@@ -122,3 +125,43 @@ def test_detects_a_file_write():
 def test_only_the_named_writers_open_files_for_writing(path):
     allowed = FILE_WRITERS.get(path.name, set())
     assert [name for name in write_opens(path.read_text()) if name not in allowed] == []
+
+
+def loaded_names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unreached_names(source: str, roots: set[str]) -> list[str]:
+    """The top-level names of ``source`` that no chain of references from
+    ``roots`` reaches, in the order they are defined."""
+    definitions = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            definitions.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    reached, todo = set(), list(roots & definitions.keys())
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += loaded_names(definitions[name]) & definitions.keys()
+    return [name for name in definitions if name not in reached]
+
+
+def test_detects_an_unreached_name():
+    source = (
+        "LIMIT = 5\nclass Error(Exception):\n    pass\n"
+        "def _helper():\n    return 1\n"
+        "def used():\n    return _helper()\n"
+        "def oracle(n):\n    if n > LIMIT:\n        raise Error\n"
+    )
+    assert unreached_names(source, {"used", "print"}) == ["LIMIT", "Error", "oracle"]
+
+
+def test_propagation_defines_only_what_the_pipeline_or_a_probe_reaches(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    probes = {probe.attr for probe in importlib.import_module("workloads").PROBES}
+    roots = loaded_names(ast.parse((PACKAGE / "pipeline.py").read_text())) | probes
+    assert unreached_names((PACKAGE / "propagation.py").read_text(), roots) == []

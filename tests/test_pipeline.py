@@ -629,6 +629,35 @@ class TestCli:
             methods = [row["method"] for row in csv.DictReader(fh)]
         assert methods == ["mlp_only", "clp"] * 11
 
+    @pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if c != "synth"])
+    def test_scale_without_preset_is_usage_error(self, command, tmp_path, capsys):
+        """A preset config's own scale is not overridden by a flag that would be
+        dropped; synth requires --preset (test_synth_requires_preset_and_out)."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": {"preset": "syn1", "scale": 0.02}, "seeds": [0]}))
+        assert cli_main([command, "--config", str(config), "--scale", "0.05"]) == 1
+        assert capsys.readouterr().err == "usage error: --scale applies only with --preset\n"
+        if "dataset" in CLI_FLAGS[command]:
+            assert cli_main([command, "--dataset", str(tmp_path / "ds"), "--scale", "7"]) == 1
+            assert capsys.readouterr().err == "usage error: --scale applies only with --preset\n"
+
+    def test_preset_scale_defaults_to_one(self, monkeypatch, tmp_path):
+        scales = []
+
+        def record(scale):
+            scales.append(scale)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr("clprop.cli.resolve_dataset",
+                            lambda dataset, directed: record(dataset["scale"]))
+        monkeypatch.setattr("clprop.cli.preset_spec", lambda name, h, seed, scale: record(scale))
+        assert cli_main(["inspect", "--preset", "syn1"]) == 2
+        assert cli_main(["inspect", "--preset", "syn1", "--scale", "0.05"]) == 2
+        assert cli_main(["synth", "--preset", "syn1", "--out", str(tmp_path / "out")]) == 2
+        assert cli_main(["synth", "--preset", "syn1", "--scale", "0.05",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert scales == [1.0, 0.05, 1.0, 0.05]
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-3"])
     def test_bad_scale_is_data_error(self, scale, tmp_path, capsys):
         args = ["run", "--preset", "syn1", "--scale", scale, "--seeds", "0",
@@ -724,6 +753,25 @@ class TestCli:
         assert cli_main(["inspect", "--dataset", str(tmp_path / "ds")]) == 0
         out = capsys.readouterr().out
         assert "edge homophily: 0.0000" in out
+
+    def test_inspect_graph_without_arcs(self, tmp_path, capsys):
+        save_graph(graph_from_edges(20, np.zeros((0, 2), dtype=np.int64), np.arange(20) % 2),
+                   tmp_path / "ds")
+        with pytest.warns(UserWarning, match="no outgoing arcs"):
+            assert cli_main(["inspect", "--dataset", str(tmp_path / "ds")]) == 0
+        out = capsys.readouterr().out
+        assert "edge homophily: undefined\nnode homophily: undefined\n" in out
+        assert "(isolated: 20)" in out
+
+    def test_inspect_out_requires_scheme(self, tmp_path, capsys, small_graph):
+        out = tmp_path / "out"
+        args = ["inspect", "--dataset", str(tmp_path / "ds"), "--seeds", "0", "--out", str(out)]
+        assert cli_main(args) == 1
+        assert "--scheme" in capsys.readouterr().err
+        assert not out.exists()
+        save_graph(small_graph, tmp_path / "ds")
+        assert cli_main(args[:3] + ["--scheme", "medium"] + args[3:]) == 0
+        assert (out / "bucket_accuracy.csv").exists()
 
     def test_inspect_takes_its_dataset_from_the_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"

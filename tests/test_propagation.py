@@ -15,9 +15,6 @@ from clprop.propagation import (
     DivergenceError,
     NodeWeights,
     PropagationConfig,
-    SingularSystemError,
-    aggregate,
-    closed_form_clp,
     convergence_check,
     edge_weights,
     lp_operator,
@@ -30,6 +27,7 @@ from clprop.propagation import (
 
 from conftest import (
     class_slices,
+    closed_form_clp,
     graph_from_edges,
     random_propagation_instance,
     slice_verdicts,
@@ -166,7 +164,7 @@ class TestEdgeWeights:
             for _ in range(3):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                aggregate(awf, b0, normalize=True)
+                propagation._step(awf, True)(b0.values)
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
@@ -224,8 +222,9 @@ class TestNodeWeights:
         senders, receivers = weights.arcs.T
         expected = np.zeros((n, num_classes))
         np.add.at(expected, receivers, _arc_weights(weights) * beliefs.values[senders])
-        np.testing.assert_allclose(aggregate(weights, beliefs), expected, rtol=1e-13, atol=0)
-        aggregate(weights, beliefs, normalize=not clp)
+        np.testing.assert_allclose(propagation._step(weights, False)(beliefs.values), expected,
+                                   rtol=1e-13, atol=0)
+        propagation._step(weights, not clp)(beliefs.values)
 
         m = graph.arc_count
 
@@ -242,7 +241,7 @@ class TestNodeWeights:
         assert operators() == []
         if not clp:
             return
-        aggregate(weights, beliefs, normalize=True)
+        propagation._step(weights, True)(beliefs.values)
         (operator,) = operators()
         assert operator.shape == (m, n * num_classes)
         assert operator.data.size == m * num_classes
@@ -272,14 +271,14 @@ class TestAggregate:
 
     def test_worked_instance_normalized(self, worked_example):
         graph, compat, beliefs = worked_example
-        agg = aggregate(edge_weights(graph, beliefs, compat), beliefs, normalize=True)
+        agg = propagation._step(edge_weights(graph, beliefs, compat), True)(beliefs.values)
         np.testing.assert_allclose(agg[1], [0.175, 0.825], atol=1e-12)
         np.testing.assert_allclose(agg[2], [0.66440678, 0.33559322], atol=1e-8)
         np.testing.assert_array_equal(agg[0], [0.0, 0.0])
 
     def test_worked_instance_raw(self, worked_example):
         graph, compat, beliefs = worked_example
-        agg = aggregate(edge_weights(graph, beliefs, compat), beliefs, normalize=False)
+        agg = propagation._step(edge_weights(graph, beliefs, compat), False)(beliefs.values)
         np.testing.assert_allclose(agg[1], [0.0448, 0.2112], atol=1e-15)
         normalized = agg[1] / agg[1].sum()
         np.testing.assert_allclose(normalized, [0.175, 0.825], atol=1e-12)
@@ -287,13 +286,8 @@ class TestAggregate:
     def test_zero_belief_row_gives_zero_message(self, worked_example):
         graph, compat, beliefs = worked_example
         awf = edge_weights(graph, beliefs, compat)
-        silent = Beliefs(np.zeros((3, 2)), "propagated")
-        np.testing.assert_array_equal(aggregate(awf, silent, normalize=True), np.zeros((3, 2)))
-
-    def test_rejects_beliefs_of_another_shape(self, worked_example):
-        graph, compat, beliefs = worked_example
-        with pytest.raises(ValueError, match="beliefs"):
-            aggregate(edge_weights(graph, beliefs, compat), Beliefs(np.ones((3, 3)), "propagated"))
+        silent = np.zeros((3, 2))
+        np.testing.assert_array_equal(propagation._step(awf, True)(silent), np.zeros((3, 2)))
 
 
 class TestPropagateClp:
@@ -824,6 +818,8 @@ class TestPropagateLp:
 
 
 class TestClosedForm:
+    """The oracle of ``conftest`` on operators whose fixed point is known."""
+
     @staticmethod
     def _column(values):
         return Beliefs(np.asarray(values, dtype=np.float64)[:, None], "propagated")
@@ -838,33 +834,6 @@ class TestClosedForm:
         d = rng.random(4)
         x = closed_form_clp(weights_from_dense(rng.random((4, 4))), self._column(d), alpha=0.0)
         np.testing.assert_allclose(x[:, 0], d)
-
-    def test_solves_the_dense_class_operators(self):
-        """Each class solves against its slice, for CLP and CLP*."""
-        rng = np.random.default_rng(4)
-        for receiving in (True, False):
-            weights, teleport = _degenerate_instance(rng, True, 3, receiving)
-            x = closed_form_clp(weights, teleport, 0.5)
-            n = weights.incoming.shape[0]
-            for k, m in enumerate(class_slices(weights)):
-                exact = np.linalg.solve(np.eye(n) - 0.5 * m, 0.5 * teleport.values[:, k])
-                np.testing.assert_array_equal(x[:, k], exact)
-
-    def test_singular_system_names_class(self):
-        # class 1 weighs the identity by 2: I - 0.5 * 2I = 0
-        weights = NodeWeights(sparse.eye(2, format="csr"), np.ones((2, 2)),
-                              np.array([[1.0, 2.0], [1.0, 2.0]]))
-        with pytest.raises(SingularSystemError, match="class 1"):
-            closed_form_clp(weights, Beliefs(np.ones((2, 2)), "propagated"), alpha=0.5)
-
-    def test_size_guard(self):
-        big = NodeWeights(sparse.csr_matrix((6000, 6000)), np.ones((6000, 1)))
-        with pytest.raises(ValueError, match="5000"):
-            closed_form_clp(big, self._column(np.zeros(6000)), alpha=0.5)
-
-    def test_rejects_a_teleport_of_another_shape(self):
-        with pytest.raises(ValueError, match="teleport"):
-            closed_form_clp(weights_from_dense(np.zeros((3, 3))), self._column(np.ones(2)), 0.5)
 
 
 def _bracket(m, threshold):
