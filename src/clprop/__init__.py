@@ -33,7 +33,6 @@ from .propagation import (
     convergence_check,
     edge_weights,
     propagate_clp,
-    propagate_clp_star,
     propagate_lp,
     sender_weights,
     spectral_radius,

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import save_graph
+from .graph import SPLIT_RATIOS, save_graph
 from .mlp import TrainingDivergedError
 from .pipeline import (
     NORMALIZATIONS,
@@ -36,7 +36,7 @@ from .pipeline import (
     train_base_predictors,
 )
 from .propagation import DivergenceError
-from .synth import H_LEVELS, generate, preset_spec, snap_h_fraction
+from .synth import H_LEVELS, PRESETS, generate, preset_spec, snap_h_fraction
 
 _METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
 
@@ -71,12 +71,12 @@ def _comma_list(convert, what: str):
 _FLAGS = {
     "config": ("--config", dict(help="JSON experiment config; flags override its fields")),
     "dataset": ("--dataset", dict(help="dataset directory (edges/features/labels TSV trio)")),
-    "preset": ("--preset", dict(choices=["syn1", "syn2", "syn3"], help="synthetic benchmark family")),
+    "preset": ("--preset", dict(choices=list(PRESETS), help="synthetic benchmark family")),
     "scale": ("--scale", dict(type=float, help="node-count factor for --preset (default 1)")),
     "directed": ("--directed", dict(action="store_true", help="keep arcs as-is (no symmetrization)")),
     "seeds": ("--seeds", dict(type=_comma_list(int, "integers"), help="comma-separated integer seeds")),
     "out": ("--out", dict(help="output directory")),
-    "scheme": ("--scheme", dict(choices=["sparse", "medium", "dense"])),
+    "scheme": ("--scheme", dict(choices=list(SPLIT_RATIOS))),
     "method": ("--method", dict(type=_method, help="mlp|lp|clp|clp-star")),
     "methods": ("--method", dict(dest="methods", type=_comma_list(_method, "methods"),
                                  default=("mlp_only", "clp"), help="comma list (default mlp,clp)")),
@@ -146,9 +146,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    if args.out and not args.scheme:
-        raise _UsageError("inspect writes to --out only the bucket table that --scheme trains")
     config = _config_from_args(args)
+    if config.output_dir and not args.scheme:
+        raise _UsageError("inspect writes to an output directory (--out or the config's "
+                          "output_dir) only the bucket table that --scheme trains")
     graph = resolve_dataset(config.dataset, config.directed)
     report = inspect_dataset(graph, config if args.scheme else None)
     print(report.render())
@@ -219,8 +220,9 @@ _SUBCOMMANDS = {
                          ("preset", "scale", "seeds", "out"), required=("preset", "out")),
     "inspect": _Subcommand("print homophily/compatibility diagnostics for a dataset",
                            _cmd_inspect, _DATA_FLAGS + ("scheme",)),
+    # the MLP reads only features and labels, so train takes no --directed
     "train": _Subcommand("train the base predictor and save checkpoints", _cmd_train,
-                         _DATA_FLAGS + ("scheme",)),
+                         ("config", "dataset", "preset", "scale", "seeds", "out", "scheme")),
     "run": _Subcommand("run the full pipeline and report test accuracy", _cmd_run,
                        _DATA_FLAGS + ("scheme", "method") + _PROPAGATION_FLAGS),
     "sweep": _Subcommand("compare methods across the homophily grid", _cmd_sweep,

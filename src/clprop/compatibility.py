@@ -48,14 +48,6 @@ class Beliefs:
             if err > _ROW_SUM_TOL:
                 raise ValueError(f"{self.kind} rows must sum to 1 (max deviation {err:.3g})")
 
-    @property
-    def num_classes(self) -> int:
-        return self.values.shape[1]
-
-    def argmax(self) -> np.ndarray:
-        """Predicted class per row; ties break toward the lowest class id."""
-        return np.argmax(self.values, axis=1)
-
 
 @dataclass(frozen=True)
 class CompatibilityMatrix:
@@ -112,17 +104,14 @@ def prior_beliefs(d_hat: Beliefs, y_onehot: np.ndarray, train_mask) -> Beliefs:
     return Beliefs(values, "prior")
 
 
-def sinkhorn_knopp(
-    m: np.ndarray,
-    tol: float = SINKHORN_TOL,
-    max_iters: int = SINKHORN_MAX_ITERS,
-) -> tuple[np.ndarray, float]:
+def sinkhorn_knopp(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Alternate row/column normalization until doubly stochastic.
 
     Returns the balanced matrix and the achieved max deviation of any row or
-    column sum from 1.  Emits a warning (not an error) if ``tol`` is not
-    reached within ``max_iters`` sweeps.  Requires strictly positive input;
-    callers floor zeros first (see :func:`estimate_compatibility`).
+    column sum from 1.  Emits a warning (not an error) if ``SINKHORN_TOL`` is
+    not reached within ``SINKHORN_MAX_ITERS`` sweeps.  Requires strictly
+    positive input; callers floor zeros first (see
+    :func:`estimate_compatibility`).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -131,19 +120,18 @@ def sinkhorn_knopp(
         raise ValueError("Sinkhorn-Knopp requires nonnegative entries")
     s = m.copy()
     deviation = np.inf
-    for _ in range(max_iters):
+    for _ in range(SINKHORN_MAX_ITERS):
         s /= s.sum(axis=1, keepdims=True)
         s /= s.sum(axis=0, keepdims=True)
         deviation = max(
             np.max(np.abs(s.sum(axis=1) - 1.0)),
             np.max(np.abs(s.sum(axis=0) - 1.0)),
         )
-        if deviation < tol:
+        if deviation < SINKHORN_TOL:
             break
     else:
-        warnings.warn(
-            f"Sinkhorn-Knopp stopped at deviation {deviation:.3g} after {max_iters} sweeps"
-        )
+        warnings.warn(f"Sinkhorn-Knopp stopped at deviation {deviation:.3g} "
+                      f"after {SINKHORN_MAX_ITERS} sweeps")
     return s, float(deviation)
 
 

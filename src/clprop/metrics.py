@@ -60,10 +60,10 @@ def _hv_levels(graph: Graph, nodes: np.ndarray) -> np.ndarray:
     return levels
 
 
-def local_homophily_histogram(graph: Graph, mask=None) -> tuple[np.ndarray, int]:
+def local_homophily_histogram(graph: Graph) -> tuple[np.ndarray, int]:
     """Node counts per rounded h_v level plus the undefined-h_v count."""
-    nodes = np.arange(graph.node_count) if mask is None else np.asarray(mask, dtype=np.int64)
-    counts = np.bincount(_hv_levels(graph, nodes), minlength=_UNDEFINED + 1)
+    levels = _hv_levels(graph, np.arange(graph.node_count))
+    counts = np.bincount(levels, minlength=_UNDEFINED + 1)
     return counts[:_UNDEFINED], int(counts[_UNDEFINED])
 
 

@@ -120,7 +120,6 @@ def init_mlp(
     num_hidden_layers: int,
     num_classes: int,
     seed: int,
-    dropout_rate: float = 0.5,
 ) -> MlpParams:
     """Glorot-uniform weights (range sqrt(6/(fan_in+fan_out))), zero biases."""
     if min(feature_dim, hidden_dim, num_classes) < 1 or num_hidden_layers < 1:
@@ -132,7 +131,7 @@ def init_mlp(
         s = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-s, s, size=(d_in, d_out)))
         biases.append(np.zeros(d_out))
-    return MlpParams(weights, biases, dropout_rate)
+    return MlpParams(weights, biases)
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray, rng=None):

@@ -37,7 +37,6 @@ from .propagation import (
     edge_weights,
     lp_operator,
     propagate_clp,
-    propagate_clp_star,
     propagate_lp,
     sender_weights,
 )
@@ -51,6 +50,11 @@ METHODS = ("mlp_only", "lp", "clp", "clp_star")
 # report.csv; "auto" evaluates each tuple's choices in this order.
 NORMALIZATIONS = ("off", "on")
 TELEPORTS = ("base", "prior")
+
+# CLP* runs propagate_clp on its sender-only weights.  The traced benchmark run
+# probes this name to tell CLP* calls from CLP calls; _run_seed reads it at
+# call time, so it must stay a second binding of the function, not a wrapper.
+propagate_clp_star = propagate_clp
 
 
 @dataclass(frozen=True)
@@ -466,13 +470,12 @@ def sweep_homophily(config: ExperimentConfig, h_grid, methods) -> list[dict]:
     return rows
 
 
-def report_compat_quality(config: ExperimentConfig, schemes=("sparse", "medium", "dense"),
-                          graph: Graph | None = None) -> list[dict]:
-    """Compatibility-estimate distance and accuracy per labelling scheme."""
-    if graph is None:
-        graph = resolve_dataset(config.dataset, config.directed)
+def report_compat_quality(config: ExperimentConfig) -> list[dict]:
+    """Compatibility-estimate distance and accuracy per labelling scheme, in
+    the order of ``SPLIT_RATIOS``."""
+    graph = resolve_dataset(config.dataset, config.directed)
     rows = []
-    for scheme in schemes:
+    for scheme in SPLIT_RATIOS:
         cfg = dataclasses.replace(config, scheme=scheme, method="clp", output_dir=None)
         report = run_pipeline(cfg, graph=graph)
         dists = np.array([r.compat_distance for r in report.per_seed], dtype=np.float64)

@@ -27,15 +27,6 @@ Class k's operator is ``W_k = diag(R[:, k]) A^T diag(G[:, k])``, with
 ``W_k[j, i] = G[i, k] * R[j, k] * a_ij``; the certificate steps every class
 at once on the factors.
 
-Against the arc-major form ``incidence @ (weights * beliefs[senders])`` on the
-expanded weights, CLP* is bit-identical: a receiver adds its senders in the
-order of A^T, and a row sum of P is numpy's sum of that arc's contiguous
-messages.  CLP's step is not: taking R out of the receiver sum, adding an
-arc's class terms one by one where numpy's row sum may group them, and
-dividing ``a_ij`` instead of each message round differently, by a few units
-in the last place, which leaves the chosen candidates and the reports as they
-were.
-
 The certificate proves, class by class, whether the unnormalized iteration
 converges at alpha, that is whether ``rho(W_k) < 1/alpha``.  A class is
 ``certified`` when its Frobenius norm ``sqrt(sum_j R[j, k]**2 sum_i a_ij**2
@@ -259,17 +250,6 @@ def propagate_clp(
     return Beliefs(values, "propagated"), log
 
 
-def propagate_clp_star(
-    weights: NodeWeights,
-    teleport: Beliefs,
-    config: PropagationConfig,
-) -> tuple[Beliefs, list[IterationRecord]]:
-    """:func:`propagate_clp` on the sender-only weights of
-    :func:`sender_weights`, under a name of its own, so that a run's CLP* calls
-    can be told from its CLP calls."""
-    return propagate_clp(weights, teleport, config)
-
-
 def lp_operator(graph: Graph) -> sparse.csr_matrix:
     """The symmetric degree-normalized adjacency ``D^-1/2 (A | A^T) D^-1/2``,
     built on the 0/1 pattern: entry (i, j) is ``d_i^-1/2 * d_j^-1/2``."""
@@ -366,10 +346,6 @@ class ClassConvergence:
     frobenius: float
     lower: float | None = None
     upper: float | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("certified", "convergent")
 
 
 def convergence_check(weights: NodeWeights, alpha: float) -> list[ClassConvergence]:

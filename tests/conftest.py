@@ -52,6 +52,11 @@ def class_slices(weights):
     return slices
 
 
+def proven_convergent(verdicts) -> bool:
+    """Whether every class verdict of ``convergence_check`` proves convergence."""
+    return all(v.status in ("certified", "convergent") for v in verdicts)
+
+
 def closed_form_clp(weights, teleport, alpha):
     """The exact fixed point of CLP, or of CLP* without ``receiving``, as
     (nodes x classes): column k solves ``(I - alpha W_k) x_k = (1 - alpha)

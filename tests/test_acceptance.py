@@ -5,6 +5,7 @@ Heavy artifacts (the random convergent instances, the homophily-sweep
 pipeline runs) are built once in module-scoped fixtures and shared.
 """
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -28,7 +29,13 @@ from clprop.propagation import (
 )
 from clprop.synth import H_LEVELS, SyntheticSpec, gaussian_features, generate, snap_h_fraction
 
-from conftest import class_slices, closed_form_clp, graph_from_edges, weights_from_dense
+from conftest import (
+    class_slices,
+    closed_form_clp,
+    graph_from_edges,
+    proven_convergent,
+    weights_from_dense,
+)
 
 
 @contextmanager
@@ -98,7 +105,7 @@ def _convergent_instances(count=50, seed=2024):
 
         compat = CompatibilityMatrix(h, "doubly_stochastic", dev)
         awf = edge_weights(graph, Beliefs(b, "prior"), compat)
-        if not all(v.ok for v in convergence_check(awf, alpha)):
+        if not proven_convergent(convergence_check(awf, alpha)):
             continue
         teleport = rng.random((n, c)) + 0.05
         teleport /= teleport.sum(axis=1, keepdims=True)
@@ -213,7 +220,8 @@ def test_criterion_8_gradient_check():
         for instance in range(5):
             rng = np.random.default_rng(800 + instance)
             layers = int(rng.integers(1, 4))
-            params = init_mlp(4, 6, layers, 3, seed=instance, dropout_rate=0.0)
+            params = dataclasses.replace(init_mlp(4, 6, layers, 3, seed=instance),
+                                         dropout_rate=0.0)
             x = rng.standard_normal((10, 4))
             labels = rng.integers(0, 3, 10)
             _, grads = loss_and_gradients(params, x, labels)
@@ -282,7 +290,7 @@ def test_criterion_10_compat_quality_trend():
             "seed": 7,
         }
         config = ExperimentConfig(dataset=dataset, seeds=(0, 1, 2, 3, 4), method="clp")
-        rows = report_compat_quality(config, schemes=("sparse", "dense"))
+        rows = report_compat_quality(config)
         by_scheme = {row["scheme"]: row for row in rows}
         assert by_scheme["dense"]["mean_dist"] <= by_scheme["sparse"]["mean_dist"]
         assert by_scheme["dense"]["mean_acc"] >= by_scheme["sparse"]["mean_acc"]

@@ -59,6 +59,36 @@ def test_workloads_run_at_tiny_size(monkeypatch, tmp_path):
         work.mkdir()
         workload = cls(1, "tiny", work)
         workload.setup()
+        units = [workload.run_unit(), workload.run_unit()]
+        assert [unit.errors for unit in units] == [[], []], cls.name
+        # a second unit with other outputs is what run.py reports as outputs
+        # that differ between repetitions
+        assert workload.check(units) == [], cls.name
+
+
+def test_each_candidate_runs_under_its_method_probe(monkeypatch, tmp_path):
+    """In a traced HSweep unit, each ``clprop run`` of CLP* holds one
+    ``propagation.clp_star`` span per candidate and each run of CLP one
+    ``clp_norm`` or ``clp_raw`` span per candidate, with no span of the other
+    method: 9 alphas x 2 teleports x 2 normalizations."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    workload = workloads.HSweep(1, "tiny", tmp_path)
+    workload.setup()
+    with spans.instrument(spans.SpanRecorder(), workloads.PROBES) as recorder:
         unit = workload.run_unit()
-        assert unit.errors == [], cls.name
-        assert workload.check([unit]) == [], cls.name
+    assert unit.errors == []
+    assert recorder.nesting_errors() == []
+    calls = [i for i, span in enumerate(recorder.spans) if span.name == "pipeline.run"]
+    methods = [method for _ in workloads.SWEEP_H for method in workloads.SWEEP_METHODS]
+    assert len(calls) == len(methods)
+    names = ("propagation.clp_star", "propagation.clp_norm", "propagation.clp_raw")
+    expected = {"mlp": [0, 0, 0], "lp": [0, 0, 0], "clp": [0, 18, 18], "clp-star": [36, 0, 0]}
+    for method, call in zip(methods, calls):
+        below = {call}
+        for index, span in enumerate(recorder.spans):  # a parent opens before its children
+            if span.parent in below:
+                below.add(index)
+        held = [recorder.spans[index].name for index in below]
+        assert [held.count(name) for name in names] == expected[method], method

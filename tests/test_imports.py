@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, the
 package imports its own modules at module level only, the command line
 imports no private name of the package, only the named writers open files
-for writing, and propagation.py defines only what the pipeline or a
-benchmark probe reaches."""
+for writing, every module defines only what another module, a benchmark
+probe or the command line reaches, and every defaulted parameter of a
+top-level function is passed by some call in the package or the benchmark."""
 
 import ast
 import importlib
@@ -160,8 +161,117 @@ def test_detects_an_unreached_name():
     assert unreached_names(source, {"used", "print"}) == ["LIMIT", "Error", "oracle"]
 
 
-def test_propagation_defines_only_what_the_pipeline_or_a_probe_reaches(monkeypatch):
+def package_reads(source: str, module: str) -> set[str]:
+    """The names ``source`` imports from the package module ``module``, and
+    the attributes it reads on that module where it binds the module itself;
+    relative (``from .graph import ...``, ``from . import graph``) and
+    absolute (``from clprop.graph import ...``, ``from clprop import graph``)
+    imports alike."""
+    tree = ast.parse(source)
+    names, bound = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        origin = (node.level, node.module)
+        if origin in ((1, module), (0, f"clprop.{module}")):
+            names |= {alias.name for alias in node.names}
+        elif origin in ((1, None), (0, "clprop")):
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+    return names | {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+    }
+
+
+def test_detects_package_reads():
+    source = (
+        "from .graph import Graph, one_hot\nfrom . import metrics as m, synth\n"
+        "from clprop import graph as g\nm.accuracy(g.make_splits(x).train, synth.H)\n"
+    )
+    assert package_reads(source, "graph") == {"Graph", "one_hot", "make_splits"}
+    assert package_reads(source, "metrics") == {"accuracy"}
+    assert package_reads(source, "pipeline") == set()
+
+
+# Top-level names that no command reaches, kept because the tests compare a
+# command's output against them.
+TEST_READERS = {
+    # the per-node h_v, the reference for the vectorised h_v of the histogram
+    # and the bucket table
+    "metrics.py": ["local_homophily"],
+    # the checkpoint reader, which proves that checkpoint.bin round-trips
+    "mlp.py": ["load_params"],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_only_what_a_command_or_a_probe_reaches(path, monkeypatch):
+    """A module's roots are what the other modules import or read from it,
+    what the benchmark's probes wrap and its workloads read, and ``cli.main``."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
-    probes = {probe.attr for probe in importlib.import_module("workloads").PROBES}
-    roots = loaded_names(ast.parse((PACKAGE / "pipeline.py").read_text())) | probes
-    assert unreached_names((PACKAGE / "propagation.py").read_text(), roots) == []
+    module = path.stem
+    probes = {probe.attr for probe in importlib.import_module("workloads").PROBES
+              if probe.module == f"clprop.{module}"}
+    readers = [p for p in MODULES if p != path] + [BENCHMARKS / "workloads.py"]
+    roots = probes | ({"main"} if module == "cli" else set())
+    for reader in readers:
+        roots |= package_reads(reader.read_text(), module)
+    assert unreached_names(path.read_text(), roots) == TEST_READERS.get(path.name, [])
+
+
+def unpassed_defaults(functions_source: str, callers: list[str]) -> list[str]:
+    """The defaulted parameters of the top-level functions of
+    ``functions_source`` that no call in ``callers`` passes, by position or
+    by keyword.  A call matches by the function's name, bare or as an
+    attribute; ``*args`` passes every positional parameter and ``**kwargs``
+    every parameter."""
+    passed: dict[str, set] = {}
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            got = passed.setdefault(name, set())
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            got |= {"*"} if starred else set(range(len(call.args)))
+            got |= {"**" if kw.arg is None else kw.arg for kw in call.keywords}
+    missing = []
+    for node in ast.parse(functions_source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        got = passed.get(node.name, set())
+        missing += [
+            f"{node.name}({param})" for i, param in defaulted
+            if not {param, "**"} & got and (i is None or not {i, "*"} & got)
+        ]
+    return missing
+
+
+def test_detects_an_unpassed_default():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "def g(a=1, b=2):\n    pass\n"
+        "def h(a=1):\n    pass\n"
+        "def k(a, b=1):\n    pass\n"
+        "class C:\n    def m(self, a=1):\n        pass\n"
+    )
+    callers = ["f(0, 1)\nmod.f(0, d=4)\nk(0)\n", "g(*xs)\nh(**kw)\nC().m()\n"]
+    assert unpassed_defaults(source, callers) == ["f(c)", "k(b)"]
+
+
+def test_every_default_is_passed_by_a_command_or_the_benchmark():
+    """A parameter only the tests pass is a setting no command uses; make it
+    a constant that the tests patch instead."""
+    callers = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    callers += [p.read_text() for p in sorted(BENCHMARKS.glob("*.py"))]
+    missing = [f"{path.stem}.{name}" for path in MODULES
+               for name in unpassed_defaults(path.read_text(), callers)]
+    assert missing == []

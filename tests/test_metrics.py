@@ -300,18 +300,16 @@ class TestVectorizedHvMatchesReference:
             for v, (same, total) in enumerate(ref):
                 assert local_homophily(g, v) == (same / total if total else None)
 
-            for nodes, kwargs in ((range(g.node_count), {}), (mask, {"mask": mask})):
-                counts = np.zeros(11, dtype=np.int64)
-                undefined = 0
-                for v in nodes:
-                    same, total = ref[v]
-                    if total:
-                        counts[_reference_level(same, total)] += 1
-                    else:
-                        undefined += 1
-                got_counts, got_undefined = local_homophily_histogram(g, **kwargs)
-                np.testing.assert_array_equal(got_counts, counts)
-                assert got_undefined == undefined
+            counts = np.zeros(11, dtype=np.int64)
+            undefined = 0
+            for same, total in ref:
+                if total:
+                    counts[_reference_level(same, total)] += 1
+                else:
+                    undefined += 1
+            got_counts, got_undefined = local_homophily_histogram(g)
+            np.testing.assert_array_equal(got_counts, counts)
+            assert got_undefined == undefined
 
             correct = np.argmax(beliefs.values, axis=1) == g.labels
             members = {level: [] for level in list(range(11)) + [None]}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,7 @@ class TestForward:
         np.testing.assert_array_equal(forward(p, x), x)
 
     def test_dropout_only_in_train_mode(self):
-        p = init_mlp(4, 32, 1, 2, seed=0, dropout_rate=0.5)
+        p = init_mlp(4, 32, 1, 2, seed=0)
         x = np.ones((8, 4))
         a = forward(p, x)
         b = forward(p, x)
@@ -132,7 +134,8 @@ class TestGradients:
     def test_matches_central_differences(self, instance_seed):
         rng = np.random.default_rng(100 + instance_seed)
         num_layers = int(rng.integers(1, 4))
-        p = init_mlp(5, 6, num_layers, 3, seed=instance_seed, dropout_rate=0.0)
+        p = dataclasses.replace(init_mlp(5, 6, num_layers, 3, seed=instance_seed),
+                                dropout_rate=0.0)
         x = rng.standard_normal((12, 5))
         labels = rng.integers(0, 3, 12)
         _, grads = loss_and_gradients(p, x, labels)
@@ -158,7 +161,7 @@ class TestTrain:
 
         graph = make_blobs(100, seed=0)
         split = make_splits(graph, "dense", seed=0)[0]
-        params = init_mlp(2, 16, 1, 2, seed=0, dropout_rate=0.0)
+        params = dataclasses.replace(init_mlp(2, 16, 1, 2, seed=0), dropout_rate=0.0)
         config = TrainConfig(learning_rate=0.05, epochs=500, early_stop_patience=500,
                              weight_decay=0.0, hidden_dim=16)
         trained, log = train(params, graph, split, config)
@@ -168,7 +171,7 @@ class TestTrain:
     def test_zero_learning_rate_is_a_no_op(self):
         graph = make_blobs(20, seed=1)
         split = make_splits(graph, "dense", seed=0)[0]
-        params = init_mlp(2, 8, 1, 2, seed=0, dropout_rate=0.0)
+        params = dataclasses.replace(init_mlp(2, 8, 1, 2, seed=0), dropout_rate=0.0)
         before = [w.copy() for w in params.weights]
         config = TrainConfig(learning_rate=0.0, epochs=20, early_stop_patience=20)
         trained, log = train(params, graph, split, config)
@@ -194,7 +197,7 @@ class TestTrain:
     def test_loss_monotone_without_dropout(self):
         graph = make_blobs(50, seed=3)
         split = make_splits(graph, "dense", seed=0)[0]
-        params = init_mlp(2, 8, 1, 2, seed=0, dropout_rate=0.0)
+        params = dataclasses.replace(init_mlp(2, 8, 1, 2, seed=0), dropout_rate=0.0)
         config = TrainConfig(learning_rate=1e-3, epochs=60, early_stop_patience=60,
                              weight_decay=0.0)
         _, log = train(params, graph, split, config)
@@ -206,7 +209,7 @@ class TestTrain:
 
         graph = make_blobs(60, separation=1.2, seed=4)
         split = make_splits(graph, "medium", seed=1)[0]
-        params = init_mlp(2, 8, 1, 2, seed=2, dropout_rate=0.5)
+        params = init_mlp(2, 8, 1, 2, seed=2)
         config = TrainConfig(learning_rate=0.02, epochs=150, early_stop_patience=25)
         trained, log = train(params, graph, split, config)
         best_logged = max(rec.val_acc for rec in log)
@@ -244,7 +247,7 @@ class TestTrain:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
-        p = init_mlp(7, 5, 2, 4, seed=9, dropout_rate=0.25)
+        p = dataclasses.replace(init_mlp(7, 5, 2, 4, seed=9), dropout_rate=0.25)
         path = tmp_path / "ckpt.bin"
         save_params(p, path)
         q = load_params(path)
@@ -385,7 +388,8 @@ class TestBitIdentityWithReferenceEpoch:
     ):
         graph = _noisy_classes(n, feature_dim, 4, seed=n + feature_dim)
         split = make_splits(graph, "medium", seed=num_hidden_layers)[0]
-        params = init_mlp(feature_dim, 64, num_hidden_layers, 4, seed=3, dropout_rate=dropout_rate)
+        params = dataclasses.replace(init_mlp(feature_dim, 64, num_hidden_layers, 4, seed=3),
+                                     dropout_rate=dropout_rate)
         config = TrainConfig(learning_rate=0.05, epochs=40, early_stop_patience=15,
                              num_hidden_layers=num_hidden_layers)
         softmax_calls, certified = [], []
@@ -432,7 +436,8 @@ class TestBitIdentityWithReferenceEpoch:
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
     def test_gradients_match_reference(self, num_hidden_layers, dropout_rate):
         graph = _noisy_classes(400, 5, 3, seed=num_hidden_layers)
-        params = init_mlp(5, 32, num_hidden_layers, 3, seed=1, dropout_rate=dropout_rate)
+        params = dataclasses.replace(init_mlp(5, 32, num_hidden_layers, 3, seed=1),
+                                     dropout_rate=dropout_rate)
         expected_loss, expected = _reference_loss_and_gradients(
             params, graph.features, graph.labels, np.random.default_rng(9)
         )
@@ -500,7 +505,7 @@ class TestCertifiedPredictions:
         split = make_splits(graph, "medium", seed=0)[0]
         # output columns 0 and 1 are identical, and their bias puts them on
         # top of every row: each row's top two logits tie
-        params = init_mlp(2, 16, 1, 3, seed=0, dropout_rate=0.0)
+        params = dataclasses.replace(init_mlp(2, 16, 1, 3, seed=0), dropout_rate=0.0)
         params.weights[1][:, 1] = params.weights[1][:, 0]
         params.biases[1][:2] = 50.0
         x_val = graph.features[split.validation]

@@ -42,7 +42,7 @@ PROPAGATION_FLAGS = {"alpha", "normalize-messages", "teleport"}
 CLI_FLAGS = {
     "synth": {"preset", "scale", "seeds", "out"},
     "inspect": DATA_FLAGS | {"scheme"},
-    "train": DATA_FLAGS | {"scheme"},
+    "train": DATA_FLAGS - {"directed"} | {"scheme"},
     "run": DATA_FLAGS | {"scheme", "method"} | PROPAGATION_FLAGS,
     "sweep": DATA_FLAGS - {"dataset", "directed"} | {"scheme", "method"} | PROPAGATION_FLAGS,
     "compat-quality": DATA_FLAGS | PROPAGATION_FLAGS,
@@ -298,7 +298,8 @@ class TestRunPipeline:
         b0 = prior_beliefs(d_hat, y, split.train)
         awf = edge_weights(small_graph, b0, estimate_compatibility(small_graph, b0, y, split.train))
         out, _ = propagate_clp(awf, d_hat, PropagationConfig(alpha=0.01, max_iters=50))
-        agreement = np.mean(out.argmax()[split.test] == d_hat.argmax()[split.test])
+        agreement = np.mean(np.argmax(out.values[split.test], axis=1)
+                            == np.argmax(d_hat.values[split.test], axis=1))
         assert agreement >= 0.99
 
     def test_compat_distance_present_for_clp(self, small_graph):
@@ -531,13 +532,14 @@ class TestSweep:
 
 
 class TestCompatQuality:
-    def test_columns_and_rows(self, small_graph, tmp_path):
+    def test_columns_and_rows(self, tmp_path):
         cfg = small_config(seeds=(0,), output_dir=str(tmp_path))
-        rows = report_compat_quality(cfg, schemes=("sparse", "dense"), graph=small_graph)
-        assert [row["scheme"] for row in rows] == ["sparse", "dense"]
-        assert rows[0]["label_rate"] == 0.05
+        rows = report_compat_quality(cfg)
+        assert [row["scheme"] for row in rows] == ["sparse", "medium", "dense"]
+        assert [row["label_rate"] for row in rows] == [0.05, 0.10, 0.48]
         lines = (tmp_path / "compat_quality.csv").read_text().splitlines()
         assert lines[0] == "scheme,label_rate,mean_dist,std_dist,mean_acc"
+        assert len(lines) == 4
 
 
 class TestInspect:
@@ -589,7 +591,7 @@ class TestCli:
             for name, sub in subparsers.choices.items()
         }
         assert options == CLI_FLAGS
-        assert sum(map(len, options.values())) == 52 and len(DROPPED_FLAGS) == 20
+        assert sum(map(len, options.values())) == 51 and len(DROPPED_FLAGS) == 21
 
     @pytest.mark.parametrize("command, flag", DROPPED_FLAGS,
                              ids=["-".join(pair) for pair in DROPPED_FLAGS])
@@ -764,26 +766,34 @@ class TestCli:
         assert "(isolated: 20)" in out
 
     def test_inspect_out_requires_scheme(self, tmp_path, capsys, small_graph):
+        """An output directory from --out or from the config's output_dir is
+        a usage error that names --scheme, which trains the only table
+        inspect writes."""
         out = tmp_path / "out"
         args = ["inspect", "--dataset", str(tmp_path / "ds"), "--seeds", "0", "--out", str(out)]
-        assert cli_main(args) == 1
-        assert "--scheme" in capsys.readouterr().err
-        assert not out.exists()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0],
+                                      "output_dir": str(out)}))
+        for argv in (args, ["inspect", "--config", str(config)]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "--scheme" in err
+            assert not out.exists()
         save_graph(small_graph, tmp_path / "ds")
         assert cli_main(args[:3] + ["--scheme", "medium"] + args[3:]) == 0
+        assert (out / "bucket_accuracy.csv").exists()
+        (out / "bucket_accuracy.csv").unlink()
+        assert cli_main(["inspect", "--config", str(config), "--scheme", "medium"]) == 0
         assert (out / "bucket_accuracy.csv").exists()
 
     def test_inspect_takes_its_dataset_from_the_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        out = tmp_path / "out"
-        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], "output_dir": str(out)}))
+        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0]}))
         assert cli_main(["inspect", "--config", str(path)]) == 0
         text = capsys.readouterr().out
         assert "edge homophily" in text and "per-bucket accuracy" not in text
-        assert not out.exists()
         assert cli_main(["inspect", "--config", str(path), "--scheme", "medium"]) == 0
         assert "per-bucket accuracy" in capsys.readouterr().out
-        assert (out / "bucket_accuracy.csv").exists()
 
     def test_inspect_rejects_a_bad_config_without_scheme(self, tmp_path, capsys, k22):
         save_graph(k22, tmp_path / "ds")

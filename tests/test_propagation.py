@@ -19,7 +19,6 @@ from clprop.propagation import (
     edge_weights,
     lp_operator,
     propagate_clp,
-    propagate_clp_star,
     propagate_lp,
     sender_weights,
     spectral_radius,
@@ -29,6 +28,7 @@ from conftest import (
     class_slices,
     closed_form_clp,
     graph_from_edges,
+    proven_convergent,
     random_propagation_instance,
     slice_verdicts,
     weights_from_dense,
@@ -311,10 +311,10 @@ class TestPropagateClp:
             graph, b0, compat = random_propagation_instance(rng, max_nodes=25)
             awf = edge_weights(graph, b0, compat)
             alpha = 0.6
-            if not all(v.ok for v in convergence_check(awf, alpha)):
+            if not proven_convergent(convergence_check(awf, alpha)):
                 continue
             teleport = Beliefs(
-                np.full((graph.node_count, b0.num_classes), 1.0 / b0.num_classes),
+                np.full(b0.values.shape, 1.0 / b0.values.shape[1]),
                 "base_prediction",
             )
             out, _ = propagate_clp(
@@ -340,7 +340,7 @@ class TestPropagateClp:
         reproduced = np.column_stack(
             [
                 (1 - alpha) * teleport.values[:, k] + alpha * (slices[k] @ out.values[:, k])
-                for k in range(b0.num_classes)
+                for k in range(compat.num_classes)
             ]
         )
         assert np.abs(reproduced - out.values).max() < 10 * tol
@@ -354,7 +354,8 @@ class TestPropagateClp:
         scaled = Beliefs(3.0 * b0.values, "propagated")
         out2, _ = propagate_clp(awf, scaled, config)
         np.testing.assert_allclose(out2.values, 3.0 * out1.values, rtol=1e-8, atol=1e-10)
-        np.testing.assert_array_equal(out1.argmax(), out2.argmax())
+        np.testing.assert_array_equal(np.argmax(out1.values, axis=1),
+                                      np.argmax(out2.values, axis=1))
 
     def test_normalized_messages_change_the_result(self, worked_example):
         graph, compat, beliefs = worked_example
@@ -428,23 +429,22 @@ def _reference_run(weights, teleport, config):
 
 
 def _assert_same_run(weights, teleport, config, exact=None):
-    """``propagate_clp``, or ``propagate_clp_star`` on weights without a
+    """``propagate_clp``, on CLP weights or on CLP*'s weights without a
     receiving factor, matches the reference: bit for bit when ``exact`` (by
     default for CLP*), else to rtol 1e-12 with the same log length; diverging
     or not alike.  Returns whether the run diverged."""
-    propagate = propagate_clp if weights.receiving is not None else propagate_clp_star
     exact = weights.receiving is None if exact is None else exact
     try:
         values, log = _reference_run(weights, teleport, config)
     except DivergenceError as expected:
         with pytest.raises(DivergenceError) as err:
-            propagate(weights, teleport, config)
+            propagate_clp(weights, teleport, config)
         if exact:
             assert err.value.log == expected.log
         else:
             assert len(err.value.log) == len(expected.log)
         return True
-    out, got_log = propagate(weights, teleport, config)
+    out, got_log = propagate_clp(weights, teleport, config)
     if exact:
         np.testing.assert_array_equal(out.values, values)
         assert got_log == log
@@ -518,7 +518,7 @@ class TestMatchesArcMajorReference:
         with pytest.raises(DivergenceError) as expected:
             _reference_run(weights, teleport, config)
         with pytest.raises(DivergenceError) as err:
-            (propagate_clp if receiving else propagate_clp_star)(weights, teleport, config)
+            propagate_clp(weights, teleport, config)
         assert len(err.value.log) == len(expected.value.log)
         assert err.value.log[-1].residual == pytest.approx(expected.value.log[-1].residual,
                                                            rel=1e-12)
@@ -601,10 +601,8 @@ class TestFixedPointLoop:
 
     @staticmethod
     def _node_weights_run(weights, normalize):
-        propagate = propagate_clp if weights.receiving is not None else propagate_clp_star
-
         def run(teleport, config):
-            out, log = propagate(weights, Beliefs(teleport, "propagated"), config)
+            out, log = propagate_clp(weights, Beliefs(teleport, "propagated"), config)
             return out.values, log
 
         return run, propagation._step(weights, normalize)
@@ -733,8 +731,8 @@ class TestPropagateClpStar:
         graph, compat, beliefs = worked_example
         teleport = Beliefs(np.full((3, 3), 1 / 3), "prior")
         with pytest.raises(ValueError, match="teleport"):
-            propagate_clp_star(sender_weights(graph, beliefs, compat), teleport,
-                               PropagationConfig(0.5))
+            propagate_clp(sender_weights(graph, beliefs, compat), teleport,
+                          PropagationConfig(0.5))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fixed_point_matches_closed_form_per_class(self, seed):
@@ -743,10 +741,10 @@ class TestPropagateClpStar:
         weights = sender_weights(graph, b0, compat)
         alpha = max(
             a for a in DEFAULT_ALPHA_GRID
-            if all(v.ok for v in convergence_check(weights, a))
+            if proven_convergent(convergence_check(weights, a))
         )
         teleport = Beliefs(rng.random(b0.values.shape), "propagated")
-        out, _ = propagate_clp_star(
+        out, _ = propagate_clp(
             weights, teleport, PropagationConfig(alpha, max_iters=20000, tol=1e-14)
         )
         oracle = closed_form_clp(weights, teleport, alpha)
@@ -767,7 +765,7 @@ class TestPropagateLp:
         teleport = lp_teleport(one_hot(g.labels, 2), [0, 3])
         config = PropagationConfig(0.9, max_iters=200, tol=1e-12)
         out, log = propagate_lp(lp_operator(g), teleport, config)
-        np.testing.assert_array_equal(out.argmax(), g.labels)
+        np.testing.assert_array_equal(np.argmax(out.values, axis=1), g.labels)
         assert log[-1].residual < config.tol
 
     def test_alpha_zero_uniform_off_train(self):
@@ -992,7 +990,7 @@ def test_bracket_proves_what_the_dense_radius_says(kind, n, seed, alpha):
         lower, upper = _bracket(m, target)
         assert lower <= rho + slack and rho - slack <= upper, (lower, rho, upper)
     (verdict,) = convergence_check(weights_from_dense(m), alpha)
-    if verdict.ok:
+    if proven_convergent([verdict]):
         assert rho < threshold + slack
     if verdict.status == "divergent":
         assert rho > threshold - slack
