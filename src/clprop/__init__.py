@@ -32,8 +32,8 @@ from .propagation import (
     PropagationConfig,
     convergence_check,
     edge_weights,
+    lp_weights,
     propagate_clp,
-    propagate_lp,
     sender_weights,
     spectral_radius,
 )

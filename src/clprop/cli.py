@@ -2,7 +2,8 @@
 
 Subcommands: synth, inspect, train, run, sweep, compat-quality.  One table
 lists the flags of each; a flag is on a subcommand iff the subcommand reads
-it, and any other flag is a usage error.
+it, and any other flag is a usage error, as is a propagation flag that no
+method of ``run`` or ``sweep`` reads.
 
 A handler builds an ``ExperimentConfig`` from its flags, makes one pipeline
 call with it and prints the result; ``inspect`` resolves the graph it
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -39,6 +41,7 @@ from .propagation import DivergenceError
 from .synth import H_LEVELS, PRESETS, generate, preset_spec, snap_h_fraction
 
 _METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
+_CLI_METHODS = {method: name for name, method in _METHOD_NAMES.items()}
 
 
 class _UsageError(Exception):
@@ -90,6 +93,9 @@ _CONFIG_FIELDS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alp
                   "out": "output_dir", "directed": "directed"}
 # flag -> the PropagationOverrides field it overrides when given
 _PROPAGATION_FIELDS = {"normalize_messages": "message_normalization", "teleport": "teleport_source"}
+# propagation flag -> the methods that read it
+_FLAG_READERS = {"alpha": ("lp", "clp", "clp_star"), "normalize_messages": ("clp", "clp_star"),
+                 "teleport": ("clp", "clp_star")}
 
 
 def _preset_scale(scale: float | None) -> float:
@@ -127,6 +133,14 @@ def _config_from_args(args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
+def _check_flags_are_read(flags: dict, methods) -> None:
+    """A propagation flag that none of ``methods`` reads is a usage error."""
+    for flag, readers in _FLAG_READERS.items():
+        if flags.get(flag) and not set(methods) & set(readers):
+            names = ",".join(_CLI_METHODS[method] for method in methods)
+            raise _UsageError(f"--{flag.replace('_', '-')} is not read by method {names}")
+
+
 def _cmd_synth(args) -> int:
     seeds = args.seeds or (0,)
     if len(seeds) > 1:
@@ -147,11 +161,14 @@ def _cmd_synth(args) -> int:
 
 def _cmd_inspect(args) -> int:
     config = _config_from_args(args)
-    if config.output_dir and not args.scheme:
+    # config.scheme has a default, so only the file's keys say whether it names one
+    scheme = args.scheme or (args.config and "scheme" in json.loads(Path(args.config).read_text()))
+    if config.output_dir and not scheme:
         raise _UsageError("inspect writes to an output directory (--out or the config's "
-                          "output_dir) only the bucket table that --scheme trains")
+                          "output_dir) only the bucket table that --scheme (or the config's "
+                          "scheme) trains")
     graph = resolve_dataset(config.dataset, config.directed)
-    report = inspect_dataset(graph, config if args.scheme else None)
+    report = inspect_dataset(graph, config if scheme else None)
     print(report.render())
     return 0
 
@@ -168,6 +185,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
+    _check_flags_are_read(vars(args), [config.method])
     report = run_pipeline(config)
     for r in report.per_seed:
         extras = []
@@ -185,6 +203,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
+    _check_flags_are_read(vars(args), args.methods)
     rows = sweep_homophily(config, H_LEVELS, args.methods)
     for row in rows:
         print(

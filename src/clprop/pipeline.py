@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .compatibility import estimate_compatibility, prior_beliefs
+from .compatibility import Beliefs, estimate_compatibility, prior_beliefs
 from .graph import SPLIT_RATIOS, Graph, load_dataset, make_splits, one_hot
 from .mlp import TrainConfig, init_mlp, params_checksum, predict, save_params, train
 from .propagation import (
@@ -35,9 +35,8 @@ from .propagation import (
     PropagationConfig,
     convergence_check,
     edge_weights,
-    lp_operator,
+    lp_weights,
     propagate_clp,
-    propagate_lp,
     sender_weights,
 )
 from .synth import UNDIRECTED_ONLY, SyntheticSpec, generate, preset_spec, snap_h_fraction
@@ -51,10 +50,11 @@ METHODS = ("mlp_only", "lp", "clp", "clp_star")
 NORMALIZATIONS = ("off", "on")
 TELEPORTS = ("base", "prior")
 
-# CLP* runs propagate_clp on its sender-only weights.  The traced benchmark run
-# probes this name to tell CLP* calls from CLP calls; _run_seed reads it at
-# call time, so it must stay a second binding of the function, not a wrapper.
-propagate_clp_star = propagate_clp
+# CLP* and LP run propagate_clp on their sender-only weights.  The traced
+# benchmark run probes these names (propagation.clp_star, propagation.lp) to
+# tell the calls apart; _run_seed reads them at call time, so each must stay a
+# second binding of the function, not a wrapper.
+propagate_clp_star = propagate_lp = propagate_clp
 
 
 @dataclass(frozen=True)
@@ -308,13 +308,10 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         base = SeedResult(seed, math.nan, math.nan,
                           convergence="certified: symmetric normalized adjacency")
         options = [(alpha, None, None) for alpha in config.alpha_grid]
-        operator = lp_operator(graph)
         teleport = np.zeros_like(y_hot)
         teleport[split.train] = y_hot[split.train]
-
-        def run(alpha, _teleport, _norm):
-            return propagate_lp(operator, teleport, PropagationConfig(alpha))
-
+        teleports = {None: Beliefs(teleport, "propagated")}
+        weights, propagate = lp_weights(graph), propagate_lp
     else:
         params, d_hat, training_log = _train_base_predictor(graph, split, config)
         base = SeedResult(
@@ -340,9 +337,9 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         else:
             weights, propagate = sender_weights(graph, b0, h_hat), propagate_clp_star
 
-        def run(alpha, teleport, norm):
-            pcfg = PropagationConfig(alpha, message_normalization=norm == "on")
-            return propagate(weights, teleports[teleport], pcfg)
+    def run(alpha, teleport, norm):
+        pcfg = PropagationConfig(alpha, message_normalization=norm == "on")
+        return propagate(weights, teleports[teleport], pcfg)
 
     best, base.candidate_log = _select(options, run, labels, split.validation)
     if best is None:
@@ -358,6 +355,9 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
     val, (alpha, teleport, norm), beliefs = best
     if config.method != "lp":
         base.convergence = _convergence_summary(convergence_check(weights, alpha))
+    elif unreached := int((beliefs.values.sum(axis=1) <= 0).sum()):
+        # a zero row takes class 0 under argmax, as a uniform one would
+        warnings.warn(f"seed {seed}: {unreached} nodes are unreachable from the training set")
     return dataclasses.replace(
         base,
         test_accuracy=metrics.accuracy(beliefs, labels, split.test),

@@ -1,17 +1,20 @@
-"""Class-conditioned label propagation in node space: CLP and its sender-only
-variant CLP* on one weight form, classic label propagation, and analytic
-convergence verification.
+"""Label propagation in node space: CLP, its sender-only variant CLP* and
+classic LP on one weight form, one step builder and one fixed-point loop, and
+analytic convergence verification.
 
 CLP weighs an arc (i, j) by ``F_ij = (b0[i] @ H) * b0[j]``, which has rank one
 in each class: ``F_ij[k] = G[i, k] * R[j, k]`` with ``G = b0 @ H`` and ``R =
 b0``.  CLP* drops the receiver factor, ``F_ij = G[i]``.  So neither needs the
 (arcs x classes) weights: :class:`NodeWeights` keeps ``incoming = A^T`` in CSR
 (row j lists j's senders in ascending order, each with the arc's scalar weight
-``a_ij``, 1 in the pipeline), ``outgoing = G`` and ``receiving = R`` (None for
-CLP*).  On (nodes x classes) beliefs B, one step in LinBP's matrix form
-(Gatterbauer et al., VLDB 2015) is:
+``a_ij``, 1 for CLP and CLP*), ``outgoing = G`` and ``receiving = R`` (None
+for CLP*).  Classic LP (Zhou et al., NeurIPS 2003) is CLP* with unit sender
+factors and the ``a_ij`` of ``D^-1/2 (A | A^T) D^-1/2`` (:func:`lp_weights`);
+its candidates never normalize, so the 0/1 arc weights that the normalized
+CLP* step assumes are never needed.  On (nodes x classes) beliefs B, one step
+in LinBP's matrix form (Gatterbauer et al., VLDB 2015) is:
 
-- unnormalized, ``R * (A^T (G * B))``, or ``A^T (G * B)`` for CLP*;
+- unnormalized, ``R * (A^T (G * B))``, or ``A^T (G * B)`` for CLP* and LP;
 - normalized, with ``P = G * B``: the message of arc (i, j) is divided by its
   sum ``s_ij = a_ij <P[i], R[j]>`` where that is positive, which is ``R * (A_s
   P)`` with ``A_s`` the pattern of A^T holding ``a_ij / s_ij`` (``a_ij`` where
@@ -46,7 +49,6 @@ The class is ``convergent`` when the upper bound is below 1/alpha,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,7 +101,8 @@ class NodeWeights:
     Arc (i, j) is entry [j, i] of ``incoming`` (A^T in CSR, senders ascending
     in each row), whose value ``a_ij`` scales its weight ``outgoing[i] *
     receiving[j]``, or ``outgoing[i]`` when ``receiving`` is None (CLP*, whose
-    normalized step is written for 0/1 arc weights).
+    normalized step is written for 0/1 arc weights).  LP is CLP* with unit
+    sender factors on ``D^-1/2 (A | A^T) D^-1/2``, and never normalizes.
     """
 
     def __init__(self, incoming: sparse.csr_matrix, outgoing: np.ndarray,
@@ -165,8 +168,8 @@ def sender_weights(graph: Graph, b0: Beliefs, h_hat: CompatibilityMatrix) -> Nod
 
 
 def _step(weights: NodeWeights, normalize: bool):
-    """One aggregation step on (nodes x classes) beliefs, for CLP or, without
-    ``receiving``, CLP*.  The normalized CLP step takes every arc's ``<P[i],
+    """One aggregation step on (nodes x classes) beliefs: CLP, or CLP* and LP
+    without ``receiving``.  The normalized CLP step takes every arc's ``<P[i],
     R[j]>`` from the cached operator of the weights in one sparse product,
     which adds the class terms in ascending order as a loop over k would; the
     buffer of ``A_s`` is made here, per call, and dies with the step."""
@@ -250,40 +253,17 @@ def propagate_clp(
     return Beliefs(values, "propagated"), log
 
 
-def lp_operator(graph: Graph) -> sparse.csr_matrix:
-    """The symmetric degree-normalized adjacency ``D^-1/2 (A | A^T) D^-1/2``,
-    built on the 0/1 pattern: entry (i, j) is ``d_i^-1/2 * d_j^-1/2``."""
+def lp_weights(graph: Graph) -> NodeWeights:
+    """Classic LP as CLP* weights with unit sender factors: ``incoming`` is
+    ``D^-1/2 (A | A^T) D^-1/2`` on the 0/1 pattern, entry (i, j) ``d_i^-1/2 *
+    d_j^-1/2``, which is its own transpose bit for bit (IEEE products commute)."""
     pattern = graph.neighborhood
-    deg = graph.degrees()
+    deg = np.diff(pattern.indptr)
     inv_sqrt = np.zeros(deg.shape)
     np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
-    row_factor = np.repeat(inv_sqrt, deg)
-    return sparse.csr_matrix((row_factor * inv_sqrt[pattern.indices], pattern.indices,
-                              pattern.indptr), shape=pattern.shape)
-
-
-def propagate_lp(
-    operator: sparse.csr_matrix,
-    teleport: np.ndarray,
-    config: PropagationConfig,
-) -> tuple[Beliefs, list[IterationRecord]]:
-    """Classic label propagation over :func:`lp_operator`.
-
-    The teleport is the one-hot training labels (zero rows elsewhere) and the
-    compatibility is implicitly the identity.  Nodes that remain at an
-    all-zero row (unreachable from every training node) are reported uniform
-    with a warning.
-    """
-    values, log = _iterate(lambda b: operator @ b, teleport, config)
-    zero_rows = values.sum(axis=1) <= 0
-    if zero_rows.any():
-        warnings.warn(
-            f"{int(zero_rows.sum())} nodes are unreachable from the training set; "
-            "predicting uniform beliefs there"
-        )
-        values = values.copy()
-        values[zero_rows] = 1.0 / teleport.shape[1]
-    return Beliefs(values, "propagated"), log
+    operator = sparse.csr_matrix((np.repeat(inv_sqrt, deg) * inv_sqrt[pattern.indices],
+                                  pattern.indices, pattern.indptr), shape=pattern.shape)
+    return NodeWeights(operator, np.ones((graph.node_count, graph.num_classes)))
 
 
 SPECTRAL_STEPS = 300  # power steps of the Collatz–Wielandt bracket before it gives up

@@ -68,9 +68,12 @@ def test_workloads_run_at_tiny_size(monkeypatch, tmp_path):
 
 def test_each_candidate_runs_under_its_method_probe(monkeypatch, tmp_path):
     """In a traced HSweep unit, each ``clprop run`` of CLP* holds one
-    ``propagation.clp_star`` span per candidate and each run of CLP one
-    ``clp_norm`` or ``clp_raw`` span per candidate, with no span of the other
-    method: 9 alphas x 2 teleports x 2 normalizations."""
+    ``propagation.clp_star`` span per candidate, each run of CLP one
+    ``clp_norm`` or ``clp_raw`` span per candidate (9 alphas x 2 teleports x
+    2 normalizations) and each run of LP one ``propagation.lp`` span per
+    alpha, with no span of another method.  LP and CLP* call the function
+    that CLP calls, so a wrapper around it, or a call through CLP's name,
+    adds or moves spans."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     workloads = importlib.import_module("workloads")
     spans = importlib.import_module("spans")
@@ -83,8 +86,10 @@ def test_each_candidate_runs_under_its_method_probe(monkeypatch, tmp_path):
     calls = [i for i, span in enumerate(recorder.spans) if span.name == "pipeline.run"]
     methods = [method for _ in workloads.SWEEP_H for method in workloads.SWEEP_METHODS]
     assert len(calls) == len(methods)
-    names = ("propagation.clp_star", "propagation.clp_norm", "propagation.clp_raw")
-    expected = {"mlp": [0, 0, 0], "lp": [0, 0, 0], "clp": [0, 18, 18], "clp-star": [36, 0, 0]}
+    names = ("propagation.clp_star", "propagation.clp_norm", "propagation.clp_raw",
+             "propagation.lp")
+    expected = {"mlp": [0, 0, 0, 0], "lp": [0, 0, 0, 9], "clp": [0, 18, 18, 0],
+                "clp-star": [36, 0, 0, 0]}
     for method, call in zip(methods, calls):
         below = {call}
         for index, span in enumerate(recorder.spans):  # a parent opens before its children

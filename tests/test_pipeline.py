@@ -366,16 +366,28 @@ class TestRunPipeline:
             assert checks == [] and brackets == []
         assert len(brackets) <= len(checks)
 
-    def test_lp_operator_is_built_once_per_seed(self, small_graph, monkeypatch):
+    def test_lp_weights_are_built_once_per_seed(self, small_graph, monkeypatch):
         graphs = []
 
-        def operator(graph):
+        def weights(graph):
             graphs.append(graph)
-            return propagation.lp_operator(graph)
+            return propagation.lp_weights(graph)
 
-        monkeypatch.setattr(pipeline, "lp_operator", operator)
+        monkeypatch.setattr(pipeline, "lp_weights", weights)
         run_pipeline(small_config(method="lp"), graph=small_graph)
         assert graphs == [small_graph, small_graph]
+
+    def test_lp_warns_once_per_seed_about_unreachable_nodes(self):
+        """The warning comes from the chosen candidate's zero rows, once per
+        seed, not once per candidate."""
+        rng = np.random.default_rng(5)
+        edges = rng.integers(0, 40, (120, 2))  # nodes 40-59 stay isolated
+        graph = graph_from_edges(60, edges, np.arange(60) % 3, features=rng.random((60, 4)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_pipeline(small_config(method="lp", seeds=(0, 1)), graph=graph)
+        messages = [str(w.message) for w in caught if "unreachable" in str(w.message)]
+        assert [m.split(":")[0] for m in messages] == ["seed 0", "seed 1"]
 
     @pytest.mark.parametrize("method, warns", [("mlp_only", False), ("lp", False),
                                                ("clp", True), ("clp_star", True)])
@@ -603,6 +615,33 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command, method, flag, value",
+        [("run", "lp", "teleport", "prior"), ("run", "lp", "normalize-messages", "on"),
+         ("run", "mlp", "alpha", "0.5"), ("run", "mlp", "teleport", "base"),
+         ("sweep", "mlp,lp", "teleport", "prior"), ("sweep", "mlp", "alpha", "0.5")],
+        ids=["run-lp-teleport", "run-lp-normalize", "run-mlp-alpha", "run-mlp-teleport",
+             "sweep-mlp-lp-teleport", "sweep-mlp-alpha"],
+    )
+    def test_propagation_flag_no_method_reads_is_usage_error(self, command, method, flag, value,
+                                                             tmp_path, capsys):
+        """--alpha is read by lp, clp and clp-star; --teleport and
+        --normalize-messages by clp and clp-star only."""
+        args = [command, "--preset", "syn1", "--scale", "0.02", "--seeds", "0",
+                "--method", method, "--out", str(tmp_path / "out"), f"--{flag}", value]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == f"usage error: --{flag} is not read by method {method}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_propagation_flag_checks_the_configured_method(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], "method": "lp"}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(config), "--teleport", "prior",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: --teleport is not read by method lp\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, flag, value, message",
         [
             ("run", "--seeds", "0,x", "argument --seeds: expects comma-separated integers, got '0,x'"),
@@ -794,6 +833,26 @@ class TestCli:
         assert "edge homophily" in text and "per-bucket accuracy" not in text
         assert cli_main(["inspect", "--config", str(path), "--scheme", "medium"]) == 0
         assert "per-bucket accuracy" in capsys.readouterr().out
+
+    def test_inspect_trains_the_table_on_the_config_scheme(self, tmp_path, capsys):
+        """A "scheme" key in the config names the scheme as --scheme does; a
+        config without the key prints no table."""
+        fast = {"dataset": SMALL_DATASET, "seeds": [0],
+                "mlp": {"epochs": 80, "early_stop_patience": 80}}
+        plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+        plain.write_text(json.dumps(fast))
+        named.write_text(json.dumps({**fast, "scheme": "dense"}))
+        assert cli_main(["inspect", "--config", str(plain), "--scheme", "dense"]) == 0
+        flagged = capsys.readouterr().out
+        assert "per-bucket accuracy" in flagged
+        assert cli_main(["inspect", "--config", str(named)]) == 0
+        assert capsys.readouterr().out == flagged
+        assert cli_main(["inspect", "--config", str(plain)]) == 0
+        assert "per-bucket accuracy" not in capsys.readouterr().out
+        out = tmp_path / "out"
+        named.write_text(json.dumps({**fast, "scheme": "dense", "output_dir": str(out)}))
+        assert cli_main(["inspect", "--config", str(named)]) == 0
+        assert (out / "bucket_accuracy.csv").exists()
 
     def test_inspect_rejects_a_bad_config_without_scheme(self, tmp_path, capsys, k22):
         save_graph(k22, tmp_path / "ds")

@@ -10,16 +10,15 @@ from scipy import sparse
 import clprop.propagation as propagation
 from clprop.compatibility import Beliefs, CompatibilityMatrix
 from clprop.graph import build_graph, one_hot
-from clprop.pipeline import DEFAULT_ALPHA_GRID
+from clprop.pipeline import DEFAULT_ALPHA_GRID, propagate_lp
 from clprop.propagation import (
     DivergenceError,
     NodeWeights,
     PropagationConfig,
     convergence_check,
     edge_weights,
-    lp_operator,
+    lp_weights,
     propagate_clp,
-    propagate_lp,
     sender_weights,
     spectral_radius,
 )
@@ -639,11 +638,12 @@ class TestFixedPointLoop:
         graph, _, _ = random_propagation_instance(rng)
         graph = build_graph(graph.node_count, graph.arcs, graph.features, graph.labels,
                             graph.num_classes, directed)
-        operator = lp_operator(graph)
+        weights = lp_weights(graph)
+        operator = weights.incoming
         teleport = rng.uniform(0.1, 1.0, (graph.node_count, graph.num_classes))
 
         def run(values, config):
-            out, log = propagate_lp(operator, values, config)
+            out, log = propagate_lp(weights, Beliefs(values, "propagated"), config)
             return out.values, log
 
         for alpha in (0.0, 0.5, 0.9):
@@ -755,7 +755,7 @@ def lp_teleport(y, train):
     """The one-hot labels on the training rows, zero rows elsewhere."""
     teleport = np.zeros_like(y)
     teleport[train] = y[train]
-    return teleport
+    return Beliefs(teleport, "propagated")
 
 
 class TestPropagateLp:
@@ -764,18 +764,19 @@ class TestPropagateLp:
         g = graph_from_edges(6, edges, [0, 0, 0, 1, 1, 1])
         teleport = lp_teleport(one_hot(g.labels, 2), [0, 3])
         config = PropagationConfig(0.9, max_iters=200, tol=1e-12)
-        out, log = propagate_lp(lp_operator(g), teleport, config)
+        out, log = propagate_lp(lp_weights(g), teleport, config)
         np.testing.assert_array_equal(np.argmax(out.values, axis=1), g.labels)
         assert log[-1].residual < config.tol
 
     def test_alpha_zero_uniform_off_train(self):
+        """At alpha 0 the beliefs are the teleport: the training row keeps its
+        label and every other row stays zero, which argmax reads as class 0."""
         g = graph_from_edges(4, [(0, 1), (2, 3)], [0, 0, 1, 1])
         y = one_hot(g.labels, 2)
-        with pytest.warns(UserWarning, match="unreachable"):
-            out, _ = propagate_lp(lp_operator(g), lp_teleport(y, [0]),
-                                  PropagationConfig(0.0, max_iters=5))
+        out, _ = propagate_lp(lp_weights(g), lp_teleport(y, [0]),
+                              PropagationConfig(0.0, max_iters=5))
         np.testing.assert_array_equal(out.values[0], y[0])
-        np.testing.assert_allclose(out.values[1], [0.5, 0.5])
+        np.testing.assert_array_equal(out.values[1:], np.zeros((3, 2)))
 
     def test_barbell_matches_dense_oracle(self):
         edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
@@ -783,20 +784,22 @@ class TestPropagateLp:
         teleport = lp_teleport(one_hot(g.labels, 2), [0, 5])
         alpha = 0.8
         out, _ = propagate_lp(
-            lp_operator(g), teleport, PropagationConfig(alpha, max_iters=50000, tol=1e-14)
+            lp_weights(g), teleport, PropagationConfig(alpha, max_iters=50000, tol=1e-14)
         )
         pattern = g.adjacency.maximum(g.adjacency.T)
         deg = np.asarray(pattern.sum(axis=1)).ravel()
         s = np.diag(deg ** -0.5) @ pattern.toarray() @ np.diag(deg ** -0.5)
-        exact = np.linalg.solve(np.eye(6) - alpha * s, (1 - alpha) * teleport)
+        exact = np.linalg.solve(np.eye(6) - alpha * s, (1 - alpha) * teleport.values)
         np.testing.assert_allclose(out.values, exact, atol=1e-8)
 
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_operator_is_the_diagonal_product_bit_for_bit(self, directed):
-        """Built on the pattern, the operator has the data, indices and indptr
-        of ``D^-1/2 (A | A^T) D^-1/2`` as two sparse products, isolated nodes
-        (empty rows, degree 0) included."""
+        """Built on the pattern, the weights' ``incoming`` has the data,
+        indices and indptr of ``D^-1/2 (A | A^T) D^-1/2`` as two sparse
+        products, isolated nodes (empty rows, degree 0) included, and is its
+        own transpose in all three; every sender factor is 1 and there is no
+        receiver factor."""
         rng = np.random.default_rng(90 + directed)
         for n in (12, 200):
             pairs = rng.integers(0, n - 4, (3 * n, 2))  # the last four nodes stay isolated
@@ -807,12 +810,18 @@ class TestPropagateLp:
             np.divide(1.0, np.sqrt(deg), out=inv_sqrt, where=deg > 0)
             d_half = sparse.diags(inv_sqrt)
             expected = (d_half @ pattern @ d_half).tocsr()
-            got = lp_operator(graph)
+            weights = lp_weights(graph)
+            got = weights.incoming
             assert got.shape == expected.shape
+            transposed = got.T.tocsr()
+            transposed.sort_indices()
             for part in ("data", "indices", "indptr"):
                 got_part, expected_part = getattr(got, part), getattr(expected, part)
                 assert got_part.dtype == expected_part.dtype
                 assert got_part.tobytes() == expected_part.tobytes()
+                assert getattr(transposed, part).tobytes() == got_part.tobytes()
+            assert weights.outgoing.tobytes() == np.ones((n, 3)).tobytes()
+            assert weights.receiving is None
 
 
 class TestClosedForm:
