@@ -2,8 +2,8 @@
 
 Subcommands: synth, inspect, train, run, sweep, compat-quality.  One table
 lists the flags of each; a flag is on a subcommand iff the subcommand reads
-it, and any other flag is a usage error, as is a propagation flag that no
-method of ``run`` or ``sweep`` reads.
+it, and any other flag is a usage error, as is a propagation setting, given
+by flag or by config-file key, that no method of ``run`` or ``sweep`` reads.
 
 A handler builds an ``ExperimentConfig`` from its flags, makes one pipeline
 call with it and prints the result; ``inspect`` resolves the graph it
@@ -133,12 +133,26 @@ def _config_from_args(args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _check_flags_are_read(flags: dict, methods) -> None:
-    """A propagation flag that none of ``methods`` reads is a usage error."""
+def _config_file_keys(path) -> set[str]:
+    """The keys a config file gives, a key of its propagation object as
+    ``propagation.<key>``; a field the file leaves out has its default."""
+    raw = dict(json.loads(Path(path).read_text()))
+    return set(raw) | {f"propagation.{key}" for key in raw.get("propagation", {})}
+
+
+def _check_settings_are_read(flags: dict, methods) -> None:
+    """A propagation setting, from a flag or from the config file, that none
+    of ``methods`` reads is a usage error."""
+    keys = _config_file_keys(flags["config"]) if flags["config"] else set()
+    names = ",".join(_CLI_METHODS[method] for method in methods)
     for flag, readers in _FLAG_READERS.items():
-        if flags.get(flag) and not set(methods) & set(readers):
-            names = ",".join(_CLI_METHODS[method] for method in methods)
+        if set(methods) & set(readers):
+            continue
+        if flags.get(flag):
             raise _UsageError(f"--{flag.replace('_', '-')} is not read by method {names}")
+        key = _CONFIG_FIELDS.get(flag) or f"propagation.{_PROPAGATION_FIELDS[flag]}"
+        if key in keys:
+            raise _UsageError(f"the config's {key} is not read by method {names}")
 
 
 def _cmd_synth(args) -> int:
@@ -162,7 +176,7 @@ def _cmd_synth(args) -> int:
 def _cmd_inspect(args) -> int:
     config = _config_from_args(args)
     # config.scheme has a default, so only the file's keys say whether it names one
-    scheme = args.scheme or (args.config and "scheme" in json.loads(Path(args.config).read_text()))
+    scheme = args.scheme or (args.config and "scheme" in _config_file_keys(args.config))
     if config.output_dir and not scheme:
         raise _UsageError("inspect writes to an output directory (--out or the config's "
                           "output_dir) only the bucket table that --scheme (or the config's "
@@ -185,7 +199,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
-    _check_flags_are_read(vars(args), [config.method])
+    _check_settings_are_read(vars(args), [config.method])
     report = run_pipeline(config)
     for r in report.per_seed:
         extras = []
@@ -203,7 +217,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
-    _check_flags_are_read(vars(args), args.methods)
+    _check_settings_are_read(vars(args), args.methods)
     rows = sweep_homophily(config, H_LEVELS, args.methods)
     for row in rows:
         print(

@@ -2,8 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from clprop import mlp, pipeline
 from clprop.cli import main as cli_main
@@ -373,11 +371,10 @@ class TestBitIdentityWithReferenceEpoch:
 
     300 nodes keep every product small.  At 4000 nodes the full forward takes
     another BLAS kernel than a forward of the validation rows alone, whose
-    logits then differ in the last bits; train() scores the validation rows
-    from their own forward only where _certified_predictions proves the
-    argmax unchanged.  So besides the log, each epoch's validation
-    predictions are compared with the argmax of the reference's full-forward
-    softmax, and the training rows' softmax inputs bit for bit.
+    logits then differ in the last bits.  So besides the log, each epoch's
+    argmax of train()'s validation forward is compared with the argmax of
+    the reference's full-forward softmax, and the training rows' softmax
+    inputs bit for bit.
     """
 
     @pytest.mark.parametrize("num_hidden_layers", [1, 2, 3])
@@ -392,19 +389,20 @@ class TestBitIdentityWithReferenceEpoch:
                                      dropout_rate=dropout_rate)
         config = TrainConfig(learning_rate=0.05, epochs=40, early_stop_patience=15,
                              num_hidden_layers=num_hidden_layers)
-        softmax_calls, certified = [], []
+        softmax_calls, val_forwards = [], []
         real_softmax = mlp.softmax
-        real_certified_predictions = mlp._certified_predictions
+        real_forward_cached = mlp._forward_cached
 
         def recording_softmax(logits):
             probs = real_softmax(logits)
             softmax_calls.append((logits.copy(), probs))
             return probs
 
-        def recording_certified_predictions(params, x_val):
-            predictions = real_certified_predictions(params, x_val)
-            certified.append(predictions)
-            return predictions
+        def recording_forward_cached(params, x, rng=None):
+            logits, caches = real_forward_cached(params, x, rng)
+            if rng is None:  # the loss forward draws dropout from the split's rng
+                val_forwards.append((x.shape[0], logits.copy()))
+            return logits, caches
 
         monkeypatch.setattr(mlp, "softmax", recording_softmax)
         expected, expected_log = _reference_train(params, graph, split, config)
@@ -412,21 +410,17 @@ class TestBitIdentityWithReferenceEpoch:
         want_train = [logits for logits, _ in softmax_calls[0::2]]
         want_val = [np.argmax(probs, axis=1)[split.validation] for _, probs in softmax_calls[1::2]]
         softmax_calls.clear()
-        monkeypatch.setattr(mlp, "_certified_predictions", recording_certified_predictions)
+        monkeypatch.setattr(mlp, "_forward_cached", recording_forward_cached)
         trained, log = train(params, graph, split, config)
         assert params_checksum(trained) == params_checksum(expected)
         assert log == expected_log
         assert len({rec.val_acc for rec in log}) > 1
-        # per epoch train() softmaxes the training rows' logits, then the
-        # validation rows' logits only where the certificate gave None
-        calls = iter(softmax_calls)
-        got_train, got_val = [], []
-        for predictions in certified:
-            got_train.append(next(calls)[0])
-            got_val.append(predictions if predictions is not None
-                           else np.argmax(next(calls)[1], axis=1))
-        assert next(calls, None) is None
-        assert len(got_val) == len(want_val) == len(log)
+        # per epoch train() softmaxes the training rows' logits only, and
+        # forwards the validation rows alone
+        got_train = [logits for logits, _ in softmax_calls]
+        assert [rows for rows, _ in val_forwards] == [split.validation.size] * len(log)
+        got_val = [np.argmax(logits, axis=1) for _, logits in val_forwards]
+        assert len(got_train) == len(got_val) == len(want_val) == len(log)
         for got, want in zip(got_train, want_train):
             np.testing.assert_array_equal(got, want)
         for got, want in zip(got_val, want_val):
@@ -458,49 +452,7 @@ class TestBitIdentityWithReferenceEpoch:
         with pytest.raises(ValueError, match="validation"):
             train(init_mlp(2, 8, 1, 2, seed=0), graph, split, TrainConfig())
 
-
-def _full_forward_predictions(params, x, rows):
-    """The validation predictions of a forward pass over every row."""
-    return np.argmax(mlp.softmax(forward(params, x))[rows], axis=1)
-
-
-class TestCertifiedPredictions:
-    """_certified_predictions returns None or exactly the argmax of the full
-    forward's validation rows, on both sides of the row count (about 4000)
-    where the full forward takes another BLAS kernel."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        num_hidden_layers=st.integers(1, 3),
-        feature_dim=st.integers(1, 16),
-        num_classes=st.integers(1, 10),
-        n=st.sampled_from([300, 4500]),
-        scale=st.sampled_from([1e-3, 1.0, 1e8]),
-        near_tie=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_none_or_the_full_forward_argmax(
-        self, num_hidden_layers, feature_dim, num_classes, n, scale, near_tie, seed
-    ):
-        rng = np.random.default_rng(seed)
-        params = init_mlp(feature_dim, 64, num_hidden_layers, num_classes, seed=seed)
-        for b in params.biases:
-            b[:] = rng.standard_normal(b.shape)
-        x = scale * rng.standard_normal((n, feature_dim))
-        rows = rng.choice(n, size=n // 10, replace=False)
-        if near_tie and num_classes > 1:
-            # move one row's top two logits in the full forward onto 0, where
-            # the slack is smallest, preferring a row the passes round differently
-            full = forward(params, x)[rows]
-            differ = np.flatnonzero((forward(params, x[rows]) != full).any(axis=1))
-            logits = full[differ[0] if differ.size else 0]
-            runner_up, top = np.argsort(logits)[-2:]
-            params.biases[-1][runner_up] -= logits[runner_up]
-            params.biases[-1][top] -= logits[top]
-        got = mlp._certified_predictions(params, x[rows])
-        assert got is None or np.array_equal(got, _full_forward_predictions(params, x, rows))
-
-    def test_exact_tie_takes_the_fallback(self, monkeypatch):
+    def test_exact_tie_matches_reference(self):
         graph = _noisy_classes(300, 2, 3, seed=5)
         split = make_splits(graph, "medium", seed=0)[0]
         # output columns 0 and 1 are identical, and their bias puts them on
@@ -508,53 +460,15 @@ class TestCertifiedPredictions:
         params = dataclasses.replace(init_mlp(2, 16, 1, 3, seed=0), dropout_rate=0.0)
         params.weights[1][:, 1] = params.weights[1][:, 0]
         params.biases[1][:2] = 50.0
-        x_val = graph.features[split.validation]
-        assert mlp._certified_predictions(params, x_val) is None
+        logits = forward(params, graph.features[split.validation])
+        np.testing.assert_array_equal(logits[:, 0], logits[:, 1])
+        assert (logits[:, 0] > logits[:, 2]).all()
         # learning rate 0 keeps the tie in every epoch
         config = TrainConfig(learning_rate=0.0, epochs=10, early_stop_patience=3)
-        full_forwards = []
-        real_forward = mlp.forward
-
-        def recording_forward(params, x):
-            full_forwards.append(x.shape[0] == graph.node_count)
-            return real_forward(params, x)
-
-        monkeypatch.setattr(mlp, "forward", recording_forward)
         trained, log = train(params, graph, split, config)
         expected, expected_log = _reference_train(params, graph, split, config)
-        assert full_forwards == [True] * len(log)
         assert log == expected_log
         assert params_checksum(trained) == params_checksum(expected)
-
-    @pytest.mark.parametrize(
-        "bias,feature,weight_scale",
-        [
-            (np.nan, 1.0, 1.0),
-            (np.inf, 1.0, 1.0),
-            (-np.inf, 1.0, 1.0),
-            (0.0, np.nan, 1.0),
-            (0.0, np.inf, 1.0),
-            (0.0, 1e300, 1e10),  # the hidden layer overflows
-        ],
-    )
-    def test_non_finite_values_give_none(self, bias, feature, weight_scale):
-        params = init_mlp(3, 8, 2, 4, seed=1)
-        params.weights[0] *= weight_scale
-        params.biases[-1][2] = bias
-        x = np.ones((5, 3))
-        x[1, 0] = feature
-        with np.errstate(all="ignore"):
-            assert mlp._certified_predictions(params, x) is None
-
-    def test_single_class(self):
-        params = init_mlp(3, 8, 1, 1, seed=2)
-        x = np.random.default_rng(0).standard_normal((7, 3))
-        x[0, 0] = np.nan  # one class is every row's argmax whatever its logit
-        with np.errstate(all="ignore"):
-            got = mlp._certified_predictions(params, x)
-            want = _full_forward_predictions(params, x, np.arange(7))
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == np.int64 and not got.any()
 
     def test_train_never_forwards_every_row(self, monkeypatch):
         """The validation rows are forwarded alone; the one pass over every
@@ -572,12 +486,12 @@ class TestCertifiedPredictions:
             return real_forward_cached(params, x, rng)
 
         # every forward pass, whether forward(), predict(), the loss or the
-        # certificate, runs through _forward_cached
+        # validation forward, runs through _forward_cached
         monkeypatch.setattr(mlp, "_forward_cached", recording_forward_cached)
         params = init_mlp(2, 64, 1, 4, seed=0)
         _, log = train(params, graph, split, config.mlp)
         assert len(log) == 30
-        # per epoch: the loss over the training rows, then the certificate
+        # per epoch: the loss over the training rows, then the validation forward
         assert row_counts == [split.train.size, split.validation.size] * len(log)
         row_counts.clear()
         pipeline._train_base_predictor(graph, split, config)

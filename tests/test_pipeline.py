@@ -92,6 +92,15 @@ OVERRIDE_DIGESTS = {
     ("--teleport", "base"): "c206fa4a4ba013bd23272288842ce7ccede9e00f0e62359187bffac1723bbac7",
     ("--teleport", "prior"): "d4334696f9c9f9c9675bfa9b0fafe5ae857e7cb56722d2e6a937ed4eb91f7f37",
 }
+# SHA-256 of seed<s>/training_log.csv that `clprop train --seeds 0,1` writes on
+# SyntheticSpec(300, 3, 8.0, 0.2, 11) and on --preset syn2, whose 10k rows take
+# another BLAS kernel in a forward over every row than in one over the validation rows
+TRAIN_DIGESTS = {
+    ("digest-300", 0): "9a379b82608e09202b96224a9d9c869657ccf7b480036a61ba174732c7061ccc",
+    ("digest-300", 1): "f28cb70eb25b8b254dbc843d6f64ca2675e3ba5d1f8a05718ad0228f025c115c",
+    ("syn2", 0): "17fa8e93b52de57f6a08ca58a97539d1f7429dd3b6b8a02d6e7ac1f1ab8496ca",
+    ("syn2", 1): "0dbd0ca5622523c69e087fcf5fd5da55d31fe362d45cf373f43eecd492754d4e",
+}
 
 
 def small_config(**overrides):
@@ -121,6 +130,30 @@ def _diverge(*args, **kwargs):
 def small_graph():
     graph, _ = generate(SyntheticSpec(300, 3, 8.0, 0.2, 11))
     return graph
+
+
+@pytest.fixture(scope="module")
+def training_logs(tmp_path_factory):
+    """The seed<s>/training_log.csv bytes of `clprop train --seeds 0,1` on a
+    dataset, trained once per dataset."""
+    logs = {}
+
+    def get(dataset):
+        if dataset not in logs:
+            root = tmp_path_factory.mktemp(dataset)
+            if dataset == "syn2":
+                source = ["--preset", "syn2"]
+            else:
+                save_graph(generate(SyntheticSpec(300, 3, 8.0, 0.2, 11))[0], root / "ds")
+                source = ["--dataset", str(root / "ds")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert cli_main(["train", *source, "--seeds", "0,1", "--out", str(root)]) == 0
+            logs[dataset] = {seed: (root / f"seed{seed}" / "training_log.csv").read_bytes()
+                             for seed in (0, 1)}
+        return logs[dataset]
+
+    return get
 
 
 class TestConfig:
@@ -457,6 +490,13 @@ class TestReports:
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             assert digest == REPORT_DIGESTS[h, method, name], name
 
+    @pytest.mark.parametrize("dataset, seed", sorted(TRAIN_DIGESTS))
+    def test_training_log_bytes_match_recorded_digests(self, dataset, seed, training_logs):
+        """Every epoch's loss and validation accuracy, not only the chosen
+        snapshot that the report digests cover, stay those recorded."""
+        digest = hashlib.sha256(training_logs(dataset)[seed]).hexdigest()
+        assert digest == TRAIN_DIGESTS[dataset, seed]
+
     @pytest.mark.parametrize("flag", sorted(OVERRIDE_DIGESTS))
     def test_override_report_bytes_match_recorded_digests(self, flag, tmp_path):
         save_graph(generate(SyntheticSpec(300, 3, 8.0, 0.2, 11))[0], tmp_path / "ds")
@@ -639,6 +679,32 @@ class TestCli:
         assert cli_main(["run", "--config", str(config), "--teleport", "prior",
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == "usage error: --teleport is not read by method lp\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, keys, named, method",
+        [("run", {"method": "lp", "propagation": {"teleport_source": "prior"}},
+          "propagation.teleport_source", "lp"),
+         ("run", {"method": "lp", "propagation": {"message_normalization": "on"}},
+          "propagation.message_normalization", "lp"),
+         ("run", {"method": "mlp_only", "alpha_grid": [0.5]}, "alpha_grid", "mlp"),
+         ("sweep", {"propagation": {"teleport_source": "prior"}},
+          "propagation.teleport_source", "mlp")],
+        ids=["run-lp-teleport", "run-lp-normalize", "run-mlp-alpha", "sweep-mlp-teleport"],
+    )
+    def test_config_setting_no_method_reads_is_usage_error(self, command, keys, named, method,
+                                                          tmp_path, capsys):
+        """The config file's propagation settings are checked like the flags:
+        sweep against its --method list, run against the configured method."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], **keys}))
+        out = tmp_path / "out"
+        args = [command, "--config", str(config), "--out", str(out)]
+        if command == "sweep":
+            args += ["--method", "mlp"]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: the config's {named} is not read by method {method}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -996,11 +1062,15 @@ class TestCli:
         assert not out.exists()
 
     @staticmethod
-    def _fast_config(tmp_path):
-        """A config file for the 300-node synthetic dataset with a short MLP budget."""
+    def _fast_config(tmp_path, alpha_grid=(0.5,)):
+        """A config file for the 300-node synthetic dataset with a short MLP
+        budget and a short alpha grid, or none for a method that reads none."""
+        raw = {"dataset": SMALL_DATASET, "seeds": [0],
+               "mlp": {"epochs": 80, "early_stop_patience": 80}}
+        if alpha_grid:
+            raw["alpha_grid"] = list(alpha_grid)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], "alpha_grid": [0.5],
-                                    "mlp": {"epochs": 80, "early_stop_patience": 80}}))
+        path.write_text(json.dumps(raw))
         return path
 
     @staticmethod
@@ -1011,12 +1081,13 @@ class TestCli:
 
     def test_every_clp_candidate_diverging_falls_back_to_the_mlp(self, monkeypatch, tmp_path,
                                                                   capsys):
-        config = self._fast_config(tmp_path)
+        config = self._fast_config(tmp_path, alpha_grid=None)
         assert cli_main(["run", "--config", str(config), "--method", "mlp",
                          "--out", str(tmp_path / "mlp")]) == 0
         capsys.readouterr()
 
         monkeypatch.setattr(pipeline, "propagate_clp", _diverge)
+        config = self._fast_config(tmp_path)
         with pytest.warns(UserWarning, match="every propagation candidate diverged"):
             assert cli_main(["run", "--config", str(config), "--method", "clp",
                              "--out", str(tmp_path / "clp")]) == 0
