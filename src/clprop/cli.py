@@ -4,6 +4,7 @@ Subcommands: synth, inspect, train, run, sweep, compat-quality.  One table
 lists the flags of each; a flag is on a subcommand iff the subcommand reads
 it, and any other flag is a usage error, as is a propagation setting, given
 by flag or by config-file key, that no method of ``run`` or ``sweep`` reads.
+The methods, their names and the settings each reads are ``pipeline.METHODS``.
 
 A handler builds an ``ExperimentConfig`` from its flags, makes one pipeline
 call with it and prints the result; ``inspect`` resolves the graph it
@@ -26,11 +27,12 @@ import numpy as np
 from .graph import SPLIT_RATIOS, save_graph
 from .mlp import TrainingDivergedError
 from .pipeline import (
+    METHODS,
     NORMALIZATIONS,
     TELEPORTS,
     ExperimentConfig,
+    config_from_dict,
     inspect_dataset,
-    load_config,
     report_compat_quality,
     resolve_dataset,
     run_pipeline,
@@ -40,8 +42,8 @@ from .pipeline import (
 from .propagation import DivergenceError
 from .synth import H_LEVELS, PRESETS, generate, preset_spec, snap_h_fraction
 
-_METHOD_NAMES = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
-_CLI_METHODS = {method: name for name, method in _METHOD_NAMES.items()}
+_METHOD_NAMES = {row.cli_name: method for method, row in METHODS.items()}
+_SWEEP_METHODS = ("mlp_only", "clp")  # sweep's default --method list
 
 
 class _UsageError(Exception):
@@ -80,22 +82,20 @@ _FLAGS = {
     "seeds": ("--seeds", dict(type=_comma_list(int, "integers"), help="comma-separated integer seeds")),
     "out": ("--out", dict(help="output directory")),
     "scheme": ("--scheme", dict(choices=list(SPLIT_RATIOS))),
-    "method": ("--method", dict(type=_method, help="mlp|lp|clp|clp-star")),
+    "method": ("--method", dict(type=_method, help="|".join(_METHOD_NAMES))),
     "methods": ("--method", dict(dest="methods", type=_comma_list(_method, "methods"),
-                                 default=("mlp_only", "clp"), help="comma list (default mlp,clp)")),
+                                 default=_SWEEP_METHODS, help="comma list (default "
+                                 f"{','.join(METHODS[m].cli_name for m in _SWEEP_METHODS)})")),
     "alpha": ("--alpha", dict(type=_comma_list(float, "floats"),
                               help="comma-separated alpha grid, each in (0,1)")),
     "normalize-messages": ("--normalize-messages", dict(choices=[*NORMALIZATIONS, "auto"])),
     "teleport": ("--teleport", dict(choices=[*TELEPORTS, "auto"])),
 }
-# flag -> the ExperimentConfig field it overrides when given
-_CONFIG_FIELDS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alpha": "alpha_grid",
-                  "out": "output_dir", "directed": "directed"}
-# flag -> the PropagationOverrides field it overrides when given
-_PROPAGATION_FIELDS = {"normalize_messages": "message_normalization", "teleport": "teleport_source"}
-# propagation flag -> the methods that read it
-_FLAG_READERS = {"alpha": ("lp", "clp", "clp_star"), "normalize_messages": ("clp", "clp_star"),
-                 "teleport": ("clp", "clp_star")}
+# flag -> the config-file key it overrides when given
+_FLAG_KEYS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alpha": "alpha_grid",
+              "out": "output_dir", "directed": "directed",
+              "normalize_messages": "propagation.message_normalization",
+              "teleport": "propagation.teleport_source"}
 
 
 def _preset_scale(scale: float | None) -> float:
@@ -116,42 +116,38 @@ def _dataset_from_args(flags: dict):
     return None
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args) -> tuple[ExperimentConfig, set[str]]:
+    """The config from the flags and the config file, and the file's keys, a
+    key of its propagation object as ``propagation.<key>``."""
     flags = vars(args)  # holds only the flags of the subcommand that was run
-    config = load_config(flags["config"]) if flags["config"] else None
+    config, keys = None, set()
+    if flags["config"]:
+        raw = json.loads(Path(flags["config"]).read_text())
+        config = config_from_dict(raw)
+        keys = set(raw) | {f"propagation.{key}" for key in raw.get("propagation", {})}
     dataset = _dataset_from_args(flags)
     if config is None:
         if dataset is None:
             raise _UsageError("provide --dataset, --preset, or --config")
         config = ExperimentConfig(dataset=dataset, seeds=(0,))
-    updates = {field: flags[flag] for flag, field in _CONFIG_FIELDS.items() if flags.get(flag)}
+    updates = {key: flags[flag] for flag, key in _FLAG_KEYS.items() if flags.get(flag)}
+    prop = {key.split(".")[1]: updates.pop(key) for key in [*updates] if "." in key}
+    updates["propagation"] = dataclasses.replace(config.propagation, **prop)
     if dataset is not None:
         updates["dataset"] = dataset
-    prop = {field: flags[flag] for flag, field in _PROPAGATION_FIELDS.items() if flags.get(flag)}
-    if prop:
-        updates["propagation"] = dataclasses.replace(config.propagation, **prop)
-    return dataclasses.replace(config, **updates) if updates else config
+    return dataclasses.replace(config, **updates), keys
 
 
-def _config_file_keys(path) -> set[str]:
-    """The keys a config file gives, a key of its propagation object as
-    ``propagation.<key>``; a field the file leaves out has its default."""
-    raw = dict(json.loads(Path(path).read_text()))
-    return set(raw) | {f"propagation.{key}" for key in raw.get("propagation", {})}
-
-
-def _check_settings_are_read(flags: dict, methods) -> None:
-    """A propagation setting, from a flag or from the config file, that none
-    of ``methods`` reads is a usage error."""
-    keys = _config_file_keys(flags["config"]) if flags["config"] else set()
-    names = ",".join(_CLI_METHODS[method] for method in methods)
-    for flag, readers in _FLAG_READERS.items():
-        if set(methods) & set(readers):
-            continue
-        if flags.get(flag):
+def _check_settings_are_read(flags: dict, keys: set[str], methods) -> None:
+    """A propagation setting, from a flag or from the config file's ``keys``,
+    that none of ``methods`` reads is a usage error."""
+    names = ",".join(METHODS[method].cli_name for method in methods)
+    unread = {key for row in METHODS.values() for key in row.reads}
+    unread -= {key for method in methods for key in METHODS[method].reads}
+    for flag, key in _FLAG_KEYS.items():
+        if key in unread and flags.get(flag):
             raise _UsageError(f"--{flag.replace('_', '-')} is not read by method {names}")
-        key = _CONFIG_FIELDS.get(flag) or f"propagation.{_PROPAGATION_FIELDS[flag]}"
-        if key in keys:
+        if key in unread & keys:
             raise _UsageError(f"the config's {key} is not read by method {names}")
 
 
@@ -174,9 +170,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    config = _config_from_args(args)
+    config, keys = _config_from_args(args)
     # config.scheme has a default, so only the file's keys say whether it names one
-    scheme = args.scheme or (args.config and "scheme" in _config_file_keys(args.config))
+    scheme = args.scheme or "scheme" in keys
     if config.output_dir and not scheme:
         raise _UsageError("inspect writes to an output directory (--out or the config's "
                           "output_dir) only the bucket table that --scheme (or the config's "
@@ -188,7 +184,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _config_from_args(args)
+    config, _ = _config_from_args(args)
     if not config.output_dir:
         raise _UsageError("train requires --out")
     for seed, best_val, epochs, test_acc in train_base_predictors(config):
@@ -198,8 +194,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    _check_settings_are_read(vars(args), [config.method])
+    config, keys = _config_from_args(args)
+    _check_settings_are_read(vars(args), keys, [config.method])
     report = run_pipeline(config)
     for r in report.per_seed:
         extras = []
@@ -214,20 +210,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config_from_args(args)
+    config, keys = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
-    _check_settings_are_read(vars(args), args.methods)
-    rows = sweep_homophily(config, H_LEVELS, args.methods)
-    for row in rows:
-        print(
-            f"h={row['h']:.1f} {row['method']}: {row['mean']:.4f} +/- {row['std']:.4f}"
-        )
+    _check_settings_are_read(vars(args), keys, args.methods)
+    for row in sweep_homophily(config, H_LEVELS, args.methods):
+        print(f"h={row['h']:.1f} {row['method']}: {row['mean']:.4f} +/- {row['std']:.4f}")
     return 0
 
 
 def _cmd_compat_quality(args) -> int:
-    config = _config_from_args(args)
+    config, _ = _config_from_args(args)
     rows = report_compat_quality(config)
     for row in rows:
         print(

@@ -2,10 +2,11 @@
 train the base predictor, estimate compatibility, propagate, and report.
 
 Per run seed the same trained predictor backs every method, so accuracy
-differences isolate the propagation step.  Candidate propagation settings
-(alpha grid x message normalization x teleport source) are selected by
-validation accuracy, and only the chosen one is certified; reports are plain
-CSV with a JSON header carrying the only timestamp.
+differences isolate the propagation step.  :data:`METHODS` is the one table
+of the methods.  Candidate propagation settings (alpha grid x teleport source
+x message normalization, those the method reads) are selected by validation
+accuracy, and only the chosen one is certified; reports are plain CSV with a
+JSON header carrying the only timestamp.
 
 Every entry point takes its settings from one :class:`ExperimentConfig` and
 writes its files to ``config.output_dir`` when that is set (nothing otherwise).
@@ -20,9 +21,11 @@ import math
 import numbers
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +46,12 @@ from .synth import UNDIRECTED_ONLY, SyntheticSpec, generate, preset_spec, snap_h
 
 DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
-METHODS = ("mlp_only", "lp", "clp", "clp_star")
+# method (config spelling) -> its `clprop run --method` spelling and the propagation
+# settings it reads, as config-file keys; a new method is a row plus its weights in _run_seed
+Method = NamedTuple("Method", [("cli_name", str), ("reads", tuple)])
+_CLP_READS = ("alpha_grid", "propagation.message_normalization", "propagation.teleport_source")
+METHODS = {"mlp_only": Method("mlp", ()), "lp": Method("lp", ("alpha_grid",)),
+           "clp": Method("clp", _CLP_READS), "clp_star": Method("clp-star", _CLP_READS)}
 
 # The choices of the candidate grid, spelled as in config files, flags and
 # report.csv; "auto" evaluates each tuple's choices in this order.
@@ -111,7 +119,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown split scheme {self.scheme!r} (choose from {list(SPLIT_RATIOS)})")
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r} (choose from {METHODS})")
+            raise ValueError(f"unknown method {self.method!r} (choose from {tuple(METHODS)})")
         if not self.alpha_grid or not all(0.0 < a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha grid values must lie strictly inside (0, 1)")
 
@@ -131,6 +139,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     Unknown or missing keys and values of the wrong type raise ValueError.
     """
+    if not isinstance(raw, dict):  # dict() would also take a list of pairs
+        raise ValueError(f"top-level config must be an object, got {raw!r}")
     try:
         data = dict(raw)
         for key, cls in (("mlp", TrainConfig), ("propagation", PropagationOverrides)):
@@ -142,11 +152,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         return _from_fields(ExperimentConfig, data, "top-level")
     except TypeError as exc:
         raise ValueError(f"malformed config: {exc}") from None
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
 
 
 def resolve_dataset(dataset, directed: bool = False) -> Graph:
@@ -232,9 +237,7 @@ class RunReport:
 
 
 def _convergence_summary(verdicts) -> str:
-    counts: dict[str, int] = {}
-    for v in verdicts:
-        counts[v.status] = counts.get(v.status, 0) + 1
+    counts = Counter(v.status for v in verdicts)
     return ";".join(f"{status}:{counts[status]}" for status in sorted(counts))
 
 
@@ -307,7 +310,6 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         # no base predictor: both accuracies come from the chosen candidate
         base = SeedResult(seed, math.nan, math.nan,
                           convergence="certified: symmetric normalized adjacency")
-        options = [(alpha, None, None) for alpha in config.alpha_grid]
         teleport = np.zeros_like(y_hot)
         teleport[split.train] = y_hot[split.train]
         teleports = {None: Beliefs(teleport, "propagated")}
@@ -327,15 +329,19 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
         b0 = prior_beliefs(d_hat, y_hot, split.train)
         h_hat = estimate_compatibility(graph, b0, y_hot, split.train)
         base.compat_distance = metrics.compat_distance(metrics.true_compatibility(graph), h_hat)
-        name, norm = config.propagation.teleport_source, config.propagation.message_normalization
-        options = itertools.product(config.alpha_grid,
-                                    TELEPORTS if name == "auto" else (name,),
-                                    NORMALIZATIONS if norm == "auto" else (norm,))
         teleports = {"base": d_hat, "prior": b0}
         if config.method == "clp":
             weights, propagate = edge_weights(graph, b0, h_hat), propagate_clp
         else:
             weights, propagate = sender_weights(graph, b0, h_hat), propagate_clp_star
+
+    # the (alpha, teleport, normalization) grid; a setting the method does not read is None
+    name, norm = config.propagation.teleport_source, config.propagation.message_normalization
+    grid = {"alpha_grid": config.alpha_grid,
+            "propagation.teleport_source": TELEPORTS if name == "auto" else (name,),
+            "propagation.message_normalization": NORMALIZATIONS if norm == "auto" else (norm,)}
+    reads = METHODS[config.method].reads
+    options = itertools.product(*(grid[key] if key in reads else (None,) for key in grid))
 
     def run(alpha, teleport, norm):
         pcfg = PropagationConfig(alpha, message_normalization=norm == "on")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -55,6 +56,36 @@ DROPPED_FLAGS = [
     for command in SUBCOMMANDS
     for flag in sorted(CLI_FLAGS["run"] - CLI_FLAGS[command])
 ]
+
+
+class Setting(NamedTuple):
+    """A propagation setting, given by flag or by config-file key."""
+
+    name: str  # in test ids
+    value: str  # of the flag
+    key: str  # in a config file, a key of its propagation object as propagation.<key>
+    entry: dict  # the key with the flag's value, as a config file gives it
+    column: str  # the report.csv column that shows the value
+    readers: set  # the `run --method` names of the methods that read it
+
+
+SETTINGS = {
+    "alpha": Setting("alpha", "0.5", "alpha_grid", {"alpha_grid": [0.5]}, "chosen_alpha",
+                     {"lp", "clp", "clp-star"}),
+    "normalize-messages": Setting("normalize", "on", "propagation.message_normalization",
+                                  {"propagation": {"message_normalization": "on"}},
+                                  "chosen_normalization", {"clp", "clp-star"}),
+    "teleport": Setting("teleport", "prior", "propagation.teleport_source",
+                        {"propagation": {"teleport_source": "prior"}}, "chosen_teleport",
+                        {"clp", "clp-star"}),
+}
+# `run --method` name -> the config-file spelling of the method
+RUN_METHODS = {"mlp": "mlp_only", "lp": "lp", "clp": "clp", "clp-star": "clp_star"}
+# every (run --method name, setting flag) pair, split by whether the method reads the setting
+UNREAD_SETTINGS = [(m, flag) for m in RUN_METHODS for flag in SETTINGS
+                   if m not in SETTINGS[flag].readers]
+READ_SETTINGS = [(m, flag) for m in RUN_METHODS for flag in SETTINGS
+                 if m in SETTINGS[flag].readers]
 
 SMALL_DATASET = {
     "num_nodes": 300,
@@ -350,6 +381,25 @@ class TestRunPipeline:
         )
         # 9 alphas x 2 message normalizations x 2 teleport sources
         assert len(result.candidate_log) == 9 * 2 * 2
+
+    @pytest.mark.parametrize(
+        "method, propagation, length, pairs",
+        [("mlp_only", {}, 0, []),
+         ("lp", {}, 9, [(None, None)]),
+         ("clp", {"teleport_source": "prior"}, 18, [("prior", "off"), ("prior", "on")]),
+         ("clp", {"teleport_source": "base", "message_normalization": "off"}, 9,
+          [("base", "off")])],
+        ids=["mlp", "lp", "clp-prior", "clp-base-off"],
+    )
+    def test_candidate_grid_per_method(self, method, propagation, length, pairs, small_graph):
+        """The grid runs over alpha, then teleport, then normalization; a
+        setting the method does not read is None, and the MLP has no grid."""
+        config = small_config(method=method, seeds=(0,),
+                              propagation=PropagationOverrides(**propagation))
+        log = run_pipeline(config, graph=small_graph).per_seed[0].candidate_log
+        assert len(log) == length
+        alphas = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        assert [c[:3] for c in log] == [(alpha, *pair) for alpha in alphas for pair in pairs]
 
     @pytest.mark.parametrize("method, calls", [("clp", 1), ("clp_star", 0)])
     def test_only_clp_calls_edge_weights(self, method, calls, small_graph, monkeypatch):
@@ -656,16 +706,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, method, flag, value",
-        [("run", "lp", "teleport", "prior"), ("run", "lp", "normalize-messages", "on"),
-         ("run", "mlp", "alpha", "0.5"), ("run", "mlp", "teleport", "base"),
-         ("sweep", "mlp,lp", "teleport", "prior"), ("sweep", "mlp", "alpha", "0.5")],
-        ids=["run-lp-teleport", "run-lp-normalize", "run-mlp-alpha", "run-mlp-teleport",
-             "sweep-mlp-lp-teleport", "sweep-mlp-alpha"],
+        [("run", m, flag, SETTINGS[flag].value) for m, flag in UNREAD_SETTINGS]
+        + [("sweep", "mlp,lp", "teleport", "prior"), ("sweep", "mlp", "alpha", "0.5")],
+        ids=[f"run-{m}-{SETTINGS[flag].name}" for m, flag in UNREAD_SETTINGS]
+        + ["sweep-mlp-lp-teleport", "sweep-mlp-alpha"],
     )
     def test_propagation_flag_no_method_reads_is_usage_error(self, command, method, flag, value,
                                                              tmp_path, capsys):
         """--alpha is read by lp, clp and clp-star; --teleport and
-        --normalize-messages by clp and clp-star only."""
+        --normalize-messages by clp and clp-star only; every pair of a run
+        method and a flag it does not read is checked."""
         args = [command, "--preset", "syn1", "--scale", "0.02", "--seeds", "0",
                 "--method", method, "--out", str(tmp_path / "out"), f"--{flag}", value]
         assert cli_main(args) == 1
@@ -683,14 +733,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, keys, named, method",
-        [("run", {"method": "lp", "propagation": {"teleport_source": "prior"}},
-          "propagation.teleport_source", "lp"),
-         ("run", {"method": "lp", "propagation": {"message_normalization": "on"}},
-          "propagation.message_normalization", "lp"),
-         ("run", {"method": "mlp_only", "alpha_grid": [0.5]}, "alpha_grid", "mlp"),
-         ("sweep", {"propagation": {"teleport_source": "prior"}},
-          "propagation.teleport_source", "mlp")],
-        ids=["run-lp-teleport", "run-lp-normalize", "run-mlp-alpha", "sweep-mlp-teleport"],
+        [("run", {"method": RUN_METHODS[m], **SETTINGS[flag].entry}, SETTINGS[flag].key, m)
+         for m, flag in UNREAD_SETTINGS]
+        + [("sweep", {"propagation": {"teleport_source": "prior"}},
+            "propagation.teleport_source", "mlp")],
+        ids=[f"run-{m}-{SETTINGS[flag].name}" for m, flag in UNREAD_SETTINGS]
+        + ["sweep-mlp-teleport"],
     )
     def test_config_setting_no_method_reads_is_usage_error(self, command, keys, named, method,
                                                           tmp_path, capsys):
@@ -706,6 +754,28 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"usage error: the config's {named} is not read by method {method}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["flag", "file"])
+    @pytest.mark.parametrize("method, flag", READ_SETTINGS,
+                             ids=[f"{m}-{SETTINGS[flag].name}" for m, flag in READ_SETTINGS])
+    def test_propagation_setting_the_method_reads_passes_the_check(self, method, flag, given,
+                                                                    tmp_path):
+        """A setting the run's method reads, by flag or by config-file key,
+        runs and reaches report.csv."""
+        setting, out = SETTINGS[flag], tmp_path / "out"
+        if given == "flag":
+            args = ["run", "--preset", "syn1", "--scale", "0.02", "--seeds", "0",
+                    "--method", method, f"--{flag}", setting.value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"dataset": {"preset": "syn1", "scale": 0.02},
+                                          "seeds": [0], "method": RUN_METHODS[method],
+                                          **setting.entry}))
+            args = ["run", "--config", str(config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # classes absent from the 20 training nodes
+            assert cli_main(args + ["--out", str(out)]) == 0
+        assert self._report_row(out)[setting.column] == setting.value
 
     @pytest.mark.parametrize(
         "command, flag, value, message",
@@ -1033,6 +1103,27 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(json.dumps([["dataset", SMALL_DATASET], ["seeds", [0]], ["method", "mlp_only"]]),
+          "top-level config must be an object, got [['dataset', {"),
+         ('"clp"', "top-level config must be an object, got 'clp'\n"),
+         ('{"seeds": [0],', "Expecting property name enclosed in double quotes"),
+         (None, "[Errno 2] No such file or directory: ")],
+        ids=["pair-list", "string", "malformed-json", "missing-file"],
+    )
+    def test_config_file_without_a_json_object_is_data_error(self, text, message, tmp_path,
+                                                             capsys):
+        """A config file holds one JSON object; dict() would also take a list
+        of key-value pairs."""
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "run"])
