@@ -5,6 +5,8 @@ lists the flags of each; a flag is on a subcommand iff the subcommand reads
 it, and any other flag is a usage error, as is a propagation setting, given
 by flag or by config-file key, that no method of ``run`` or ``sweep`` reads.
 The methods, their names and the settings each reads are ``pipeline.METHODS``.
+A flag that overrides an ``ExperimentConfig`` field is stored under the
+field's name, which is also the field's top-level key in a config file.
 
 A handler builds an ``ExperimentConfig`` from its flags, makes one pipeline
 call with it and prints the result; ``inspect`` resolves the graph it
@@ -72,7 +74,8 @@ def _comma_list(convert, what: str):
     return parse
 
 
-# flag -> (option, argparse spec); "methods" is the list-valued --method of sweep
+# argparse dest (an ExperimentConfig field's name where the flag overrides one)
+# -> (option, argparse spec); "methods" is the list-valued --method of sweep
 _FLAGS = {
     "config": ("--config", dict(help="JSON experiment config; flags override its fields")),
     "dataset": ("--dataset", dict(help="dataset directory (edges/features/labels TSV trio)")),
@@ -80,22 +83,18 @@ _FLAGS = {
     "scale": ("--scale", dict(type=float, help="node-count factor for --preset (default 1)")),
     "directed": ("--directed", dict(action="store_true", help="keep arcs as-is (no symmetrization)")),
     "seeds": ("--seeds", dict(type=_comma_list(int, "integers"), help="comma-separated integer seeds")),
-    "out": ("--out", dict(help="output directory")),
+    "output_dir": ("--out", dict(metavar="OUT", help="output directory")),
     "scheme": ("--scheme", dict(choices=list(SPLIT_RATIOS))),
     "method": ("--method", dict(type=_method, help="|".join(_METHOD_NAMES))),
-    "methods": ("--method", dict(dest="methods", type=_comma_list(_method, "methods"),
+    "methods": ("--method", dict(type=_comma_list(_method, "methods"),
                                  default=_SWEEP_METHODS, help="comma list (default "
                                  f"{','.join(METHODS[m].cli_name for m in _SWEEP_METHODS)})")),
-    "alpha": ("--alpha", dict(type=_comma_list(float, "floats"),
-                              help="comma-separated alpha grid, each in (0,1)")),
-    "normalize-messages": ("--normalize-messages", dict(choices=[*NORMALIZATIONS, "auto"])),
-    "teleport": ("--teleport", dict(choices=[*TELEPORTS, "auto"])),
+    "alpha_grid": ("--alpha", dict(type=_comma_list(float, "floats"), metavar="ALPHA",
+                                   help="comma-separated alpha grid, each in (0,1)")),
+    "message_normalization": ("--normalize-messages", dict(choices=[*NORMALIZATIONS, "auto"])),
+    "teleport_source": ("--teleport", dict(choices=[*TELEPORTS, "auto"])),
 }
-# flag -> the config-file key it overrides when given
-_FLAG_KEYS = {"scheme": "scheme", "seeds": "seeds", "method": "method", "alpha": "alpha_grid",
-              "out": "output_dir", "directed": "directed",
-              "normalize_messages": "propagation.message_normalization",
-              "teleport": "propagation.teleport_source"}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _preset_scale(scale: float | None) -> float:
@@ -117,22 +116,18 @@ def _dataset_from_args(flags: dict):
 
 
 def _config_from_args(args) -> tuple[ExperimentConfig, set[str]]:
-    """The config from the flags and the config file, and the file's keys, a
-    key of its propagation object as ``propagation.<key>``."""
+    """The config from the flags and the config file, and the file's top-level keys."""
     flags = vars(args)  # holds only the flags of the subcommand that was run
     config, keys = None, set()
     if flags["config"]:
         raw = json.loads(Path(flags["config"]).read_text())
-        config = config_from_dict(raw)
-        keys = set(raw) | {f"propagation.{key}" for key in raw.get("propagation", {})}
+        config, keys = config_from_dict(raw), set(raw)
     dataset = _dataset_from_args(flags)
     if config is None:
         if dataset is None:
             raise _UsageError("provide --dataset, --preset, or --config")
         config = ExperimentConfig(dataset=dataset, seeds=(0,))
-    updates = {key: flags[flag] for flag, key in _FLAG_KEYS.items() if flags.get(flag)}
-    prop = {key.split(".")[1]: updates.pop(key) for key in [*updates] if "." in key}
-    updates["propagation"] = dataclasses.replace(config.propagation, **prop)
+    updates = {key: value for key, value in flags.items() if key in _CONFIG_FIELDS and value}
     if dataset is not None:
         updates["dataset"] = dataset
     return dataclasses.replace(config, **updates), keys
@@ -144,9 +139,9 @@ def _check_settings_are_read(flags: dict, keys: set[str], methods) -> None:
     names = ",".join(METHODS[method].cli_name for method in methods)
     unread = {key for row in METHODS.values() for key in row.reads}
     unread -= {key for method in methods for key in METHODS[method].reads}
-    for flag, key in _FLAG_KEYS.items():
-        if key in unread and flags.get(flag):
-            raise _UsageError(f"--{flag.replace('_', '-')} is not read by method {names}")
+    for key, (option, _) in _FLAGS.items():
+        if key in unread and flags.get(key):
+            raise _UsageError(f"{option} is not read by method {names}")
         if key in unread & keys:
             raise _UsageError(f"the config's {key} is not read by method {names}")
 
@@ -155,7 +150,7 @@ def _cmd_synth(args) -> int:
     seeds = args.seeds or (0,)
     if len(seeds) > 1:
         raise _UsageError(f"synth takes one seed, got {len(seeds)}")
-    out = Path(args.out)
+    out = Path(args.output_dir)
     for idx, level in enumerate(H_LEVELS):
         spec = preset_spec(args.preset, snap_h_fraction(level), seeds[0], _preset_scale(args.scale))
         graph, manifest = generate(spec)
@@ -171,6 +166,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_inspect(args) -> int:
     config, keys = _config_from_args(args)
+    if len(config.seeds) > 1:
+        raise _UsageError(f"inspect takes one seed, got {len(config.seeds)}")
     # config.scheme has a default, so only the file's keys say whether it names one
     scheme = args.scheme or "scheme" in keys
     if config.output_dir and not scheme:
@@ -213,6 +210,9 @@ def _cmd_sweep(args) -> int:
     config, keys = _config_from_args(args)
     if not isinstance(config.dataset, dict):
         raise _UsageError("sweep requires a synthetic dataset (--preset or config)")
+    if "method" in keys:  # sweep_homophily runs each method of --method instead
+        raise _UsageError("sweep does not read the config's method; list the methods "
+                          "with --method")
     _check_settings_are_read(vars(args), keys, args.methods)
     for row in sweep_homophily(config, H_LEVELS, args.methods):
         print(f"h={row['h']:.1f} {row['method']}: {row['mean']:.4f} +/- {row['std']:.4f}")
@@ -238,35 +238,39 @@ class _Subcommand(NamedTuple):
 
 
 # where the graph comes from, the seeds and the output directory
-_DATA_FLAGS = ("config", "dataset", "preset", "scale", "directed", "seeds", "out")
-_PROPAGATION_FLAGS = ("alpha", "normalize-messages", "teleport")
+_DATA_FLAGS = ("config", "dataset", "preset", "scale", "directed", "seeds", "output_dir")
+_PROPAGATION_FLAGS = ("alpha_grid", "message_normalization", "teleport_source")
 
 _SUBCOMMANDS = {
     "synth": _Subcommand("generate a synthetic homophily-sweep benchmark", _cmd_synth,
-                         ("preset", "scale", "seeds", "out"), required=("preset", "out")),
+                         ("preset", "scale", "seeds", "output_dir"),
+                         required=("preset", "output_dir")),
     "inspect": _Subcommand("print homophily/compatibility diagnostics for a dataset",
                            _cmd_inspect, _DATA_FLAGS + ("scheme",)),
     # the MLP reads only features and labels, so train takes no --directed
     "train": _Subcommand("train the base predictor and save checkpoints", _cmd_train,
-                         ("config", "dataset", "preset", "scale", "seeds", "out", "scheme")),
+                         ("config", "dataset", "preset", "scale", "seeds", "output_dir",
+                          "scheme")),
     "run": _Subcommand("run the full pipeline and report test accuracy", _cmd_run,
                        _DATA_FLAGS + ("scheme", "method") + _PROPAGATION_FLAGS),
     "sweep": _Subcommand("compare methods across the homophily grid", _cmd_sweep,
-                         ("config", "preset", "scale", "seeds", "out", "scheme", "methods")
-                         + _PROPAGATION_FLAGS),
+                         ("config", "preset", "scale", "seeds", "output_dir", "scheme",
+                          "methods") + _PROPAGATION_FLAGS),
     "compat-quality": _Subcommand("compatibility estimate quality per labelling scheme",
                                   _cmd_compat_quality, _DATA_FLAGS + _PROPAGATION_FLAGS),
 }
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="clprop", description=__doc__)
+    parser = _Parser(prog="clprop", description="Compare a feature-only MLP, label "
+                     "propagation and compatibility-weighted label propagation for "
+                     "semi-supervised node classification on graphs of any homophily.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flag in command.flags:
-            option, spec = _FLAGS[flag]
-            p.add_argument(option, required=flag in command.required, **spec)
+        for dest in command.flags:
+            option, spec = _FLAGS[dest]
+            p.add_argument(option, dest=dest, required=dest in command.required, **spec)
     return parser
 
 

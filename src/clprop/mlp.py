@@ -54,10 +54,6 @@ class MlpParams:
     def feature_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights[-1].shape[1]
-
     def copy(self) -> "MlpParams":
         return MlpParams(
             [w.copy() for w in self.weights],

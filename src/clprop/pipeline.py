@@ -3,13 +3,14 @@ train the base predictor, estimate compatibility, propagate, and report.
 
 Per run seed the same trained predictor backs every method, so accuracy
 differences isolate the propagation step.  :data:`METHODS` is the one table
-of the methods.  Candidate propagation settings (alpha grid x teleport source
-x message normalization, those the method reads) are selected by validation
-accuracy, and only the chosen one is certified; reports are plain CSV with a
-JSON header carrying the only timestamp.
+of the methods.  Candidate propagation settings (``alpha_grid`` x
+``teleport_source`` x ``message_normalization``, the config fields the method
+reads) are selected by validation accuracy, and only the chosen one is
+certified; reports are plain CSV with a JSON header carrying the only timestamp.
 
-Every entry point takes its settings from one :class:`ExperimentConfig` and
-writes its files to ``config.output_dir`` when that is set (nothing otherwise).
+Every entry point takes its settings from one :class:`ExperimentConfig`, whose
+JSON mirror gives each field as a top-level key (``mlp`` as a nested object),
+and writes its files to ``config.output_dir`` when that is set (nothing otherwise).
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .synth import UNDIRECTED_ONLY, SyntheticSpec, generate, preset_spec, snap_h
 DEFAULT_ALPHA_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
 # method (config spelling) -> its `clprop run --method` spelling and the propagation
-# settings it reads, as config-file keys; a new method is a row plus its weights in _run_seed
+# settings it reads, as ExperimentConfig fields; a new method is a row plus its weights in _run_seed
 Method = NamedTuple("Method", [("cli_name", str), ("reads", tuple)])
-_CLP_READS = ("alpha_grid", "propagation.message_normalization", "propagation.teleport_source")
+_CLP_READS = ("alpha_grid", "message_normalization", "teleport_source")
 METHODS = {"mlp_only": Method("mlp", ()), "lp": Method("lp", ("alpha_grid",)),
            "clp": Method("clp", _CLP_READS), "clp_star": Method("clp-star", _CLP_READS)}
 
@@ -63,24 +64,6 @@ TELEPORTS = ("base", "prior")
 # tell the calls apart; _run_seed reads them at call time, so each must stay a
 # second binding of the function, not a wrapper.
 propagate_clp_star = propagate_lp = propagate_clp
-
-
-@dataclass(frozen=True)
-class PropagationOverrides:
-    """Pipeline-level propagation knobs: ``message_normalization`` is "on",
-    "off" or "auto", ``teleport_source`` is "base" (the MLP's prediction),
-    "prior" or "auto"; "auto" selects by validation."""
-
-    message_normalization: str = "auto"
-    teleport_source: str = "auto"
-
-    def __post_init__(self):
-        norm = self.message_normalization
-        if norm not in ("auto", *NORMALIZATIONS):
-            raise ValueError(f"message normalization must be on, off or auto, got {norm!r}")
-        if self.teleport_source not in ("auto", *TELEPORTS):
-            raise ValueError(f"teleport source must be base, prior or auto, "
-                             f"got {self.teleport_source!r}")
 
 
 _KIND_WORDS = {numbers.Integral: "an integer", numbers.Real: "a number", str: "a string",
@@ -101,15 +84,19 @@ class ExperimentConfig:
     scheme: str = "medium"
     method: str = "clp"
     alpha_grid: tuple[float, ...] = tuple(DEFAULT_ALPHA_GRID)
+    # "on"/"off" and "base" (the MLP's prediction)/"prior"; "auto" selects by validation
+    message_normalization: str = "auto"
+    teleport_source: str = "auto"
     mlp: TrainConfig = field(default_factory=TrainConfig)
-    propagation: PropagationOverrides = field(default_factory=PropagationOverrides)
     output_dir: str | None = None
     directed: bool = False
 
     def __post_init__(self):
-        if not self.seeds or not all(
-                isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
-            raise ValueError(f"seeds must be one or more integers, got {list(self.seeds)}")
+        seeds = list(self.seeds)
+        if not seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                                and s >= 0 for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ValueError(f"seeds must be one or more distinct non-negative integers, "
+                             f"got {seeds}")
         _check_kind("directed", self.directed, bool)
         if self.output_dir is not None:
             _check_kind("output_dir", self.output_dir, str)
@@ -122,6 +109,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r} (choose from {tuple(METHODS)})")
         if not self.alpha_grid or not all(0.0 < a < 1.0 for a in self.alpha_grid):
             raise ValueError("alpha grid values must lie strictly inside (0, 1)")
+        if self.message_normalization not in ("auto", *NORMALIZATIONS):
+            raise ValueError(f"message normalization must be on, off or auto, "
+                             f"got {self.message_normalization!r}")
+        if self.teleport_source not in ("auto", *TELEPORTS):
+            raise ValueError(f"teleport source must be base, prior or auto, "
+                             f"got {self.teleport_source!r}")
 
 
 def _from_fields(cls, raw, section: str):
@@ -135,7 +128,8 @@ def _from_fields(cls, raw, section: str):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from the JSON mirror (nested mlp/propagation objects).
+    """Build a config from the JSON mirror: the fields as top-level keys, with
+    ``mlp`` a nested object.
 
     Unknown or missing keys and values of the wrong type raise ValueError.
     """
@@ -143,9 +137,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError(f"top-level config must be an object, got {raw!r}")
     try:
         data = dict(raw)
-        for key, cls in (("mlp", TrainConfig), ("propagation", PropagationOverrides)):
-            if key in data:
-                data[key] = _from_fields(cls, data[key], key)
+        if "mlp" in data:
+            data["mlp"] = _from_fields(TrainConfig, data["mlp"], "mlp")
         for key in ("seeds", "alpha_grid"):
             if key in data:
                 data[key] = tuple(data[key])
@@ -336,10 +329,10 @@ def _run_seed(graph: Graph, seed: int, config: ExperimentConfig) -> SeedResult:
             weights, propagate = sender_weights(graph, b0, h_hat), propagate_clp_star
 
     # the (alpha, teleport, normalization) grid; a setting the method does not read is None
-    name, norm = config.propagation.teleport_source, config.propagation.message_normalization
+    name, norm = config.teleport_source, config.message_normalization
     grid = {"alpha_grid": config.alpha_grid,
-            "propagation.teleport_source": TELEPORTS if name == "auto" else (name,),
-            "propagation.message_normalization": NORMALIZATIONS if norm == "auto" else (norm,)}
+            "teleport_source": TELEPORTS if name == "auto" else (name,),
+            "message_normalization": NORMALIZATIONS if norm == "auto" else (norm,)}
     reads = METHODS[config.method].reads
     options = itertools.product(*(grid[key] if key in reads else (None,) for key in grid))
 

@@ -19,7 +19,6 @@ from clprop.graph import Graph, build_graph, load_dataset, make_splits, save_gra
 from clprop.mlp import TrainConfig
 from clprop.pipeline import (
     ExperimentConfig,
-    PropagationOverrides,
     config_from_dict,
     inspect_dataset,
     report_compat_quality,
@@ -63,7 +62,7 @@ class Setting(NamedTuple):
 
     name: str  # in test ids
     value: str  # of the flag
-    key: str  # in a config file, a key of its propagation object as propagation.<key>
+    key: str  # in a config file, and the ExperimentConfig field it sets
     entry: dict  # the key with the flag's value, as a config file gives it
     column: str  # the report.csv column that shows the value
     readers: set  # the `run --method` names of the methods that read it
@@ -72,11 +71,11 @@ class Setting(NamedTuple):
 SETTINGS = {
     "alpha": Setting("alpha", "0.5", "alpha_grid", {"alpha_grid": [0.5]}, "chosen_alpha",
                      {"lp", "clp", "clp-star"}),
-    "normalize-messages": Setting("normalize", "on", "propagation.message_normalization",
-                                  {"propagation": {"message_normalization": "on"}},
+    "normalize-messages": Setting("normalize", "on", "message_normalization",
+                                  {"message_normalization": "on"},
                                   "chosen_normalization", {"clp", "clp-star"}),
-    "teleport": Setting("teleport", "prior", "propagation.teleport_source",
-                        {"propagation": {"teleport_source": "prior"}}, "chosen_teleport",
+    "teleport": Setting("teleport", "prior", "teleport_source",
+                        {"teleport_source": "prior"}, "chosen_teleport",
                         {"clp", "clp-star"}),
 }
 # `run --method` name -> the config-file spelling of the method
@@ -196,24 +195,25 @@ class TestConfig:
             "method": "clp_star",
             "alpha_grid": [0.2, 0.4],
             "mlp": {"epochs": 50, "early_stop_patience": 10, "hidden_dim": 32},
-            "propagation": {"teleport_source": "base", "message_normalization": "off"},
+            "teleport_source": "base",
+            "message_normalization": "off",
         }
         cfg = config_from_dict(raw)
         assert cfg.seeds == (0, 1, 2)
         assert cfg.mlp.hidden_dim == 32
-        assert cfg.propagation == PropagationOverrides(message_normalization="off",
-                                                       teleport_source="base")
+        assert (cfg.message_normalization, cfg.teleport_source) == ("off", "base")
 
     def test_auto_is_the_default(self):
         cfg = config_from_dict(
             {
                 "dataset": "some/dir",
                 "seeds": [0],
-                "propagation": {"message_normalization": "auto", "teleport_source": "auto"},
+                "message_normalization": "auto",
+                "teleport_source": "auto",
             }
         )
-        assert cfg.propagation == PropagationOverrides()
-        assert cfg.propagation.message_normalization == cfg.propagation.teleport_source == "auto"
+        assert cfg == ExperimentConfig(dataset="some/dir", seeds=(0,))
+        assert cfg.message_normalization == cfg.teleport_source == "auto"
 
     def test_alpha_grid_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -233,10 +233,12 @@ class TestConfig:
             ({"bogus": 1}, "unknown top-level config keys: bogus"),
             ({"partial_labels": True}, "unknown top-level config keys: partial_labels"),
             ({"mlp": {"lr": 0.1, "epochs": 5}}, "unknown mlp config keys: lr"),
-            ({"propagation": {"alpha": 0.5}}, "unknown propagation config keys: alpha"),
+            ({"alpha": 0.5}, "unknown top-level config keys: alpha"),
             ({"mlp": {"seed": 7}}, "unknown mlp config keys: seed"),
-            ({"propagation": {"max_iters": 30}}, "unknown propagation config keys: max_iters"),
-            ({"propagation": {"tol": 1e-6}}, "unknown propagation config keys: tol"),
+            ({"max_iters": 30}, "unknown top-level config keys: max_iters"),
+            ({"tol": 1e-6}, "unknown top-level config keys: tol"),
+            ({"propagation": {"teleport_source": "base"}},
+             "unknown top-level config keys: propagation"),
         ],
     )
     def test_unknown_keys_are_named(self, extra, named):
@@ -260,6 +262,10 @@ class TestConfig:
             ({"directed": "no"}, "directed must be true or false, got 'no'"),
             ({"output_dir": 5}, "output_dir must be a string, got 5"),
             ({"alpha_grid": ["0.5"]}, "alpha_grid value must be a number, got '0.5'"),
+            ({"seeds": [0, 0]}, "seeds must be one or more distinct non-negative integers, "
+             "got [0, 0]"),
+            ({"seeds": [-1]}, "seeds must be one or more distinct non-negative integers, "
+             "got [-1]"),
         ],
     )
     def test_mistyped_values_name_the_field(self, extra, message):
@@ -270,7 +276,7 @@ class TestConfig:
     def test_message_normalization_rejects_other_values(self, value):
         with pytest.raises(ValueError, match="message normalization must be on, off or auto"):
             config_from_dict(
-                {"dataset": "d", "seeds": [0], "propagation": {"message_normalization": value}}
+                {"dataset": "d", "seeds": [0], "message_normalization": value}
             )
 
     @pytest.mark.parametrize(
@@ -383,7 +389,7 @@ class TestRunPipeline:
         assert len(result.candidate_log) == 9 * 2 * 2
 
     @pytest.mark.parametrize(
-        "method, propagation, length, pairs",
+        "method, settings, length, pairs",
         [("mlp_only", {}, 0, []),
          ("lp", {}, 9, [(None, None)]),
          ("clp", {"teleport_source": "prior"}, 18, [("prior", "off"), ("prior", "on")]),
@@ -391,11 +397,10 @@ class TestRunPipeline:
           [("base", "off")])],
         ids=["mlp", "lp", "clp-prior", "clp-base-off"],
     )
-    def test_candidate_grid_per_method(self, method, propagation, length, pairs, small_graph):
+    def test_candidate_grid_per_method(self, method, settings, length, pairs, small_graph):
         """The grid runs over alpha, then teleport, then normalization; a
         setting the method does not read is None, and the MLP has no grid."""
-        config = small_config(method=method, seeds=(0,),
-                              propagation=PropagationOverrides(**propagation))
+        config = small_config(method=method, seeds=(0,), **settings)
         log = run_pipeline(config, graph=small_graph).per_seed[0].candidate_log
         assert len(log) == length
         alphas = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -597,12 +602,11 @@ class TestReports:
 
     @pytest.mark.parametrize(
         "overrides",
-        [PropagationOverrides(), PropagationOverrides(message_normalization="on",
-                                                      teleport_source="prior")],
+        [{}, {"message_normalization": "on", "teleport_source": "prior"}],
         ids=["auto", "on-prior"],
     )
     def test_run_json_config_loads_back(self, overrides, small_graph, tmp_path):
-        config = small_config(seeds=(0,), alpha_grid=(0.5,), propagation=overrides,
+        config = small_config(seeds=(0,), alpha_grid=(0.5,), **overrides,
                               output_dir=str(tmp_path))
         run_pipeline(config, graph=small_graph)
         written = json.loads((tmp_path / "run.json").read_text())["config"]
@@ -732,27 +736,27 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, keys, named, method",
-        [("run", {"method": RUN_METHODS[m], **SETTINGS[flag].entry}, SETTINGS[flag].key, m)
+        "command, keys, message",
+        [("run", {"method": RUN_METHODS[m], **SETTINGS[flag].entry},
+          f"the config's {SETTINGS[flag].key} is not read by method {m}")
          for m, flag in UNREAD_SETTINGS]
-        + [("sweep", {"propagation": {"teleport_source": "prior"}},
-            "propagation.teleport_source", "mlp")],
+        + [("sweep --method mlp", {"teleport_source": "prior"},
+            "the config's teleport_source is not read by method mlp"),
+           ("sweep", {"method": "lp"},
+            "sweep does not read the config's method; list the methods with --method")],
         ids=[f"run-{m}-{SETTINGS[flag].name}" for m, flag in UNREAD_SETTINGS]
-        + ["sweep-mlp-teleport"],
+        + ["sweep-mlp-teleport", "sweep-method"],
     )
-    def test_config_setting_no_method_reads_is_usage_error(self, command, keys, named, method,
+    def test_config_setting_no_method_reads_is_usage_error(self, command, keys, message,
                                                           tmp_path, capsys):
         """The config file's propagation settings are checked like the flags:
-        sweep against its --method list, run against the configured method."""
+        sweep against its --method list, run against the configured method;
+        sweep runs the methods of --method, so the config's method is unread."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"dataset": SMALL_DATASET, "seeds": [0], **keys}))
         out = tmp_path / "out"
-        args = [command, "--config", str(config), "--out", str(out)]
-        if command == "sweep":
-            args += ["--method", "mlp"]
-        assert cli_main(args) == 1
-        assert capsys.readouterr().err == (
-            f"usage error: the config's {named} is not read by method {method}\n")
+        assert cli_main([*command.split(), "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("given", ["flag", "file"])
@@ -1044,6 +1048,22 @@ class TestCli:
         assert "unrecognized arguments: --partial-labels" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seeds", ["0,0", "-1"])
+    def test_duplicate_or_negative_seed_flag_is_data_error(self, seeds, tmp_path, capsys):
+        args = ["run", "--preset", "syn1", "--scale", "0.02", f"--seeds={seeds}",
+                "--method", "mlp", "--out", str(tmp_path / "out")]
+        assert cli_main(args) == 2
+        assert capsys.readouterr().err == ("data error: seeds must be one or more distinct "
+                                           f"non-negative integers, got [{seeds.replace(',', ', ')}]\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_top_level_help_is_for_users(self):
+        """The top-level --help names none of the code's internals."""
+        text = " ".join(_build_parser().format_help().split())
+        assert "compatibility-weighted label propagation" in text
+        for internal in ("ExperimentConfig", "METHODS", "pipeline."):
+            assert internal not in text
+
     def test_directed_synthetic_is_data_error(self, tmp_path, capsys):
         args = ["run", "--preset", "syn1", "--scale", "0.02", "--seeds", "0", "--directed",
                 "--out", str(tmp_path / "out")]
@@ -1071,7 +1091,7 @@ class TestCli:
         [
             {"bogus": 1},
             {"mlp": {"lr": 0.1}},
-            {"propagation": {"message_normalization": "maybe"}},
+            {"message_normalization": "maybe"},
             {"dataset": {"h": 0.5}},
             {"dataset": 5},
             {"dataset": {"preset": "syn1", "scael": 0.02}},
@@ -1084,6 +1104,8 @@ class TestCli:
             {"mlp": 5},
             {"propagation": "on"},
             {"seeds": [0.7]},
+            {"seeds": [0, 0]},
+            {"seeds": [-1]},
             {"directed": "no"},
             {"alpha_grid": ["0.5"]},
             {"output_dir": 5},
@@ -1092,9 +1114,9 @@ class TestCli:
             {"dataset": {**SMALL_DATASET, "num_nodes": 300.7}},
             {"dataset": {**SMALL_DATASET, "num_classes": 3.0}},
             {"dataset": {**SMALL_DATASET, "seed": True}},
-            {"propagation": {"message_normalization": True}},
-            {"propagation": {"message_normalization": None}},
-            {"propagation": {"teleport_source": "base_prediction"}},
+            {"message_normalization": True},
+            {"message_normalization": None},
+            {"teleport_source": "base_prediction"},
         ],
     )
     def test_bad_config_file_is_data_error(self, raw, tmp_path, capsys):
@@ -1234,14 +1256,19 @@ class TestCli:
             (["sweep", "--config", "CONFIG"], "sweep requires a synthetic dataset"),
             (["synth", "--preset", "syn1", "--scale", "0.02", "--seeds", "4,5", "--out", "OUT"],
              "synth takes one seed, got 2"),
+            (["inspect", "--dataset", "ds", "--scheme", "medium", "--seeds", "0,1"],
+             "inspect takes one seed, got 2"),
+            (["inspect", "--config", "TWO_SEEDS", "--scheme", "medium"],
+             "inspect takes one seed, got 2"),
         ],
         ids=["dataset-and-preset", "no-dataset", "train-without-out", "sweep-dataset-directory",
-             "synth-two-seeds"],
+             "synth-two-seeds", "inspect-two-seed-flags", "inspect-two-config-seeds"],
     )
     def test_usage_errors(self, args, message, tmp_path, capsys):
-        config = tmp_path / "config.json"
+        config, two_seeds = tmp_path / "config.json", tmp_path / "two-seeds.json"
         config.write_text(json.dumps({"dataset": str(tmp_path / "ds"), "seeds": [0]}))
-        places = {"CONFIG": str(config), "OUT": str(tmp_path / "out")}
+        two_seeds.write_text(json.dumps({"dataset": str(tmp_path / "ds"), "seeds": [0, 1]}))
+        places = {"CONFIG": str(config), "TWO_SEEDS": str(two_seeds), "OUT": str(tmp_path / "out")}
         assert cli_main([places.get(arg, arg) for arg in args]) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {message}")
         assert not (tmp_path / "out").exists()
